@@ -15,8 +15,9 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 
 from . import kmer, lattice, sketch
-from .errors import CalmsimError, DivergenceError
+from .errors import CalmsimError, DivergenceError, UnknownWorkerError
 from .runtime import DeliverySchedule
+from .tables import Value
 from .lattice import (GSet, LMax, LSet, LWWSet, LWWTokenSet, Timestamp,
                       TwoPSet)
 
@@ -163,13 +164,16 @@ def _kmer_b_match(counts, truth, threshold) -> bool:
     return True
 
 
+def _run_kwargs(config: RunConfig) -> dict:
+    """Delivery schedule and fault injections shared by every runner."""
+    return dict(schedule=config.schedule(), failures=config.fail,
+                joins=config.join, partitions=config.partition)
+
+
 def _run_kmer(config: RunConfig):
     corpus = _load_corpus(config)
     truth = kmer.oracle_count(corpus, config.k)
-    kwargs = dict(
-        schedule=config.schedule(), failures=config.fail,
-        joins=config.join, partitions=config.partition,
-    )
+    kwargs = _run_kwargs(config)
     if config.workload == "kmer_a":
         res = kmer.impl_a_run(corpus, config.k, config.workers, **kwargs)
         match = res.histogram == truth
@@ -195,15 +199,20 @@ def _run_cms(config: RunConfig):
     reference = sketch.sequential_sketch(stream, params)
     truth = kmer.oracle_count(corpus, config.k)
     items = sorted(truth)
+    kwargs = _run_kwargs(config)
     if config.workload == "cms_design1":
         res = sketch.design1_run(corpus, config.k, params, config.workers,
-                                 schedule=config.schedule())
-        estimates = {x: res.estimate(x) for x in items}
+                                 **kwargs)
+        # Worker 0 answers IDK (reported as null) for an item whose cell
+        # owner is still cut off from it when the run ends.
+        answers = {x: res.query(x) for x in items}
+        estimates = {x: a.payload if isinstance(a, Value) else None
+                     for x, a in answers.items()}
         converged = True
         gather = sum(1 for ev in res.sim.events if ev[1] == "gather")
     else:
         res = sketch.design2_run(corpus, config.k, params, config.workers,
-                                 schedule=config.schedule())
+                                 **kwargs)
         estimates = {x: res.query(x) for x in items}
         converged = res.converged()
         gather = 0
@@ -257,7 +266,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
             sim, result, match, coordination = _run_lattice_demo(config)
     except DivergenceError as exc:
         return 3, {"error": str(exc), "config": config.echo()}
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, UnknownWorkerError) as exc:
         return 2, {"error": str(exc)}
     report = {
         "config": config.echo(),

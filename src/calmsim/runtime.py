@@ -21,7 +21,6 @@ stratification error.
 
 from __future__ import annotations
 
-import graphlib
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -298,6 +297,79 @@ def run_to_quiescence(sim: Simulation, program: Program,
 
 
 # ---------------------------------------------------------------------------
+# Dependency graphs
+
+
+def _components(deps: Mapping[Any, Sequence]) -> list[tuple]:
+    """Strongly connected components of ``{node: nodes it reads}``.
+
+    Tarjan's algorithm with an explicit stack, so long rule chains do not
+    hit the recursion limit.  A component comes after every component it
+    reads from (producers first).  Nodes are visited in order of first
+    appearance (each key, then the nodes it reads), and each component
+    lists its members in that order, so the result does not depend on
+    ``PYTHONHASHSEED``.
+    """
+    order = list(dict.fromkeys(
+        n for node, reads in deps.items() for n in (node, *reads)))
+    position = {n: i for i, n in enumerate(order)}
+    low: dict = {}  # visit index, lowered to the least one reachable on stack
+    stack: list = []
+    work: list = []
+    out: list[tuple] = []
+
+    def visit(node):
+        low[node] = len(low)
+        work.append((node, low[node], len(stack), iter(deps.get(node, ()))))
+        stack.append(node)
+
+    for root in order:
+        if root not in low:
+            visit(root)
+        while work:
+            node, index, height, reads = work[-1]
+            for dep in reads:
+                if dep not in low:
+                    visit(dep)
+                    break
+                low[node] = min(low[node], low[dep])
+            else:
+                work.pop()
+                if low[node] == index:
+                    comp = stack[height:]
+                    del stack[height:]
+                    for n in comp:  # placed: no longer lowers anything
+                        low[n] = len(order)
+                    out.append(tuple(sorted(comp, key=position.__getitem__)))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+    return out
+
+
+def _cyclic(comp: tuple, deps: Mapping[Any, Sequence]) -> bool:
+    """True when a component holds a cycle: two or more nodes, or a self-loop."""
+    return len(comp) > 1 or comp[0] in deps.get(comp[0], ())
+
+
+def _cycle_through(start, deps: Mapping[Any, Sequence]) -> tuple:
+    """A shortest cycle of read edges from ``start`` back to itself."""
+    came_from = {start: None}
+    frontier = [start]
+    for node in frontier:
+        for dep in deps.get(node, ()):
+            if dep == start:
+                path = [start]
+                while node is not None:
+                    path.append(node)
+                    node = came_from[node]
+                return tuple(reversed(path))
+            if dep not in came_from:
+                came_from[dep] = node
+                frontier.append(dep)
+
+
+# ---------------------------------------------------------------------------
 # Tick-rule engine
 
 
@@ -336,16 +408,15 @@ class TickRuleEngine:
         """
         instant = [r for r in self.rules if not r.deferred]
         targets = {r.target for r in instant}
-        deps: dict = {t: set() for t in targets}
+        deps: dict = {}
         for r in instant:
-            if r.target in r.sources:
-                raise StratificationError((r.target, r.target))
-            deps[r.target].update(s for s in r.sources if s in targets)
-        try:
-            order = list(graphlib.TopologicalSorter(deps).static_order())
-        except graphlib.CycleError as exc:
-            raise StratificationError(exc.args[1]) from None
-        rank = {name: i for i, name in enumerate(order)}
+            deps.setdefault(r.target, []).extend(
+                s for s in r.sources if s in targets)
+        rank = {}
+        for i, comp in enumerate(_components(deps)):
+            if _cyclic(comp, deps):
+                raise StratificationError(_cycle_through(comp[0], deps))
+            rank[comp[0]] = i
         return sorted(instant, key=lambda r: rank[r.target])
 
     def inject(self, name: str, delta) -> None:

@@ -22,9 +22,8 @@ from typing import Iterable
 
 from .dispenser import Chunk, WorkPool
 from .hashing import hash64
-from .kmer import KmerIngestProgram, chunk_windows, normalize_corpus
-from .runtime import (DeliverySchedule, Envelope, Simulation,
-                      run_to_quiescence)
+from .kmer import KmerIngestProgram, _run, chunk_windows, normalize_corpus
+from .runtime import DeliverySchedule, Envelope, Simulation
 from .tables import IDK, PartitionPlan, Tristate, Value
 
 
@@ -175,12 +174,13 @@ class Design2Result:
 
 def design2_run(corpus, k: int, params: CmsParams, workers: int,
                 schedule: DeliverySchedule | None = None,
+                failures=(), joins=(), partitions=(),
                 chunk_len: int | None = None,
                 tick_cap: int = 100_000) -> Design2Result:
     data = normalize_corpus(corpus)
-    sim = Simulation(schedule or DeliverySchedule(), tick_cap=tick_cap)
-    prog = Design2Program(data, k, workers, params, chunk_len=chunk_len)
-    run_to_quiescence(sim, prog)
+    sim, prog = _run(
+        Design2Program(data, k, workers, params, chunk_len=chunk_len),
+        schedule, failures, joins, partitions, tick_cap)
     return Design2Result(prog.replicas, sim, prog)
 
 
@@ -276,10 +276,11 @@ class Design1Result:
 
 def design1_run(corpus, k: int, params: CmsParams, workers: int,
                 schedule: DeliverySchedule | None = None,
+                failures=(), joins=(), partitions=(),
                 chunk_len: int | None = None,
                 tick_cap: int = 100_000) -> Design1Result:
     data = normalize_corpus(corpus)
-    sim = Simulation(schedule or DeliverySchedule(), tick_cap=tick_cap)
-    prog = Design1Program(data, k, workers, params, chunk_len=chunk_len)
-    run_to_quiescence(sim, prog)
+    sim, prog = _run(
+        Design1Program(data, k, workers, params, chunk_len=chunk_len),
+        schedule, failures, joins, partitions, tick_cap)
     return Design1Result(prog.slabs, sim, prog)

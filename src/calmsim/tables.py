@@ -11,16 +11,16 @@ worker's aggregate is complete locally and no communication is needed
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping, Sequence
-
-import networkx as nx
+from typing import Any, Iterable, Mapping
 
 from . import lattice
 from .errors import DivergenceError
 from .hashing import hash64
 from .lattice import GSet, LatticeValue, TwoPSet
+from .runtime import _components, _cyclic
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +250,14 @@ def lookup(table: GlobalTable, key, at_worker: int, net=None) -> Tristate:
 class RuleSpec:
     """One dataflow rule: target receives op(sources).
 
-    op is ``copy`` (one source), ``union``, or ``difference`` (two sources,
-    the second negated).
+    op is ``copy`` (one source), ``union`` (two sources), or ``difference``
+    (two sources, the second negated).  Several rules may share a target;
+    the target then receives the union of their results.
     """
 
     target: str
     op: str
     sources: tuple
-
-    def edges(self):
-        for i, src in enumerate(self.sources):
-            kind = "negation" if (self.op == "difference" and i == 1) else "monotone"
-            yield (src, self.target, kind)
 
 
 @dataclass
@@ -277,53 +273,64 @@ class DataflowGraph:
             out.update(r.sources)
         return out
 
-    def digraph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes())
-        for r in self.rules:
-            for src, dst, kind in r.edges():
-                g.add_edge(src, dst, kind=kind)
-        return g
+
+def _reads(g: DataflowGraph) -> dict:
+    """``{target: nodes its rules read}``, in rule order."""
+    deps: dict = {}
+    for r in g.rules:
+        deps.setdefault(r.target, []).extend(r.sources)
+    return deps
+
+
+_OPERATOR = re.compile(r"(?<!\S)(-|\+|minus)(?!\S)")
+_OPS = {"-": "difference", "minus": "difference", "+": "union"}
 
 
 def parse_rules(text: str) -> DataflowGraph:
     """Parse the one-rule-per-line text form.
 
-    Grammar (see README): ``target <= a``, ``target <= a - b``,
-    ``target <= a minus b``, ``target <= a + b``; ``<+`` in place of ``<=``
-    defers the rule to the next tick (carried through as metadata for the
-    tick-rule engine; pure graph analysis ignores it).
+    Grammar (see README): ``target <= a``, ``target <= a + b``,
+    ``target <= a - b`` (or ``a minus b``), with at most one operator per
+    line; write a wider union as several rules with the same target.
+    ``#`` starts a comment.  Raises ``ValueError`` naming the line for a
+    missing ``<=``, for ``<+`` (set-valued graphs have no ticks to defer
+    to; see ``runtime.Rule(deferred=True)``), for more than one operator,
+    and for an empty node name.
     """
     rules = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        for arrow in ("<=", "<+"):
-            if arrow in line:
-                target, rhs = line.split(arrow, 1)
-                break
-        else:
-            raise ValueError(f"line {lineno}: missing <= or <+ in {raw!r}")
+        if "<+" in line:
+            raise ValueError(f"line {lineno}: deferred rule (<+) in {raw!r}; "
+                             "set-valued graphs have no ticks")
+        target, arrow, rhs = line.partition("<=")
+        if not arrow:
+            raise ValueError(f"line {lineno}: missing <= in {raw!r}")
+        pieces = [p.strip() for p in _OPERATOR.split(rhs)]
+        if len(pieces) > 3:
+            raise ValueError(f"line {lineno}: more than one operator in {raw!r}")
+        names = pieces[0::2]
         target = target.strip()
-        rhs = rhs.replace(" minus ", " - ").strip()
-        if " - " in rhs:
-            a, b = (s.strip() for s in rhs.split(" - ", 1))
-            rules.append(RuleSpec(target, "difference", (a, b)))
-        elif " + " in rhs:
-            parts = tuple(s.strip() for s in rhs.split(" + "))
-            rules.append(RuleSpec(target, "union", parts))
-        else:
-            rules.append(RuleSpec(target, "copy", (rhs,)))
+        if not target or not all(names):
+            raise ValueError(f"line {lineno}: empty node name in {raw!r}")
+        op = _OPS[pieces[1]] if len(pieces) == 3 else "copy"
+        rules.append(RuleSpec(target, op, tuple(names)))
     return DataflowGraph(rules)
 
 
 def detect_cycles(g: DataflowGraph) -> list:
-    """All simple cycles in the dataflow graph.
+    """One tuple per cyclic strongly connected component of the graph.
 
-    An empty result means the whole graph can be evaluated in a single pass.
+    A component is cyclic when it has two or more nodes or a node that
+    reads itself.  Components and their members come in order of first
+    appearance.  This is not a list of every elementary cycle: a component
+    holding many cycles is reported once.  An empty result means the whole
+    graph can be evaluated in a single pass.
     """
-    return [tuple(c) for c in nx.simple_cycles(g.digraph())]
+    deps = _reads(g)
+    return [c for c in _components(deps) if _cyclic(c, deps)]
 
 
 def rewrite_one_shot(g: DataflowGraph) -> DataflowGraph:
@@ -375,25 +382,45 @@ def _seed_env(g: DataflowGraph, inputs: Mapping[str, set]) -> dict:
     return env
 
 
+def _strata(g: DataflowGraph) -> list:
+    """``(target, rules)`` pairs with producers before consumers."""
+    by_target: dict = {}
+    for r in g.rules:
+        by_target.setdefault(r.target, []).append(r)
+    return [(n, by_target[n]) for comp in _components(_reads(g))
+            for n in comp if n in by_target]
+
+
+def _pass(strata: list, env: dict) -> bool:
+    """Evaluate every target once, in order; True when any node changed.
+
+    A target's rules all read the same environment and their results are
+    unioned.
+    """
+    changed = False
+    for target, rules in strata:
+        value = set().union(*(_eval_rule(r, env) for r in rules))
+        if value != env[target]:
+            env[target] = value
+            changed = True
+    return changed
+
+
 def one_shot_eval(g: DataflowGraph, inputs: Mapping[str, set]) -> dict:
-    """Single-pass evaluation, safe when ``detect_cycles(g)`` is empty."""
+    """Single pass in dependency order, exact when ``detect_cycles(g)`` is
+    empty."""
     env = _seed_env(g, inputs)
-    for rule in g.rules:
-        env[rule.target] = _eval_rule(rule, env)
+    _pass(_strata(g), env)
     return env
 
 
 def evaluate_stratified(
     g: DataflowGraph, inputs: Mapping[str, set], cap: int = 10_000
 ) -> dict:
-    """Re-evaluate all rules until no node changes across a full pass."""
+    """Repeat the dependency-ordered pass until no node changes."""
     env = _seed_env(g, inputs)
+    strata = _strata(g)
     for _ in range(cap):
-        new: dict = {}
-        for rule in g.rules:
-            val = _eval_rule(rule, env)
-            new[rule.target] = new.get(rule.target, set()) | val
-        if all(env.get(t) == v for t, v in new.items()):
+        if not _pass(strata, env):
             return env
-        env.update(new)
     raise DivergenceError(f"no fixed point after {cap} passes")

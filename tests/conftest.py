@@ -1,6 +1,24 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str, **env) -> str:
+    """Stdout of ``code`` run by a fresh interpreter that imports calmsim
+    from this checkout; ``env`` adds environment variables."""
+    path = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path, **env})
+    return out.stdout
 
 
 def make_corpus(rng: random.Random, lines: int, width: int) -> str:

@@ -1,9 +1,13 @@
 import json
+import os
+import sysconfig
 
 import pytest
 
 from calmsim import cli, kmer
 from calmsim.cli import RunConfig
+
+from conftest import SRC, run_python
 
 
 @pytest.fixture()
@@ -77,6 +81,46 @@ def test_dropped_windows_exit_1(corpus_file, monkeypatch):
     code, report = cli.run(RunConfig(workload="kmer_a", input=corpus_file,
                                      workers=2))
     assert code == 1 and not report["match"]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_fail_unregistered_worker_exits_2(corpus_file, command, capsys):
+    argv = [command, "--workload", "kmer_a", "--input", corpus_file,
+            "--workers", "2", "--fail", "3:9"]
+    if command == "verify":
+        argv += ["--seeds", "1,2"]
+    assert cli.main(argv) == 2
+    assert "worker 9" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_cms_design1_reports_idk_behind_unhealed_partition(corpus_file):
+    code, report = cli.run(RunConfig(
+        workload="cms_design1", input=corpus_file, k=5, workers=3,
+        eps=0.05, delta=0.1, partition=[(200, ((0, 1),))]))
+    assert code == 1 and not report["match"]
+    assert None in report["result"]["estimates"].values()
+
+
+def test_import_loads_only_stdlib_and_calmsim():
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import calmsim.cli\n"
+            "print(json.dumps([getattr(sys.modules[name], '__file__', None)\n"
+            "                  for name in set(sys.modules) - before]))\n")
+    paths = sysconfig.get_paths()
+
+    def real(*keys):
+        return tuple(os.path.realpath(paths[k]) + os.sep for k in keys)
+
+    stdlib, third_party = real("stdlib", "platstdlib"), real("purelib", "platlib")
+    src = os.path.realpath(SRC) + os.sep
+    outside = []
+    for path in filter(None, json.loads(run_python(code))):
+        path = os.path.realpath(path)
+        if not path.startswith(src) and (path.startswith(third_party)
+                                         or not path.startswith(stdlib)):
+            outside.append(path)
+    assert outside == []
 
 
 def test_main_malformed_flag_exits_2(corpus_file, capsys):

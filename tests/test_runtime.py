@@ -179,13 +179,28 @@ def test_instantaneous_cycle_is_stratification_error():
                 Rule("x", lambda t: t["y"], sources=("y",)),
                 Rule("y", lambda t: t["x"], sources=("x",)),
             ])
-    assert set(err.value.cycle) == {"x", "y"}
+    assert err.value.cycle == ("x", "y", "x")
 
 
 def test_self_feeding_rule_is_stratification_error():
-    with pytest.raises(StratificationError):
+    with pytest.raises(StratificationError) as err:
         TickRuleEngine(tables={"x": LMax.bottom()},
                        rules=[Rule("x", lambda t: t["x"], sources=("x",))])
+    assert err.value.cycle == ("x", "x")
+
+
+def test_stratification_error_names_a_real_cycle():
+    # x reads y and z, both of which read x: the component {x, y, z} holds
+    # the cycles x -> y -> x and x -> z -> x, but no cycle x -> y -> z.
+    with pytest.raises(StratificationError) as err:
+        TickRuleEngine(
+            tables={n: LSet.bottom() for n in "xyz"},
+            rules=[
+                Rule("x", lambda t: t["y"].merge(t["z"]), sources=("y", "z")),
+                Rule("y", lambda t: t["x"], sources=("x",)),
+                Rule("z", lambda t: t["x"], sources=("x",)),
+            ])
+    assert err.value.cycle == ("x", "y", "x")
 
 
 def test_rule_fixpoint():

@@ -134,6 +134,25 @@ def test_design1_matches_design2_and_sequential(cms_corpus):
         assert d1.estimate(item) == d2.query(item) == ref.query(item)
 
 
+def test_designs_match_sequential_under_faults(cms_corpus):
+    p = params(h=3, m=96)
+    ref = sequential_sketch(corpus_stream(cms_corpus, 6), p)
+    items = {km for km, _ in corpus_stream(cms_corpus, 6)}
+    faults = dict(failures=[(6, 1)], joins=[8],
+                  partitions=[(4, ((0, 2),)), (10, ())])
+    for seed in range(5):
+        schedule = DeliverySchedule(seed=seed, duplicate_prob=0.3,
+                                    reorder_window=5, drop_prob=0.1)
+        d1 = design1_run(cms_corpus, 6, p, workers=3, schedule=schedule,
+                         **faults)
+        d2 = design2_run(cms_corpus, 6, p, workers=3, schedule=schedule,
+                         **faults)
+        assert {ev[1] for ev in d1.sim.events} >= {"fail", "partition"}
+        assert len(d2.sim.workers) == 4  # the join took effect
+        assert d2.converged() and d2.sketch() == ref
+        assert all(d1.estimate(item) == ref.query(item) for item in items)
+
+
 def test_design1_query_gathers_from_cell_owners(cms_corpus):
     p = params(h=3, m=90)
     res = design1_run(cms_corpus, 6, p, workers=3)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import run_python
+
 from calmsim.errors import DivergenceError
 from calmsim.lattice import GSet
 from calmsim.runtime import NetworkCondition
@@ -134,6 +136,33 @@ def test_detect_cycles():
     assert detect_cycles(parse_rules(RECURSIVE)) == [("cart",)]
     assert detect_cycles(parse_rules(ONE_SHOT)) == []
     assert detect_cycles(parse_rules("")) == []
+    # One component, not its ~1.1 million elementary cycles.
+    nodes = [f"n{i}" for i in range(10)]
+    complete = "\n".join(f"{a} <= {b}" for a in nodes for b in nodes if a != b)
+    assert detect_cycles(parse_rules(complete)) == [tuple(nodes)]
+
+
+def test_detect_cycles_independent_of_hash_seed():
+    code = ("from calmsim.tables import detect_cycles, parse_rules\n"
+            "print(detect_cycles(parse_rules('a <= b\\nb <= c\\nc <= a')))")
+    for seed in ("0", "1"):
+        out = run_python(code, PYTHONHASHSEED=seed)
+        assert out == "[('a', 'b', 'c')]\n"
+
+
+@pytest.mark.parametrize("bad", [
+    "x <+ a",            # deferral has no meaning without ticks
+    "x <= a - b + c",    # more than one operator
+    "x <= a - b - c",
+    "x <= a + b + c",
+    " <= a",             # empty target
+    "x <=",              # empty source
+    "x <= a -",
+    "x a",               # no arrow
+])
+def test_parse_rules_rejects_unrepresentable_lines(bad):
+    with pytest.raises(ValueError, match="^line 2: "):
+        parse_rules(ONE_SHOT + bad)
 
 
 def test_rewrite_one_shot_removes_self_difference():
@@ -151,6 +180,17 @@ def test_rewrite_leaves_acyclic_graph_unchanged():
 def test_rewrite_reports_monotone_cycles():
     g = rewrite_one_shot(parse_rules("a <= b\nb <= a\n"))
     assert g.needs_stratification  # not the difference pattern; flagged
+
+
+@pytest.mark.parametrize("evaluate", [one_shot_eval, evaluate_stratified])
+@pytest.mark.parametrize("text, node, expected", [
+    ("c <= b\nb <= a\n", "c", {1}),        # rules listed consumer first
+    ("x <= a\nx <= b\n", "x", {1, 2}),     # shared target: union
+    ("x <= a minus b\n", "x", {1}),
+])
+def test_evaluation_follows_dependencies(evaluate, text, node, expected):
+    env = evaluate(parse_rules(text), {"a": {1}, "b": {2}})
+    assert env[node] == expected
 
 
 def test_shopping_cart_fixpoint():
