@@ -6,9 +6,15 @@ induced partial order ``a leq b  iff  merge(a, b) == b``.  Merges are pure:
 they return new values and never mutate their operands, so values are safe
 to copy between workers and to re-deliver arbitrarily often.
 
-The one deliberate exception is :class:`ThresholdLSet`, whose merge stops
-growing once the receiving operand reaches its threshold.  That sacrifices
-commutativity; only the predicate ``size >= threshold`` is order-invariant.
+The one in-place exception is :meth:`LMap.merge_in`, which merges a delta
+into the receiving map's own entries.  It is safe only on a map that its
+owner never sends or shares, such as a worker's local shard; every
+value that travels or is compared across workers uses the pure merge.
+
+The one deliberate exception to the laws is :class:`ThresholdLSet`, whose
+merge stops growing once the receiving operand reaches its threshold.  That
+sacrifices commutativity; only the predicate ``size >= threshold`` is
+order-invariant.
 """
 
 from __future__ import annotations
@@ -112,6 +118,32 @@ class LMap(LatticeValue):
             cur = out.get(key)
             out[key] = value if cur is None else merge(cur, value)
         return LMap(out)
+
+    def merge_in(self, delta: "LMap") -> bool:
+        """Merge ``delta`` into this map in place; True if the map changed.
+
+        Touches only the delta's keys, so it costs O(delta) rather than the
+        O(state) copy of :meth:`merge`.  Each value merges as
+        ``merge(current, value)``, so a receiver-side guard such as
+        :class:`ThresholdLSet`'s still reads this map's value.  The delta is
+        never mutated, and the values stored from it are shared, not copied.
+        """
+        if type(delta) is not LMap:
+            raise LatticeTypeError(
+                f"cannot merge {type(delta).__name__} into LMap")
+        entries = self.entries
+        changed = False
+        for key, value in delta.entries.items():
+            cur = entries.get(key)
+            if cur is None:
+                entries[key] = value
+                changed = True
+                continue
+            new = merge(cur, value)
+            if new != cur:
+                entries[key] = new
+                changed = True
+        return changed
 
     def get(self, key, default=None):
         return self.entries.get(key, default)

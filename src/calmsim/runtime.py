@@ -260,6 +260,11 @@ class Program:
         return True
 
     def fingerprint(self, sim: Simulation):
+        """A value that changes whenever program state changed this tick.
+
+        Called once every tick, so keep it O(1): read counters that the
+        state updates maintain, never rescan the state itself.
+        """
         return None
 
     def result(self, sim: Simulation):
@@ -269,6 +274,10 @@ class Program:
 def run_to_quiescence(sim: Simulation, program: Program,
                       events: Mapping[int, Sequence[Callable]] | None = None):
     """Tick until nothing is in flight and no state changed for a full tick.
+
+    "No state changed" means ``program.fingerprint(sim)`` equals the last
+    tick's.  It is called every tick, so it must be O(1), and it must change
+    whenever program state changed, or the run can stop early.
 
     ``events`` maps tick index to harness callables (failure injection,
     joins, partitions) invoked at the start of that tick with

@@ -142,8 +142,16 @@ class Design2Program(KmerIngestProgram):
     def on_deliver(self, sim: Simulation, env: Envelope) -> None:
         kind, pairs = env.payload
         replica = self.replicas[env.dst]
+        # SketchMatrix.insert inlined to count the tokens new to a cell;
+        # insert itself stays as cheap as the sequential reference.
+        new = 0
         for kmer, off in pairs:
-            replica.insert(kmer, off)
+            for row, j in zip(replica.cells, replica.columns_of(kmer)):
+                cell = row[j]
+                if off not in cell:
+                    cell.add(off)
+                    new += 1
+        self.inflations += new
         if kind == "kmers":
             # Owner's copy of the update gossips to every other replica.
             for wid in sorted(self.replicas):
@@ -234,8 +242,13 @@ class Design1Program(KmerIngestProgram):
 
     def on_deliver(self, sim: Simulation, env: Envelope) -> None:
         slab = self.slabs[env.dst]
+        new = 0
         for i, j, token in env.payload[1]:
-            slab.setdefault((i, j), set()).add(token)
+            cell = slab.setdefault((i, j), set())
+            if token not in cell:
+                cell.add(token)
+                new += 1
+        self.inflations += new
 
     def state_size(self) -> int:
         return sum(len(c) for slab in self.slabs.values()

@@ -25,14 +25,20 @@ def rand_gset(rng):
     return GSet(_subset(rng, ELEMS))
 
 
+def random_map(rng: random.Random, value_kind=LSet) -> LMap:
+    """Up to three keys, each over LSet or ThresholdLSet (threshold 3)."""
+    extra = {"threshold": 3} if value_kind is ThresholdLSet else {}
+    return LMap({k: value_kind(_subset(rng, ELEMS, 3), **extra)
+                 for k in rng.sample(ELEMS, rng.randint(0, 3))})
+
+
 def random_value(kind, rng: random.Random):
     if kind is LMax:
         return LMax(None) if rng.random() < 0.1 else LMax(rng.randint(-5, 50))
     if kind is LSet:
         return LSet(_subset(rng, ELEMS))
     if kind is LMap:
-        return LMap({k: LSet(_subset(rng, ELEMS, 3))
-                     for k in rng.sample(ELEMS, rng.randint(0, 3))})
+        return random_map(rng)
     if kind is ThresholdLSet:
         return ThresholdLSet(_subset(rng, ELEMS), threshold=3)
     if kind is GSet:

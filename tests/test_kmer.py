@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from calmsim import kmer
+from calmsim import kmer, sketch
 from calmsim.errors import StratificationError
 from calmsim.runtime import DeliverySchedule
 
@@ -39,6 +39,16 @@ def test_extract_rejects_invalid_base():
         kmer.extract_kmers("ACGN", 2)
     with pytest.raises(ValueError):
         kmer.extract_kmers("ACGT", 0)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_rejected_by_every_window_reader(k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        kmer.impl_a_run("ACGT\nAC\n", k, 2)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        kmer.threshold_rule_run("ACGT\n", k, 3)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        sketch.corpus_stream("ACGT\n", k)
 
 
 def test_oracle_count_atag():
@@ -167,3 +177,72 @@ def test_deferred_merge_runs_and_matches_oracle():
         if true < 3:
             assert c == true
         assert (c >= 3) == (true >= 3)
+
+
+# -- O(1) quiescence fingerprint --------------------------------------------
+
+CMS = sketch.CmsParams(3, 96, sketch.row_seeds(3))
+FAULTS = dict(failures=[(6, 1)], joins=[8],
+              partitions=[(4, ((0, 2),)), (10, ())])
+RUNNERS = {
+    "impl_a": lambda corpus, **kw: kmer.impl_a_run(corpus, 4, 3, **kw),
+    "impl_b": lambda corpus, **kw: kmer.impl_b_run(corpus, 4, 3, 3, **kw),
+    "table_kmer": lambda corpus, **kw: kmer.table_kmer_run(corpus, 4, 3, **kw),
+    "design1": lambda corpus, **kw: sketch.design1_run(corpus, 4, CMS, 3, **kw),
+    "design2": lambda corpus, **kw: sketch.design2_run(corpus, 4, CMS, 3, **kw),
+}
+
+
+def faulty_run(name, corpus, seed):
+    schedule = DeliverySchedule(seed=seed, duplicate_prob=0.3,
+                                reorder_window=5, drop_prob=0.1)
+    return RUNNERS[name](corpus, schedule=schedule, **FAULTS)
+
+
+def agrees_with_oracle(name, corpus, res) -> bool:
+    truth = kmer.oracle_count(corpus, 4)
+    if name in ("impl_a", "table_kmer"):
+        return res.histogram == truth
+    if name == "impl_b":
+        return res.histogram.keys() == truth.keys() and all(
+            c <= truth[km] and (c == truth[km] or c >= 3)
+            for km, c in res.histogram.items())
+    ref = sketch.sequential_sketch(sketch.corpus_stream(corpus, 4), CMS)
+    if name == "design2":
+        return res.converged() and res.sketch() == ref
+    return all(res.estimate(km) == ref.query(km) for km in truth)
+
+
+@pytest.mark.parametrize("name", RUNNERS)
+def test_inflation_counter_moves_exactly_with_state_size(
+        name, small_corpus, monkeypatch):
+    seen = []
+    fingerprint = kmer.KmerIngestProgram.fingerprint
+
+    def recording(program, sim):
+        fp = fingerprint(program, sim)
+        seen.append((fp, program.state_size()))
+        return fp
+
+    monkeypatch.setattr(kmer.KmerIngestProgram, "fingerprint", recording)
+    for seed in range(5):
+        seen.clear()
+        res = faulty_run(name, small_corpus, seed)
+        assert agrees_with_oracle(name, small_corpus, res)
+        assert len(seen) == res.sim.now
+        for (fp0, size0), (fp1, size1) in zip(seen, seen[1:]):
+            assert (fp1[-1] != fp0[-1]) == (size1 != size0)
+            # Hence quiescence sees the same fingerprint changes as a rescan.
+            assert (fp1 != fp0) == (fp1[:-1] + (size1,) != fp0[:-1] + (size0,))
+
+
+@pytest.mark.parametrize("name", RUNNERS)
+def test_runs_never_rescan_state(name, small_corpus, monkeypatch):
+    def rescan(program):
+        raise AssertionError("state_size() called during the run")
+
+    for cls in (kmer.ImplAProgram, kmer.TableKmerProgram,
+                sketch.Design1Program, sketch.Design2Program):
+        monkeypatch.setattr(cls, "state_size", rescan)
+    res = faulty_run(name, small_corpus, 0)
+    assert agrees_with_oracle(name, small_corpus, res)

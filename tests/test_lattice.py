@@ -10,7 +10,7 @@ from calmsim.lattice import (GSet, LMap, LMax, LSet, LWWSet, LWWTokenSet,
                              MVSet, ThresholdLSet, Timestamp, TwoPSet,
                              VersionVector, custom_lattice, merge)
 
-from helpers import LAW_TYPES, random_value
+from helpers import LAW_TYPES, random_map, random_value
 
 
 # -- basic merges -----------------------------------------------------------
@@ -215,3 +215,40 @@ def test_replicas_converge_under_reorder_and_duplication(kind):
         for d in with_dups[1:]:
             b = merge(b, d)
         assert a == b
+
+
+# -- in-place delta merge ---------------------------------------------------
+
+
+@pytest.mark.parametrize("value_kind", (LSet, ThresholdLSet),
+                         ids=lambda t: t.__name__)
+def test_lmap_merge_in_equals_pure_merge(value_kind):
+    rng = random.Random(17)
+    for _ in range(300):
+        state, delta = random_map(rng, value_kind), random_map(rng, value_kind)
+        before, delta_before = dict(state.entries), dict(delta.entries)
+        expected = merge(state, delta)
+
+        assert state.merge_in(delta) == (expected != LMap(before))
+        assert state == expected
+        assert delta.entries == delta_before
+        assert all(delta.entries[k] is v for k, v in delta_before.items())
+        for key in before.keys() - delta.entries.keys():
+            assert state.entries[key] is before[key]
+
+        after = dict(state.entries)
+        assert state.merge_in(delta) is False
+        assert state.entries.keys() == after.keys()
+        assert all(state.entries[k] is v for k, v in after.items())
+
+
+def test_lmap_merge_in_keeps_threshold_guard():
+    full = ThresholdLSet(frozenset("abc"), threshold=3)
+    state = LMap({"k": full})
+    assert not state.merge_in(LMap({"k": ThresholdLSet(frozenset("d"), 3)}))
+    assert state.entries["k"] is full
+
+
+def test_lmap_merge_in_rejects_other_types():
+    with pytest.raises(LatticeTypeError):
+        LMap().merge_in(LSet.of("a"))
