@@ -5,9 +5,9 @@ workloads."""
 from .errors import (CalmsimError, DivergenceError, LatticeLawError,
                      LatticeTypeError, StratificationError,
                      ThresholdMismatchError, UnknownWorkerError)
-from .lattice import (GSet, LMap, LMax, LSet, LWWSet, LWWTokenSet,
-                      LatticeValue, MVSet, ThresholdLSet, Timestamp,
-                      TwoPSet, VersionVector, custom_lattice, merge)
+from .lattice import (GSet, LMap, LMax, LWWSet, LWWTokenSet, LatticeValue,
+                      MVSet, ThresholdLSet, Timestamp, TwoPSet,
+                      VersionVector, custom_lattice, merge)
 from .runtime import (DeliverySchedule, Envelope, NetworkCondition, Program,
                       Rule, Simulation, TickRuleEngine, run_to_quiescence)
 from .tables import (DNE, IDK, DataflowGraph, GlobalTable, PartitionPlan,

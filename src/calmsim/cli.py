@@ -14,12 +14,11 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
 
-from . import kmer, lattice, sketch
+from . import kmer, sketch
 from .errors import CalmsimError, DivergenceError, UnknownWorkerError
 from .runtime import DeliverySchedule
 from .tables import Value
-from .lattice import (GSet, LMax, LSet, LWWSet, LWWTokenSet, Timestamp,
-                      TwoPSet)
+from .lattice import GSet, LMax, LWWSet, LWWTokenSet, Timestamp, TwoPSet
 
 WORKLOADS = ("kmer_a", "kmer_b", "kmer_table", "cms_design1", "cms_design2",
              "lattice_demo")
@@ -54,6 +53,11 @@ class RunConfig:
         for p in (self.dup_prob, self.drop_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must be in [0, 1]")
+        failed = [wid for _tick, wid in self.fail]
+        for wid in failed:
+            if failed.count(wid) > 1:
+                raise ValueError(
+                    f"worker {wid} is listed to fail more than once")
 
     def schedule(self, seed=None) -> DeliverySchedule:
         return DeliverySchedule(
@@ -242,11 +246,10 @@ def _run_lattice_demo(config: RunConfig):
         "lww_read": sorted(lww.read()),
         "token_read": tokens.read(),
         "lmax": LMax(5).merge(LMax(3)).value,
-        "lset_size": len(LSet.of("abc").merge(LSet.of("bcd"))),
     }
     expected = {
         "gset": [1, 2, 3], "two_phase_read": ["milk"], "lww_read": ["x"],
-        "token_read": {"t1": "v2"}, "lmax": 5, "lset_size": 4,
+        "token_read": {"t1": "v2"}, "lmax": 5,
     }
     return None, result, result == expected, {}
 
@@ -376,6 +379,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = build_config(args)
+        if args.command == "verify":
+            seeds = [int(s) for s in args.seeds.split(",") if s]
     except (ValueError, OSError) as exc:
         parser.print_usage(sys.stderr)
         print(f"calmsim: error: {exc}", file=sys.stderr)
@@ -384,7 +389,6 @@ def main(argv=None) -> int:
         if args.command == "run":
             code, report = run(config)
         else:
-            seeds = [int(s) for s in args.seeds.split(",") if s]
             code, report = verify(config, seeds)
     except CalmsimError as exc:
         print(f"calmsim: error: {exc}", file=sys.stderr)

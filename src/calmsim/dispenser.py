@@ -1,23 +1,16 @@
 """Chunk pool over a large input with dynamic assignment and failure
 recovery.
 
-The file is tiled into chunks, each stamped with a token id derived from the
-file digest and byte offset so token identity survives re-opens.  Workers
-pull chunks as they finish work: fast workers simply call ``next`` more
-often.  When a worker fails, its completed chunks stay completed and its
-uncompleted chunks return to the pending pool for survivors.
-
-Combined with set-semantics sinks downstream, at-least-once delivery of
-chunk results becomes exactly-once: duplicates of the same (token, use) are
-absorbed, and a re-issued token after a failure re-read carries a new use
-id so the two are distinguishable.
+The input is tiled into chunks, each stamped with a token id derived from
+its digest and byte offset, so the same bytes always get the same tokens.
+Workers pull chunks as they finish work: fast workers simply call ``next``
+more often.  When a worker fails, its completed chunks stay completed and
+its uncompleted chunks return to the pending pool for survivors.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 from .errors import UnknownWorkerError
 from .hashing import digest16, hash64
@@ -46,26 +39,15 @@ class WorkPool:
     """Pending / assigned / completed accounting for a chunk tiling."""
 
     def __init__(self, data: bytes, chunk_len: int):
-        self.data = data
-        self.chunk_len = chunk_len
-        chunks = _tile(data, chunk_len)
-        self._all = set(chunks)
-        self.pending: list[Chunk] = sorted(chunks)
+        self.pending: list[Chunk] = sorted(_tile(data, chunk_len))
         self.assigned: dict[int, set[Chunk]] = {}
         self.completed: set[Chunk] = set()
 
     @classmethod
-    def open(cls, path: str | os.PathLike, chunk_len: int | None = None,
-             target_chunks: int | None = None) -> "WorkPool":
-        """Tile a file; ``chunk_len`` wins, else derived from ``target_chunks``."""
-        with open(path, "rb") as fh:
-            data = fh.read()
-        return cls.from_bytes(data, chunk_len=chunk_len,
-                              target_chunks=target_chunks)
-
-    @classmethod
     def from_bytes(cls, data: bytes, chunk_len: int | None = None,
                    target_chunks: int | None = None) -> "WorkPool":
+        """Tile ``data``; ``chunk_len`` wins, else it is derived from
+        ``target_chunks``."""
         if chunk_len is None:
             n = max(1, target_chunks or 1)
             chunk_len = max(1, -(-len(data) // n))
@@ -108,47 +90,5 @@ class WorkPool:
         return lost
 
     @property
-    def exhausted(self) -> bool:
-        return not self.pending
-
-    @property
     def done(self) -> bool:
         return not self.pending and not any(self.assigned.values())
-
-    def chunk_bytes(self, chunk: Chunk, overlap: int = 0) -> bytes:
-        """Chunk contents plus ``overlap`` trailing bytes for straddlers."""
-        end = chunk.start + chunk.length + overlap
-        return self.data[chunk.start:end]
-
-    def coverage_ok(self) -> bool:
-        """Completed byte ranges tile the whole input exactly."""
-        spans = sorted((c.start, c.length) for c in self.completed)
-        pos = 0
-        for start, length in spans:
-            if start != pos:
-                return False
-            pos += length
-        return pos == len(self.data)
-
-
-class DedupSink:
-    """Exactly-once sink: absorbs duplicate (token, use) deliveries."""
-
-    def __init__(self):
-        self._seen: set[tuple[int, int]] = set()
-        self._units: dict[int, object] = {}
-
-    def offer(self, token_id: int, use_id: int, payload=None) -> bool:
-        """Record a delivery; False when this exact use was already seen."""
-        key = (token_id, use_id)
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self._units[token_id] = payload
-        return True
-
-    def tokens(self) -> set[int]:
-        return set(self._units)
-
-    def units(self) -> dict:
-        return dict(self._units)

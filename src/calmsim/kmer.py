@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from .dispenser import Chunk, WorkPool
 from .hashing import hash64
-from .lattice import GSet, LMap, LSet, ThresholdLSet
+from .lattice import GSet, LMap, ThresholdLSet
 from .runtime import (DeliverySchedule, Envelope, Program, Rule, Simulation,
                       TickRuleEngine, run_to_quiescence)
 from .tables import GlobalTable, PartitionPlan, plan_query
@@ -99,8 +99,8 @@ class KmerIngestProgram(Program):
     A worker alternates between taking a chunk and processing it, so an
     injected failure between the two leaves an uncompleted chunk for the
     pool to reassign.  Processing extracts the chunk's windows, groups them
-    by owner worker, and sends one envelope per owner stamped with the
-    chunk's token id.
+    into one batch per receiving worker with ``route``, and sends one
+    envelope per batch stamped with the chunk's token id.
 
     Owner state only grows by merge.  Every delivery path adds how much it
     grew to ``inflations``, so the quiescence fingerprint reads one counter
@@ -138,6 +138,13 @@ class KmerIngestProgram(Program):
     def owner_of(self, kmer: str) -> int:
         return self.owners[hash64(kmer) % len(self.owners)]
 
+    def route(self, windows: list[tuple[str, int]]) -> dict[int, list]:
+        """Group one chunk's windows into a batch per receiving worker."""
+        batches: dict[int, list] = {}
+        for kmer, off in windows:
+            batches.setdefault(self.owner_of(kmer), []).append((kmer, off))
+        return batches
+
     def worker_step(self, sim: Simulation, wid: int) -> None:
         chunk = self.current.get(wid)
         if chunk is None:
@@ -146,11 +153,9 @@ class KmerIngestProgram(Program):
                 self.current[wid] = chunk
                 sim.log("assign", dst=wid, token_id=chunk.token_id)
             return
-        batches: dict[int, list] = {}
-        for kmer, off in chunk_windows(self.data, chunk, self.k):
-            batches.setdefault(self.owner_of(kmer), []).append((kmer, off))
+        batches = self.route(chunk_windows(self.data, chunk, self.k))
         for owner in sorted(batches):
-            sim.send(wid, owner, ("kmers", tuple(batches[owner])),
+            sim.send(wid, owner, ("ingest", tuple(batches[owner])),
                      token_id=chunk.token_id)
         self.pool.complete(wid, chunk)
         sim.log("complete", dst=wid, token_id=chunk.token_id)
@@ -204,7 +209,7 @@ class ImplAProgram(KmerIngestProgram):
         self.shards = {wid: LMap.bottom() for wid in self.owners}
 
     def absorb(self, wid, pairs) -> None:
-        delta = _batch_lmap(pairs, lambda offs: LSet(frozenset(offs)))
+        delta = _batch_lmap(pairs, lambda offs: GSet(frozenset(offs)))
         self.inflations += self.shards[wid].merge_in(delta)
 
     def state_size(self) -> int:
@@ -359,7 +364,7 @@ def threshold_rule_run(corpus, k: int, threshold: int,
     data = normalize_corpus(corpus)
     windows = chunk_windows(data, Chunk(0, len(data), 0), k)
 
-    empty = LSet.bottom()
+    empty = GSet.bottom()
 
     def admit(tabs):
         arrivals, local = tabs["arrivals"], tabs["local"]
@@ -381,7 +386,7 @@ def threshold_rule_run(corpus, k: int, threshold: int,
     for i in range(0, len(windows), batch):
         chunk = windows[i:i + batch]
         engine.inject("arrivals", _batch_lmap(
-            chunk, lambda offs: LSet(frozenset(offs))))
+            chunk, lambda offs: GSet(frozenset(offs))))
         engine.tick()
     engine.run_to_fixpoint()
     return {kmer: len(ids)

@@ -78,27 +78,6 @@ class LMax(LatticeValue):
 
 
 @dataclass(frozen=True)
-class LSet(LatticeValue):
-    """Grow-only set of opaque elements; merge is union."""
-
-    elems: frozenset = frozenset()
-
-    @classmethod
-    def bottom(cls) -> "LSet":
-        return cls()
-
-    @classmethod
-    def of(cls, elems: Iterable) -> "LSet":
-        return cls(frozenset(elems))
-
-    def merge(self, other: "LSet") -> "LSet":
-        return LSet(self.elems | other.elems)
-
-    def __len__(self) -> int:
-        return len(self.elems)
-
-
-@dataclass(frozen=True)
 class LMap(LatticeValue):
     """Map from key to lattice value; merge is pointwise.
 
@@ -194,7 +173,7 @@ class ThresholdLSet(LatticeValue):
 
 @dataclass(frozen=True)
 class GSet(LatticeValue):
-    """Grow-only set of tuples: insertion only, merge is union."""
+    """Grow-only set of opaque elements: insertion only, merge is union."""
 
     elems: frozenset = frozenset()
 

@@ -22,7 +22,7 @@ stratification error.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import lattice
@@ -63,8 +63,6 @@ class Envelope:
     src: int
     dst: int
     payload: Any
-    send_tick: int
-    kind: str = "data"
 
 
 class NetworkCondition:
@@ -181,11 +179,11 @@ class Simulation:
     # -- channel ------------------------------------------------------------
 
     def send(self, src: int, dst: int, payload, token_id: int | None = None,
-             use_id: int | None = None, kind: str = "data") -> Envelope:
+             use_id: int | None = None) -> Envelope:
         env = Envelope(
             token_id=self.fresh_id() if token_id is None else token_id,
             use_id=self.fresh_id() if use_id is None else use_id,
-            src=src, dst=dst, payload=payload, send_tick=self.now, kind=kind,
+            src=src, dst=dst, payload=payload,
         )
         self.log("send", src=src, dst=dst, token_id=env.token_id,
                  use_id=env.use_id)
@@ -267,9 +265,6 @@ class Program:
         """
         return None
 
-    def result(self, sim: Simulation):
-        return None
-
 
 def run_to_quiescence(sim: Simulation, program: Program,
                       events: Mapping[int, Sequence[Callable]] | None = None):
@@ -286,7 +281,7 @@ def run_to_quiescence(sim: Simulation, program: Program,
     events = events or {}
     program.setup(sim)
     if program.idle(sim) and not sim.in_flight and not sim.held and not events:
-        return program.result(sim)
+        return
     last_fp = object()
     while sim.now < sim.tick_cap:
         sim.now += 1
@@ -300,7 +295,7 @@ def run_to_quiescence(sim: Simulation, program: Program,
         fp = program.fingerprint(sim)
         if (not sim.in_flight and not sim.held and program.idle(sim)
                 and fp == last_fp and sim.now > max(events, default=0)):
-            return program.result(sim)
+            return
         last_fp = fp
     raise DivergenceError(f"no quiescence within {sim.tick_cap} ticks")
 

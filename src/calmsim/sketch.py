@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dispenser import Chunk, WorkPool
+from .dispenser import Chunk
 from .hashing import hash64
 from .kmer import KmerIngestProgram, _run, chunk_windows, normalize_corpus
 from .runtime import DeliverySchedule, Envelope, Simulation
@@ -40,6 +40,10 @@ class CmsParams:
             raise ValueError("h and m must be >= 1")
         if len(self.seeds) != self.h or len(set(self.seeds)) != self.h:
             raise ValueError("need h pairwise-distinct seeds")
+
+    def columns(self, item: str) -> list[int]:
+        """The column ``item`` addresses in each row, in row order."""
+        return [hash64(item, seed) % self.m for seed in self.seeds]
 
 
 def choose_params(epsilon: float, delta: float, seed: int = 0) -> CmsParams:
@@ -70,17 +74,13 @@ class SketchMatrix:
         self.cells = [[set() for _ in range(params.m)]
                       for _ in range(params.h)]
 
-    def columns_of(self, item: str) -> list[int]:
-        return [hash64(item, seed) % self.params.m
-                for seed in self.params.seeds]
-
     def insert(self, item: str, token: int) -> None:
-        for i, j in enumerate(self.columns_of(item)):
+        for i, j in enumerate(self.params.columns(item)):
             self.cells[i][j].add(token)
 
     def query(self, item: str) -> int:
         return min(len(self.cells[i][j])
-                   for i, j in enumerate(self.columns_of(item)))
+                   for i, j in enumerate(self.params.columns(item)))
 
     def merge(self, other: "SketchMatrix") -> "SketchMatrix":
         if self.params != other.params:
@@ -146,13 +146,13 @@ class Design2Program(KmerIngestProgram):
         # insert itself stays as cheap as the sequential reference.
         new = 0
         for kmer, off in pairs:
-            for row, j in zip(replica.cells, replica.columns_of(kmer)):
+            for row, j in zip(replica.cells, self.params.columns(kmer)):
                 cell = row[j]
                 if off not in cell:
                     cell.add(off)
                     new += 1
         self.inflations += new
-        if kind == "kmers":
+        if kind == "ingest":
             # Owner's copy of the update gossips to every other replica.
             for wid in sorted(self.replicas):
                 if wid != env.dst:
@@ -220,25 +220,14 @@ class Design1Program(KmerIngestProgram):
     def column_owner(self, j: int) -> int:
         return self.column_plan.owner_of_key(j)
 
-    def worker_step(self, sim: Simulation, wid: int) -> None:
-        chunk = self.current.get(wid)
-        if chunk is None:
-            chunk = self.pool.next(wid)
-            if chunk is not None:
-                self.current[wid] = chunk
-                sim.log("assign", dst=wid, token_id=chunk.token_id)
-            return
+    def route(self, windows: list[tuple[str, int]]) -> dict[int, list]:
+        """Each window becomes h ``(row, column, token)`` cell updates,
+        batched by the worker owning the column."""
         batches: dict[int, list] = {}
-        for kmer, off in chunk_windows(self.data, chunk, self.k):
-            for i, seed in enumerate(self.params.seeds):
-                j = hash64(kmer, seed) % self.params.m
+        for kmer, off in windows:
+            for i, j in enumerate(self.params.columns(kmer)):
                 batches.setdefault(self.column_owner(j), []).append((i, j, off))
-        for owner in sorted(batches):
-            sim.send(wid, owner, ("cells", tuple(batches[owner])),
-                     token_id=chunk.token_id)
-        self.pool.complete(wid, chunk)
-        sim.log("complete", dst=wid, token_id=chunk.token_id)
-        self.current[wid] = None
+        return batches
 
     def on_deliver(self, sim: Simulation, env: Envelope) -> None:
         slab = self.slabs[env.dst]
@@ -270,8 +259,7 @@ class Design1Result:
         """
         prog = self.program
         sizes = []
-        for i, seed in enumerate(prog.params.seeds):
-            j = hash64(item, seed) % prog.params.m
+        for i, j in enumerate(prog.params.columns(item)):
             owner = prog.column_owner(j)
             if self.sim.net.partitioned(at_worker, owner):
                 return IDK

@@ -2,9 +2,8 @@
 
 import random
 
-from calmsim.lattice import (GSet, LMap, LMax, LSet, LWWSet, LWWTokenSet,
-                             MVSet, ThresholdLSet, Timestamp, TwoPSet,
-                             VersionVector)
+from calmsim.lattice import (GSet, LMap, LMax, LWWSet, LWWTokenSet, MVSet,
+                             ThresholdLSet, Timestamp, TwoPSet, VersionVector)
 
 ELEMS = list("abcdefgh")
 
@@ -25,8 +24,8 @@ def rand_gset(rng):
     return GSet(_subset(rng, ELEMS))
 
 
-def random_map(rng: random.Random, value_kind=LSet) -> LMap:
-    """Up to three keys, each over LSet or ThresholdLSet (threshold 3)."""
+def random_map(rng: random.Random, value_kind=GSet) -> LMap:
+    """Up to three keys, each over GSet or ThresholdLSet (threshold 3)."""
     extra = {"threshold": 3} if value_kind is ThresholdLSet else {}
     return LMap({k: value_kind(_subset(rng, ELEMS, 3), **extra)
                  for k in rng.sample(ELEMS, rng.randint(0, 3))})
@@ -35,8 +34,6 @@ def random_map(rng: random.Random, value_kind=LSet) -> LMap:
 def random_value(kind, rng: random.Random):
     if kind is LMax:
         return LMax(None) if rng.random() < 0.1 else LMax(rng.randint(-5, 50))
-    if kind is LSet:
-        return LSet(_subset(rng, ELEMS))
     if kind is LMap:
         return random_map(rng)
     if kind is ThresholdLSet:
@@ -67,4 +64,4 @@ def random_value(kind, rng: random.Random):
     raise ValueError(kind)
 
 
-LAW_TYPES = (GSet, TwoPSet, LWWSet, MVSet, LWWTokenSet, LMax, LSet, LMap)
+LAW_TYPES = (GSet, TwoPSet, LWWSet, MVSet, LWWTokenSet, LMax, LMap)

@@ -3,6 +3,7 @@ import os
 import sysconfig
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calmsim import cli, kmer
 from calmsim.cli import RunConfig
@@ -10,9 +11,9 @@ from calmsim.cli import RunConfig
 from conftest import SRC, run_python
 
 
-@pytest.fixture()
-def corpus_file(tmp_path, small_corpus):
-    path = tmp_path / "corpus.txt"
+@pytest.fixture(scope="session")
+def corpus_file(tmp_path_factory, small_corpus):
+    path = tmp_path_factory.mktemp("cli") / "corpus.txt"
     path.write_text(small_corpus)
     return str(path)
 
@@ -130,6 +131,21 @@ def test_main_malformed_flag_exits_2(corpus_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_verify_malformed_seeds_exits_2(corpus_file, capsys):
+    code = cli.main(["verify", "--workload", "kmer_a", "--input", corpus_file,
+                     "--seeds", "1,x"])
+    assert code == 2
+    assert "calmsim: error:" in capsys.readouterr().err
+
+
+def test_worker_failed_twice_exits_2(corpus_file, capsys):
+    code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
+                     "--workers", "3", "--fail", "3:1", "--fail", "5:1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "worker 1 is listed to fail more than once" in err
+
+
 def test_main_run_and_flag_parsing(corpus_file, capsys):
     code = cli.main([
         "run", "--workload", "kmer_table", "--input", corpus_file,
@@ -210,3 +226,37 @@ def test_verify_single_seed_rejected(corpus_file):
     code, report = cli.verify(
         RunConfig(workload="kmer_a", input=corpus_file), seeds=[1])
     assert code == 2 and "error" in report
+
+
+@st.composite
+def fault_schedules(draw):
+    """Lossy delivery, plus an optional failure of a worker other than 0,
+    an optional partition of one pair that heals later, and an optional
+    join."""
+    workers = draw(st.integers(2, 4))
+    faults = dict(workers=workers, seed=draw(st.integers(0, 2**16)),
+                  dup_prob=draw(st.floats(0, 0.5)),
+                  reorder_window=draw(st.integers(0, 5)),
+                  drop_prob=draw(st.floats(0, 0.3)))
+    if draw(st.booleans()):
+        faults["fail"] = [(draw(st.integers(1, 20)),
+                           draw(st.integers(1, workers - 1)))]
+    if draw(st.booleans()):
+        pair = tuple(draw(st.lists(st.integers(0, workers - 1), min_size=2,
+                                   max_size=2, unique=True)))
+        cut = draw(st.integers(1, 15))
+        faults["partition"] = [(cut, (pair,)),
+                               (cut + draw(st.integers(1, 15)), ())]
+    if draw(st.booleans()):
+        faults["join"] = [draw(st.integers(1, 20))]
+    return faults
+
+
+@pytest.mark.parametrize(
+    "workload", [w for w in cli.WORKLOADS if w != "lattice_demo"])
+@settings(max_examples=25, deadline=None)
+@given(faults=fault_schedules())
+def test_random_fault_schedules_match_oracle(workload, corpus_file, faults):
+    code, report = cli.run(RunConfig(workload=workload, input=corpus_file,
+                                     **faults))
+    assert code == 0, report

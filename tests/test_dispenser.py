@@ -1,6 +1,6 @@
 import pytest
 
-from calmsim.dispenser import DedupSink, WorkPool
+from calmsim.dispenser import WorkPool
 from calmsim.errors import UnknownWorkerError
 
 
@@ -8,10 +8,8 @@ def make_pool(size=1000, chunk_len=100, fill=b"A"):
     return WorkPool.from_bytes(fill * size, chunk_len=chunk_len)
 
 
-def test_open_tiles_file(tmp_path):
-    path = tmp_path / "data.bin"
-    path.write_bytes(b"x" * 1000)
-    pool = WorkPool.open(path, chunk_len=100)
+def test_open_tiles_file():
+    pool = WorkPool.from_bytes(b"x" * 1000, chunk_len=100)
     assert len(pool.pending) == 10
     assert all(c.length == 100 for c in pool.pending)
 
@@ -22,11 +20,10 @@ def test_uneven_tail_chunk():
     assert pool.pending[-1].length == 1
 
 
-def test_token_ids_distinct_and_reproducible(tmp_path):
-    path = tmp_path / "data.bin"
-    path.write_bytes(bytes(range(256)) * 8)
-    tokens1 = [c.token_id for c in WorkPool.open(path, chunk_len=64).pending]
-    tokens2 = [c.token_id for c in WorkPool.open(path, chunk_len=64).pending]
+def test_token_ids_distinct_and_reproducible():
+    data = bytes(range(256)) * 8
+    tokens1 = [c.token_id for c in WorkPool.from_bytes(data, 64).pending]
+    tokens2 = [c.token_id for c in WorkPool.from_bytes(data, 64).pending]
     assert tokens1 == tokens2
     assert len(set(tokens1)) == len(tokens1)
 
@@ -41,7 +38,7 @@ def test_next_assigns_and_exhausts():
     pool.add_worker(0)
     chunks = [pool.next(0) for _ in range(3)]
     assert all(chunks) and pool.next(0) is None
-    assert pool.exhausted and not pool.done
+    assert not pool.pending and not pool.done
     for c in chunks:
         pool.complete(0, c)
     assert pool.done
@@ -77,7 +74,10 @@ def test_fail_returns_uncompleted_work():
     # Survivor finishes the whole file.
     while (c := pool.next(1)) is not None:
         pool.complete(1, c)
-    assert pool.done and pool.coverage_ok()
+    assert pool.done
+    spans = sorted((c.start, c.length) for c in pool.completed)
+    assert [start for start, _ in spans] == list(range(0, 600, 100))
+    assert sum(length for _, length in spans) == 600
 
 
 def test_fail_with_no_assignments():
@@ -93,7 +93,7 @@ def test_faster_worker_gets_proportional_share():
     pool.add_worker(0)
     pool.add_worker(1)
     shares = {0: 0, 1: 0}
-    while not pool.exhausted:
+    while pool.pending:
         # Worker 0 requests twice per round, worker 1 once.
         for wid in (0, 0, 1):
             c = pool.next(wid)
@@ -114,24 +114,3 @@ def test_midrun_joiner_gets_only_pending_chunks():
     while (c := pool.next(1)) is not None:
         seen.append(c)
     assert not (set(seen) & set(finished))
-
-
-def test_chunk_bytes_overlap():
-    pool = WorkPool.from_bytes(b"ABCDEFGHIJ", chunk_len=4)
-    first = pool.pending[0]
-    assert pool.chunk_bytes(first) == b"ABCD"
-    assert pool.chunk_bytes(first, overlap=3) == b"ABCDEFG"
-    last = pool.pending[-1]
-    assert pool.chunk_bytes(last, overlap=3) == b"IJ"
-
-
-def test_dedup_sink_absorbs_duplicates():
-    sink = DedupSink()
-    assert sink.offer(1, 10, "a")
-    assert not sink.offer(1, 10, "a")  # network duplicate
-    assert sink.offer(1, 11, "a")      # re-issued use after failure
-    assert sink.tokens() == {1}
-
-
-def test_dedup_sink_empty():
-    assert DedupSink().tokens() == set()

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from calmsim import lattice
 from calmsim.errors import LatticeLawError, LatticeTypeError, ThresholdMismatchError
-from calmsim.lattice import (GSet, LMap, LMax, LSet, LWWSet, LWWTokenSet,
-                             MVSet, ThresholdLSet, Timestamp, TwoPSet,
-                             VersionVector, custom_lattice, merge)
+from calmsim.lattice import (GSet, LMap, LMax, LWWSet, LWWTokenSet, MVSet,
+                             ThresholdLSet, Timestamp, TwoPSet, VersionVector,
+                             custom_lattice, merge)
 
 from helpers import LAW_TYPES, random_map, random_value
 
@@ -27,7 +27,7 @@ def test_lmax_merge_is_max():
 
 def test_merge_rejects_mixed_types():
     with pytest.raises(LatticeTypeError):
-        merge(GSet.of([1]), LSet.of([1]))
+        merge(GSet.of([1]), ThresholdLSet(frozenset([1]), 3))
 
 
 @pytest.mark.parametrize("kind", LAW_TYPES, ids=lambda t: t.__name__)
@@ -220,7 +220,7 @@ def test_replicas_converge_under_reorder_and_duplication(kind):
 # -- in-place delta merge ---------------------------------------------------
 
 
-@pytest.mark.parametrize("value_kind", (LSet, ThresholdLSet),
+@pytest.mark.parametrize("value_kind", (GSet, ThresholdLSet),
                          ids=lambda t: t.__name__)
 def test_lmap_merge_in_equals_pure_merge(value_kind):
     rng = random.Random(17)
@@ -251,4 +251,4 @@ def test_lmap_merge_in_keeps_threshold_guard():
 
 def test_lmap_merge_in_rejects_other_types():
     with pytest.raises(LatticeTypeError):
-        LMap().merge_in(LSet.of("a"))
+        LMap().merge_in(GSet.of("a"))

@@ -3,7 +3,7 @@ import pytest
 from calmsim import lattice
 from calmsim.errors import (DivergenceError, StratificationError,
                             UnknownWorkerError)
-from calmsim.lattice import GSet, LMax, LSet
+from calmsim.lattice import GSet, LMax
 from calmsim.runtime import (DeliverySchedule, Program, Rule, Simulation,
                              TickRuleEngine, run_to_quiescence)
 
@@ -35,16 +35,14 @@ class GSetSink(Program):
     def fingerprint(self, sim):
         return len(self.shard)
 
-    def result(self, sim):
-        return self.shard
-
 
 def test_lossy_duplicating_channel_converges_to_payload_set():
     payloads = [f"p{i}" for i in range(100)]
     sim = Simulation(DeliverySchedule(seed=3, duplicate_prob=0.5,
                                       reorder_window=4, drop_prob=0.3))
-    shard = run_to_quiescence(sim, GSetSink(payloads))
-    assert shard == GSet.of(payloads)
+    program = GSetSink(payloads)
+    run_to_quiescence(sim, program)
+    assert program.shard == GSet.of(payloads)
 
 
 def test_every_token_delivered_at_least_once():
@@ -142,39 +140,39 @@ def test_worker_clocks_monotone():
 
 def test_instantaneous_rule_visible_same_tick():
     eng = TickRuleEngine(
-        tables={"a": LSet.bottom(), "b": LSet.bottom(), "c": LSet.bottom()},
+        tables={"a": GSet.bottom(), "b": GSet.bottom(), "c": GSet.bottom()},
         rules=[
             Rule("b", lambda t: t["a"], sources=("a",)),
             Rule("c", lambda t: t["b"], sources=("b",)),
         ])
-    eng.inject("a", LSet.of([1]))
+    eng.inject("a", GSet.of([1]))
     eng.tick()
-    assert eng.tables["c"] == LSet.of([1])
+    assert eng.tables["c"] == GSet.of([1])
 
 
 def test_deferred_rule_visible_next_tick():
     eng = TickRuleEngine(
-        tables={"a": LSet.bottom(), "b": LSet.bottom()},
+        tables={"a": GSet.bottom(), "b": GSet.bottom()},
         rules=[Rule("b", lambda t: t["a"], sources=("a",), deferred=True)])
-    eng.inject("a", LSet.of([1]))
+    eng.inject("a", GSet.of([1]))
     eng.tick()
-    assert eng.tables["b"] == LSet.bottom()
+    assert eng.tables["b"] == GSet.bottom()
     eng.tick()
-    assert eng.tables["b"] == LSet.of([1])
+    assert eng.tables["b"] == GSet.of([1])
 
 
 def test_deferred_into_untouched_table():
     eng = TickRuleEngine(
-        tables={"a": LSet.bottom(), "b": LSet.bottom()},
+        tables={"a": GSet.bottom(), "b": GSet.bottom()},
         rules=[Rule("b", lambda t: t["a"], sources=("a",), deferred=True)])
     eng.tick()
-    assert eng.tables["b"] == LSet.bottom()
+    assert eng.tables["b"] == GSet.bottom()
 
 
 def test_instantaneous_cycle_is_stratification_error():
     with pytest.raises(StratificationError) as err:
         TickRuleEngine(
-            tables={"x": LSet.bottom(), "y": LSet.bottom()},
+            tables={"x": GSet.bottom(), "y": GSet.bottom()},
             rules=[
                 Rule("x", lambda t: t["y"], sources=("y",)),
                 Rule("y", lambda t: t["x"], sources=("x",)),
@@ -194,7 +192,7 @@ def test_stratification_error_names_a_real_cycle():
     # the cycles x -> y -> x and x -> z -> x, but no cycle x -> y -> z.
     with pytest.raises(StratificationError) as err:
         TickRuleEngine(
-            tables={n: LSet.bottom() for n in "xyz"},
+            tables={n: GSet.bottom() for n in "xyz"},
             rules=[
                 Rule("x", lambda t: t["y"].merge(t["z"]), sources=("y", "z")),
                 Rule("y", lambda t: t["x"], sources=("x",)),
@@ -205,7 +203,7 @@ def test_stratification_error_names_a_real_cycle():
 
 def test_rule_fixpoint():
     eng = TickRuleEngine(
-        tables={"a": LSet.of([1, 2]), "b": LSet.bottom()},
+        tables={"a": GSet.of([1, 2]), "b": GSet.bottom()},
         rules=[Rule("b", lambda t: t["a"], sources=("a",), deferred=True)])
     tables = eng.run_to_fixpoint()
-    assert tables["b"] == LSet.of([1, 2])
+    assert tables["b"] == GSet.of([1, 2])

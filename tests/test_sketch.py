@@ -157,8 +157,7 @@ def test_design1_query_gathers_from_cell_owners(cms_corpus):
     p = params(h=3, m=90)
     res = design1_run(cms_corpus, 6, p, workers=3)
     item = corpus_stream(cms_corpus, 6)[0][0]
-    owners = {res.program.column_owner(j) for j in
-              SketchMatrix(p).columns_of(item)}
+    owners = {res.program.column_owner(j) for j in p.columns(item)}
     before = len(res.sim.events)
     res.query(item, at_worker=0)
     gathers = [ev for ev in res.sim.events[before:] if ev[1] == "gather"]
@@ -172,8 +171,7 @@ def test_design1_partitioned_owner_means_idk(cms_corpus):
     assert isinstance(res.query(item, at_worker=0), Value)
     res.sim.set_partition([(0, 1), (0, 2)])
     out = res.query(item, at_worker=0)
-    owners = {res.program.column_owner(j) for j in
-              SketchMatrix(p).columns_of(item)}
+    owners = {res.program.column_owner(j) for j in p.columns(item)}
     if owners - {0}:
         assert out is IDK
     res.sim.heal()
