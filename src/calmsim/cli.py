@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import kmer, sketch
 from .errors import CalmsimError, DivergenceError, UnknownWorkerError
@@ -46,13 +46,25 @@ class RunConfig:
     def validate(self) -> None:
         if self.workload not in WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}")
-        if self.workload != "lattice_demo" and not self.input:
+        if self.workload == "lattice_demo":
+            default = RunConfig()
+            unread = [f.name for f in fields(self)
+                      if f.name not in ("workload", "seed", "report")
+                      and getattr(self, f.name) != getattr(default, f.name)]
+            if unread:
+                raise ValueError(
+                    f"lattice_demo takes no {', '.join(unread)}")
+        elif not self.input:
             raise ValueError("--input is required for this workload")
         if self.k < 1 or self.workers < 1 or self.threshold < 1:
             raise ValueError("k, workers, and threshold must be >= 1")
         for p in (self.dup_prob, self.drop_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must be in [0, 1]")
+        ticks = ([t for t, _wid in self.fail] + [t for t, _p in self.partition]
+                 + self.join)
+        if any(t < 1 for t in ticks):
+            raise ValueError("fault ticks must be >= 1 (the run starts at 1)")
         failed = [wid for _tick, wid in self.fail]
         for wid in failed:
             if failed.count(wid) > 1:
@@ -125,15 +137,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             if not hasattr(config, key):
                 raise ValueError(f"unknown config key {key!r}")
             setattr(config, key, _coerce(key, value))
-    overrides = {
-        "workload": args.workload, "input": args.input, "k": args.k,
-        "threshold": args.threshold, "workers": args.workers,
-        "seed": args.seed, "dup_prob": args.dup_prob,
-        "reorder_window": args.reorder_window, "drop_prob": args.drop_prob,
-        "eps": args.eps, "delta": args.delta,
-        "emit_events": args.emit_events, "report": args.report,
-    }
-    for key, value in overrides.items():
+    # verify has no --seed, --report or --emit-events.
+    for key in ("workload", "input", "k", "threshold", "workers", "seed",
+                "dup_prob", "reorder_window", "drop_prob", "eps", "delta",
+                "emit_events", "report"):
+        value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
     if args.fail:
@@ -280,7 +288,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
         "messages": sum(1 for ev in sim.events if ev[1] == "send") if sim else 0,
         "coordination": coordination,
     }
-    if config.emit_events and sim:
+    if config.emit_events:
         with open(config.emit_events, "w", encoding="utf-8") as fh:
             fh.write(sim.event_lines())
     if config.report:
@@ -316,12 +324,13 @@ def verify(config: RunConfig, seeds: list[int]) -> tuple[int, dict]:
     """Run the workload once per seed and check all runs converge alike."""
     if len(seeds) < 2:
         return 2, {"error": "verify needs at least two seeds"}
+    if config.report or config.emit_events:
+        return 2, {"error": "verify writes no report or event log"}
     projections = []
     matches = []
     diverging = None
     for seed in seeds:
-        code, report = run(replace(config, seed=seed, report=None,
-                                   emit_events=None))
+        code, report = run(replace(config, seed=seed))
         if code in (2, 3):
             return code, report
         matches.append(code == 0)
@@ -349,13 +358,13 @@ def make_parser() -> argparse.ArgumentParser:
         description="Deterministic CRDT workload simulator")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "verify"):
-        p = sub.add_parser(name)
+        # No abbreviations: verify must not read --seed as --seeds.
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--workload", choices=WORKLOADS)
         p.add_argument("--input")
         p.add_argument("-k", type=int, dest="k")
         p.add_argument("--threshold", type=int)
         p.add_argument("--workers", type=int)
-        p.add_argument("--seed", type=int)
         p.add_argument("--dup-prob", type=float, dest="dup_prob")
         p.add_argument("--reorder-window", type=int, dest="reorder_window")
         p.add_argument("--drop-prob", type=float, dest="drop_prob")
@@ -364,10 +373,13 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--fail", action="append", metavar="TICK:WORKER")
         p.add_argument("--partition", action="append", metavar="TICK:A-B,...")
         p.add_argument("--join", action="append", metavar="TICK")
-        p.add_argument("--emit-events", dest="emit_events", metavar="PATH")
-        p.add_argument("--report", metavar="PATH")
         p.add_argument("--config", metavar="PATH",
                        help="key=value config file; flags override")
+    run_parser = sub.choices["run"]
+    run_parser.add_argument("--seed", type=int)
+    run_parser.add_argument("--emit-events", dest="emit_events",
+                            metavar="PATH")
+    run_parser.add_argument("--report", metavar="PATH")
     sub.choices["verify"].add_argument(
         "--seeds", required=True,
         help="comma-separated list of at least two seeds")

@@ -102,9 +102,9 @@ class KmerIngestProgram(Program):
     into one batch per receiving worker with ``route``, and sends one
     envelope per batch stamped with the chunk's token id.
 
-    Owner state only grows by merge.  Every delivery path adds how much it
-    grew to ``inflations``, so the quiescence fingerprint reads one counter
-    instead of rescanning the state.
+    Owner state only grows, by merge on delivery.  The program is idle once
+    the pool is done and no live worker holds a chunk, so the run is at its
+    fixpoint when, in addition, nothing is in flight or held.
     """
 
     def __init__(self, data: bytes, k: int, workers: int,
@@ -118,7 +118,6 @@ class KmerIngestProgram(Program):
         self.pool: WorkPool | None = None
         self.owners: tuple[int, ...] = ()
         self.current: dict[int, Chunk | None] = {}
-        self.inflations = 0
 
     def setup(self, sim: Simulation) -> None:
         self.pool = WorkPool.from_bytes(
@@ -172,11 +171,6 @@ class KmerIngestProgram(Program):
         return self.pool.done and all(
             self.current.get(wid) is None for wid in sim.alive_workers())
 
-    def fingerprint(self, sim: Simulation):
-        return (len(self.pool.pending), len(self.pool.completed),
-                sum(len(s) for s in self.pool.assigned.values()),
-                self.inflations)
-
     def state_size(self) -> int:
         """Elements held in owner state; an O(state) end-of-run report."""
         raise NotImplementedError
@@ -210,7 +204,7 @@ class ImplAProgram(KmerIngestProgram):
 
     def absorb(self, wid, pairs) -> None:
         delta = _batch_lmap(pairs, lambda offs: GSet(frozenset(offs)))
-        self.inflations += self.shards[wid].merge_in(delta)
+        self.shards[wid].merge_in(delta)
 
     def state_size(self) -> int:
         return sum(len(v) for m in self.shards.values()
@@ -238,7 +232,7 @@ class ImplBProgram(ImplAProgram):
     def absorb(self, wid, pairs) -> None:
         delta = _batch_lmap(
             pairs, lambda offs: ThresholdLSet(frozenset(offs), self.threshold))
-        self.inflations += self.shards[wid].merge_in(delta)
+        self.shards[wid].merge_in(delta)
 
 
 class TableKmerProgram(KmerIngestProgram):
@@ -253,10 +247,7 @@ class TableKmerProgram(KmerIngestProgram):
         return self.table.plan.owner_of_key(kmer)
 
     def absorb(self, wid, pairs) -> None:
-        shards = self.table.shards
-        before = len(shards.get(wid, ()))
         self.table.merge_shard(wid, GSet.of(pairs))
-        self.inflations += len(shards[wid]) - before
 
     def state_size(self) -> int:
         return sum(len(s) for s in self.table.shards.values())
@@ -303,9 +294,9 @@ def _harness_events(failures=(), joins=(), partitions=()):
     return events
 
 
-def _run(program: KmerIngestProgram, schedule, failures, joins, partitions,
-         tick_cap) -> tuple[Simulation, KmerIngestProgram]:
-    sim = Simulation(schedule or DeliverySchedule(), tick_cap=tick_cap)
+def _run(program: KmerIngestProgram, schedule, failures, joins,
+         partitions) -> tuple[Simulation, KmerIngestProgram]:
+    sim = Simulation(schedule or DeliverySchedule())
     run_to_quiescence(sim, program,
                       _harness_events(failures, joins, partitions))
     return sim, program
@@ -314,34 +305,31 @@ def _run(program: KmerIngestProgram, schedule, failures, joins, partitions,
 def impl_a_run(corpus, k: int, workers: int,
                schedule: DeliverySchedule | None = None,
                failures=(), joins=(), partitions=(),
-               chunk_len: int | None = None,
-               tick_cap: int = 100_000) -> KmerRunResult:
+               chunk_len: int | None = None) -> KmerRunResult:
     data = normalize_corpus(corpus)
     sim, prog = _run(ImplAProgram(data, k, workers, chunk_len=chunk_len),
-                     schedule, failures, joins, partitions, tick_cap)
+                     schedule, failures, joins, partitions)
     return KmerRunResult(prog.histogram(), sim, prog)
 
 
 def impl_b_run(corpus, k: int, workers: int, threshold: int,
                schedule: DeliverySchedule | None = None,
                failures=(), joins=(), partitions=(),
-               chunk_len: int | None = None,
-               tick_cap: int = 100_000) -> KmerRunResult:
+               chunk_len: int | None = None) -> KmerRunResult:
     data = normalize_corpus(corpus)
     sim, prog = _run(
         ImplBProgram(data, k, workers, threshold, chunk_len=chunk_len),
-        schedule, failures, joins, partitions, tick_cap)
+        schedule, failures, joins, partitions)
     return KmerRunResult(prog.histogram(), sim, prog)
 
 
 def table_kmer_run(corpus, k: int, workers: int,
                    schedule: DeliverySchedule | None = None,
                    failures=(), joins=(), partitions=(),
-                   chunk_len: int | None = None,
-                   tick_cap: int = 100_000) -> KmerRunResult:
+                   chunk_len: int | None = None) -> KmerRunResult:
     data = normalize_corpus(corpus)
     sim, prog = _run(TableKmerProgram(data, k, workers, chunk_len=chunk_len),
-                     schedule, failures, joins, partitions, tick_cap)
+                     schedule, failures, joins, partitions)
     counts, query = prog.aggregate(sim)
     return KmerRunResult(counts, sim, prog,
                          coordination_free=query.coordination_free)

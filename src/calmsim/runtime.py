@@ -240,7 +240,13 @@ class Simulation:
 
 
 class Program:
-    """Workload plugged into the simulation loop; all hooks optional."""
+    """Workload plugged into the simulation loop; all hooks optional.
+
+    State changes only in the hooks and in harness actions, and a message
+    changes it only when delivered.  So ``idle`` is the one contract a
+    program must meet: it is False while any ``worker_step`` or ``on_tick``
+    could still change state or send.
+    """
 
     def setup(self, sim: Simulation) -> None:
         pass
@@ -258,32 +264,37 @@ class Program:
         return True
 
     def fingerprint(self, sim: Simulation):
-        """A value that changes whenever program state changed this tick.
+        """Not called by the runtime.
 
-        Called once every tick, so keep it O(1): read counters that the
-        state updates maintain, never rescan the state itself.
+        Kept only because the benchmark's tracer (``bench/tracer.py``)
+        patches ``fingerprint`` on the k-mer programs and fails with
+        ``AttributeError`` if the name is gone.  Delete it together with
+        that patch.
         """
         return None
 
 
 def run_to_quiescence(sim: Simulation, program: Program,
                       events: Mapping[int, Sequence[Callable]] | None = None):
-    """Tick until nothing is in flight and no state changed for a full tick.
+    """Tick until the run is at its fixpoint.
 
-    "No state changed" means ``program.fingerprint(sim)`` equals the last
-    tick's.  It is called every tick, so it must be O(1), and it must change
-    whenever program state changed, or the run can stop early.
+    Before each tick, the run stops when nothing is in flight or held,
+    ``program.idle(sim)`` is true and every harness event has run
+    (``sim.now >= max(events)``).  Lattice state grows only on delivery,
+    so from there no tick could change it.  Raises ``DivergenceError``
+    when that takes more than ``sim.tick_cap`` ticks.
 
     ``events`` maps tick index to harness callables (failure injection,
     joins, partitions) invoked at the start of that tick with
     ``(sim, program)``.
     """
     events = events or {}
+    last_event = max(events, default=0)
     program.setup(sim)
-    if program.idle(sim) and not sim.in_flight and not sim.held and not events:
-        return
-    last_fp = object()
-    while sim.now < sim.tick_cap:
+    while (sim.in_flight or sim.held or not program.idle(sim)
+           or sim.now < last_event):
+        if sim.now >= sim.tick_cap:
+            raise DivergenceError(f"no quiescence within {sim.tick_cap} ticks")
         sim.now += 1
         for action in events.get(sim.now, ()):
             action(sim, program)
@@ -292,12 +303,6 @@ def run_to_quiescence(sim: Simulation, program: Program,
             program.worker_step(sim, wid)
         for env in sim.deliver_due():
             program.on_deliver(sim, env)
-        fp = program.fingerprint(sim)
-        if (not sim.in_flight and not sim.held and program.idle(sim)
-                and fp == last_fp and sim.now > max(events, default=0)):
-            return
-        last_fp = fp
-    raise DivergenceError(f"no quiescence within {sim.tick_cap} ticks")
 
 
 # ---------------------------------------------------------------------------

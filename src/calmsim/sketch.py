@@ -142,16 +142,8 @@ class Design2Program(KmerIngestProgram):
     def on_deliver(self, sim: Simulation, env: Envelope) -> None:
         kind, pairs = env.payload
         replica = self.replicas[env.dst]
-        # SketchMatrix.insert inlined to count the tokens new to a cell;
-        # insert itself stays as cheap as the sequential reference.
-        new = 0
         for kmer, off in pairs:
-            for row, j in zip(replica.cells, self.params.columns(kmer)):
-                cell = row[j]
-                if off not in cell:
-                    cell.add(off)
-                    new += 1
-        self.inflations += new
+            replica.insert(kmer, off)
         if kind == "ingest":
             # Owner's copy of the update gossips to every other replica.
             for wid in sorted(self.replicas):
@@ -183,12 +175,11 @@ class Design2Result:
 def design2_run(corpus, k: int, params: CmsParams, workers: int,
                 schedule: DeliverySchedule | None = None,
                 failures=(), joins=(), partitions=(),
-                chunk_len: int | None = None,
-                tick_cap: int = 100_000) -> Design2Result:
+                chunk_len: int | None = None) -> Design2Result:
     data = normalize_corpus(corpus)
     sim, prog = _run(
         Design2Program(data, k, workers, params, chunk_len=chunk_len),
-        schedule, failures, joins, partitions, tick_cap)
+        schedule, failures, joins, partitions)
     return Design2Result(prog.replicas, sim, prog)
 
 
@@ -231,13 +222,8 @@ class Design1Program(KmerIngestProgram):
 
     def on_deliver(self, sim: Simulation, env: Envelope) -> None:
         slab = self.slabs[env.dst]
-        new = 0
         for i, j, token in env.payload[1]:
-            cell = slab.setdefault((i, j), set())
-            if token not in cell:
-                cell.add(token)
-                new += 1
-        self.inflations += new
+            slab.setdefault((i, j), set()).add(token)
 
     def state_size(self) -> int:
         return sum(len(c) for slab in self.slabs.values()
@@ -278,10 +264,9 @@ class Design1Result:
 def design1_run(corpus, k: int, params: CmsParams, workers: int,
                 schedule: DeliverySchedule | None = None,
                 failures=(), joins=(), partitions=(),
-                chunk_len: int | None = None,
-                tick_cap: int = 100_000) -> Design1Result:
+                chunk_len: int | None = None) -> Design1Result:
     data = normalize_corpus(corpus)
     sim, prog = _run(
         Design1Program(data, k, workers, params, chunk_len=chunk_len),
-        schedule, failures, joins, partitions, tick_cap)
+        schedule, failures, joins, partitions)
     return Design1Result(prog.slabs, sim, prog)

@@ -124,6 +124,67 @@ def test_import_loads_only_stdlib_and_calmsim():
     assert outside == []
 
 
+def test_bench_tracer_finds_every_name_it_patches():
+    # bench/tracer.py patches calmsim names from outside src/; deleting one
+    # of them breaks traced benchmark runs.
+    tracer = SRC.parent / "bench" / "tracer.py"
+    code = ("import importlib.util\n"
+            "spec = importlib.util.spec_from_file_location(\n"
+            f"    'tracer', {str(tracer)!r})\n"
+            "module = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(module)\n"
+            "tracer = module.Tracer()\n"
+            "tracer.install()\n"
+            "tracer.uninstall()\n"
+            "print('ok')\n")
+    assert run_python(code) == "ok\n"
+
+
+@pytest.mark.parametrize("flag", [["--fail", "0:1"], ["--partition", "0:0-1"],
+                                  ["--join", "-3"]])
+def test_fault_tick_below_one_exits_2(corpus_file, flag, capsys):
+    code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
+                     "--workers", "2", *flag])
+    assert code == 2
+    assert "fault ticks must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--report", "r.json"],
+                                  ["--emit-events", "e.log"]])
+def test_verify_rejects_single_run_flags(corpus_file, flag, tmp_path,
+                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--workload", "kmer_a", "--input", corpus_file,
+                  "--seeds", "1,2", *flag])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["report", "emit_events"])
+def test_verify_rejects_output_files_from_config(corpus_file, key, tmp_path,
+                                                 capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(f"{key} = {tmp_path / 'out'}\n")
+    code = cli.main(["verify", "--config", str(cfg), "--workload", "kmer_a",
+                     "--input", corpus_file, "--seeds", "1,2"])
+    assert code == 2
+    assert "verify writes no report" in json.loads(capsys.readouterr().out)[
+        "error"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_lattice_demo_rejects_options_it_does_not_read(tmp_path, capsys):
+    code = cli.main(["run", "--workload", "lattice_demo", "--fail", "3:1",
+                     "--join", "2", "--input", "/nonexistent"])
+    assert code == 2
+    assert "lattice_demo takes no input, fail, join" in capsys.readouterr().err
+    report = tmp_path / "report.json"
+    assert cli.main(["run", "--workload", "lattice_demo", "--seed", "4",
+                     "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["match"]
+
+
 def test_main_malformed_flag_exits_2(corpus_file, capsys):
     code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
                      "--fail", "notanumber"])

@@ -32,9 +32,6 @@ class GSetSink(Program):
     def idle(self, sim):
         return self.sent
 
-    def fingerprint(self, sim):
-        return len(self.shard)
-
 
 def test_lossy_duplicating_channel_converges_to_payload_set():
     payloads = [f"p{i}" for i in range(100)]
@@ -102,6 +99,14 @@ def test_empty_program_quiescent_at_tick_zero():
     sim = Simulation()
     run_to_quiescence(sim, Program())
     assert sim.now == 0
+
+
+def test_idle_program_stops_on_its_last_harness_tick():
+    sim = Simulation()
+    ran = []
+    run_to_quiescence(sim, Program(),
+                      {5: [lambda sim, program: ran.append(sim.now)]})
+    assert ran == [5] and sim.now == 5
 
 
 def test_divergence_guard():
