@@ -1,6 +1,7 @@
 import json
 import os
 import sysconfig
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,11 +186,21 @@ def test_lattice_demo_rejects_options_it_does_not_read(tmp_path, capsys):
     assert json.loads(report.read_text())["match"]
 
 
-def test_main_malformed_flag_exits_2(corpus_file, capsys):
+@pytest.mark.parametrize("option, flag, config_line", [
+    ("fail", ["--fail", "notanumber"], None),
+    ("workers", ["--workers", "x"], None),
+    ("workers", [], "workers = x"),
+], ids=["fail", "workers", "workers-in-config"])
+def test_main_malformed_flag_exits_2(corpus_file, option, flag, config_line,
+                                     tmp_path, capsys):
+    if config_line:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_line + "\n")
+        flag = ["--config", str(cfg)]
     code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
-                     "--fail", "notanumber"])
+                     *flag])
     assert code == 2
-    assert "error" in capsys.readouterr().err
+    assert f"calmsim: error: {option}: " in capsys.readouterr().err
 
 
 def test_verify_malformed_seeds_exits_2(corpus_file, capsys):
@@ -283,6 +294,52 @@ def test_verify_identical_across_seeds(corpus_file, capsys):
     assert summary["diverging_seed"] is None
 
 
+@pytest.mark.parametrize("workload", ["kmer_b", "cms_design1", "cms_design2"])
+def test_verify_identical_across_seeds_on_every_answer(corpus_file, workload,
+                                                       capsys):
+    # kmer_b compares below-threshold counts; the sketches keep their row
+    # seeds whatever the delivery seed.
+    code = cli.main(["verify", "--workload", workload, "--input", corpus_file,
+                     "--workers", "3", "--dup-prob", "0.3",
+                     "--drop-prob", "0.1", "--seeds", "1,2,3"])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0, summary
+    assert summary["identical"] and summary["all_match"]
+
+
+def test_verify_rejects_seed_from_config(corpus_file, tmp_path, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("seed = 5\n")
+    code = cli.main(["verify", "--config", str(cfg), "--workload", "kmer_a",
+                     "--input", corpus_file, "--seeds", "1,2"])
+    assert code == 2
+    assert "verify takes --seeds, not seed" in capsys.readouterr().err
+
+
+# A valid value other than the default for every RunConfig field but
+# ``workload``.
+SET_FIELDS = dict(input="corpus.txt", k=5, threshold=7, workers=2, seed=5,
+                  dup_prob=0.5, reorder_window=2, drop_prob=0.5, eps=0.5,
+                  delta=0.5, fail=[(3, 1)], partition=[(3, ((0, 1),))],
+                  join=[4], emit_events="e.log", report="r.json")
+
+
+@pytest.mark.parametrize("workload", list(cli.WORKLOADS))
+def test_workload_rejects_options_it_does_not_read(workload):
+    assert {"workload", *SET_FIELDS} == {f.name for f in fields(RunConfig)}
+    reads = {"seed", "report", *cli.WORKLOADS[workload].reads}
+    base = RunConfig(workload=workload,
+                     input="corpus.txt" if "input" in reads else None)
+    for name, value in SET_FIELDS.items():
+        config = replace(base, **{name: value})
+        if name in reads:
+            config.validate()
+        else:
+            code, report = cli.run(config)
+            assert code == 2
+            assert report["error"] == f"{workload} takes no {name}"
+
+
 def test_verify_single_seed_rejected(corpus_file):
     code, report = cli.verify(
         RunConfig(workload="kmer_a", input=corpus_file), seeds=[1])
@@ -314,7 +371,8 @@ def fault_schedules(draw):
 
 
 @pytest.mark.parametrize(
-    "workload", [w for w in cli.WORKLOADS if w != "lattice_demo"])
+    "workload",
+    [w for w, spec in cli.WORKLOADS.items() if "fail" in spec.reads])
 @settings(max_examples=25, deadline=None)
 @given(faults=fault_schedules())
 def test_random_fault_schedules_match_oracle(workload, corpus_file, faults):
