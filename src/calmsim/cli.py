@@ -106,6 +106,17 @@ def _coerce(name: str, text):
         raise ValueError(f"{name}: {exc}") from None
 
 
+def _parse_seeds(text: str) -> list[int]:
+    """``verify --seeds``: distinct integers, comma-separated."""
+    try:
+        seeds = [int(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"seeds: {exc}") from None
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds: {text!r} repeats a seed")
+    return seeds
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     texts = {}
     if args.config:  # key = value lines, "#" comments
@@ -364,7 +375,7 @@ def main(argv=None) -> int:
     try:
         config = build_config(args)
         if args.command == "verify":
-            seeds = [int(s) for s in args.seeds.split(",") if s]
+            seeds = _parse_seeds(args.seeds)
     except (ValueError, OSError) as exc:
         parser.print_usage(sys.stderr)
         print(f"calmsim: error: {exc}", file=sys.stderr)

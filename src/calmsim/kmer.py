@@ -222,9 +222,8 @@ class ImplAProgram(KmerIngestProgram):
 class ImplBProgram(ImplAProgram):
     """Like implementation A but identifier sets stop growing at a threshold."""
 
-    def __init__(self, data, k, workers, threshold: int,
-                 chunk_len: int | None = None):
-        super().__init__(data, k, workers, chunk_len=chunk_len)
+    def __init__(self, data, k, workers, threshold: int):
+        super().__init__(data, k, workers)
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         self.threshold = threshold
@@ -314,21 +313,18 @@ def impl_a_run(corpus, k: int, workers: int,
 
 def impl_b_run(corpus, k: int, workers: int, threshold: int,
                schedule: DeliverySchedule | None = None,
-               failures=(), joins=(), partitions=(),
-               chunk_len: int | None = None) -> KmerRunResult:
+               failures=(), joins=(), partitions=()) -> KmerRunResult:
     data = normalize_corpus(corpus)
-    sim, prog = _run(
-        ImplBProgram(data, k, workers, threshold, chunk_len=chunk_len),
-        schedule, failures, joins, partitions)
+    sim, prog = _run(ImplBProgram(data, k, workers, threshold),
+                     schedule, failures, joins, partitions)
     return KmerRunResult(prog.histogram(), sim, prog)
 
 
 def table_kmer_run(corpus, k: int, workers: int,
                    schedule: DeliverySchedule | None = None,
-                   failures=(), joins=(), partitions=(),
-                   chunk_len: int | None = None) -> KmerRunResult:
+                   failures=(), joins=(), partitions=()) -> KmerRunResult:
     data = normalize_corpus(corpus)
-    sim, prog = _run(TableKmerProgram(data, k, workers, chunk_len=chunk_len),
+    sim, prog = _run(TableKmerProgram(data, k, workers),
                      schedule, failures, joins, partitions)
     counts, query = prog.aggregate(sim)
     return KmerRunResult(counts, sim, prog,

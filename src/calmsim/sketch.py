@@ -3,14 +3,16 @@
 Cells hold sets of instance token ids rather than integer counters, so
 inserts stay idempotent under at-least-once delivery: the estimate for an
 item is the minimum cardinality over its h addressed cells, and it can only
-over-count (never under-count).
+over-count (never under-count).  Both designs hash a window once, where it
+is ingested, and ship its h ``(row, column, token)`` cells, which
+:meth:`SketchMatrix.add` applies on delivery.
 
 - Design 1 partitions the m columns into contiguous slabs, one per worker;
   a query must gather its h cells from their owners and reduce by min, which
   is visible as cross-worker coordination in the event log.
-- Design 2 replicates the full h-by-m matrix on every worker; owners insert
-  locally and broadcast, replicas converge by cellwise set union, and a
-  query is a purely local read.
+- Design 2 replicates the full h-by-m matrix on every worker; owners apply
+  cells and forward them, replicas never hash and converge by cellwise set
+  union, and a query is a purely local read.
 """
 
 from __future__ import annotations
@@ -78,21 +80,14 @@ class SketchMatrix:
         for i, j in enumerate(self.params.columns(item)):
             self.cells[i][j].add(token)
 
+    def add(self, cells: Iterable[tuple[int, int, int]]) -> None:
+        """Apply ``(row, column, token)`` cell updates by set union."""
+        for i, j, token in cells:
+            self.cells[i][j].add(token)
+
     def query(self, item: str) -> int:
         return min(len(self.cells[i][j])
                    for i, j in enumerate(self.params.columns(item)))
-
-    def merge(self, other: "SketchMatrix") -> "SketchMatrix":
-        if self.params != other.params:
-            raise ValueError("cannot merge sketches with different params")
-        out = SketchMatrix(self.params)
-        for i in range(self.params.h):
-            for j in range(self.params.m):
-                out.cells[i][j] = self.cells[i][j] | other.cells[i][j]
-        return out
-
-    def total_tokens(self) -> int:
-        return sum(len(c) for row in self.cells for c in row)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SketchMatrix)
@@ -123,71 +118,81 @@ def corpus_stream(corpus, k: int) -> list[tuple[str, int]]:
     return chunk_windows(data, Chunk(0, len(data), 0), k)
 
 
+class _CellProgram(KmerIngestProgram):
+    """Ingestion whose batches are ``(row, column, token)`` cells; every
+    owner applies what it receives to its own :class:`SketchMatrix`."""
+
+    def __init__(self, data, k, workers, params: CmsParams):
+        super().__init__(data, k, workers)
+        self.params = params
+
+    def init_state(self) -> None:
+        self.sketches = {wid: SketchMatrix(self.params)
+                         for wid in self.owners}
+
+    def on_deliver(self, sim: Simulation, env: Envelope) -> None:
+        self.sketches[env.dst].add(env.payload[1])
+
+    def state_size(self) -> int:
+        return sum(len(c) for sk in self.sketches.values()
+                   for row in sk.cells for c in row)
+
+
 # ---------------------------------------------------------------------------
 # Design 2: fully replicated matrix
 
 
-class Design2Program(KmerIngestProgram):
-    """Every worker holds a full replica; owners insert and broadcast."""
+class Design2Program(_CellProgram):
+    """Every worker holds a full replica; owners apply and forward cells."""
 
-    def __init__(self, data, k, workers, params: CmsParams,
-                 chunk_len: int | None = None):
-        super().__init__(data, k, workers, chunk_len=chunk_len)
-        self.params = params
-
-    def init_state(self) -> None:
-        self.replicas = {wid: SketchMatrix(self.params)
-                         for wid in self.owners}
+    def route(self, windows: list[tuple[str, int]]) -> dict[int, list]:
+        """Each window becomes its h cells, batched by the k-mer's owner."""
+        batches: dict[int, list] = {}
+        for kmer, off in windows:
+            batches.setdefault(self.owner_of(kmer), []).extend(
+                (i, j, off) for i, j in enumerate(self.params.columns(kmer)))
+        return batches
 
     def on_deliver(self, sim: Simulation, env: Envelope) -> None:
-        kind, pairs = env.payload
-        replica = self.replicas[env.dst]
-        for kmer, off in pairs:
-            replica.insert(kmer, off)
+        super().on_deliver(sim, env)
+        kind, cells = env.payload
         if kind == "ingest":
-            # Owner's copy of the update gossips to every other replica.
-            for wid in sorted(self.replicas):
+            # The owner forwards the same cells to every other replica.
+            for wid in sorted(self.sketches):
                 if wid != env.dst:
-                    sim.send(env.dst, wid, ("replicate", pairs),
+                    sim.send(env.dst, wid, ("replicate", cells),
                              token_id=env.token_id)
-
-    def state_size(self) -> int:
-        return sum(r.total_tokens() for r in self.replicas.values())
 
 
 @dataclass
 class Design2Result:
-    replicas: dict
     sim: Simulation
     program: Design2Program
 
     def sketch(self) -> SketchMatrix:
-        return self.replicas[min(self.replicas)]
+        return self.program.sketches[min(self.program.sketches)]
 
     def query(self, item: str) -> int:
         return self.sketch().query(item)
 
     def converged(self) -> bool:
         first = self.sketch()
-        return all(r == first for r in self.replicas.values())
+        return all(r == first for r in self.program.sketches.values())
 
 
 def design2_run(corpus, k: int, params: CmsParams, workers: int,
                 schedule: DeliverySchedule | None = None,
-                failures=(), joins=(), partitions=(),
-                chunk_len: int | None = None) -> Design2Result:
-    data = normalize_corpus(corpus)
-    sim, prog = _run(
-        Design2Program(data, k, workers, params, chunk_len=chunk_len),
-        schedule, failures, joins, partitions)
-    return Design2Result(prog.replicas, sim, prog)
+                failures=(), joins=(), partitions=()) -> Design2Result:
+    return Design2Result(*_run(
+        Design2Program(normalize_corpus(corpus), k, workers, params),
+        schedule, failures, joins, partitions))
 
 
 # ---------------------------------------------------------------------------
 # Design 1: column-partitioned matrix
 
 
-class Design1Program(KmerIngestProgram):
+class Design1Program(_CellProgram):
     """Columns range-partitioned into one slab per worker.
 
     Inserting an item routes each of its h cell updates to the worker owning
@@ -195,18 +200,13 @@ class Design1Program(KmerIngestProgram):
     reduces by min.
     """
 
-    def __init__(self, data, k, workers, params: CmsParams,
-                 chunk_len: int | None = None):
-        super().__init__(data, k, workers, chunk_len=chunk_len)
-        self.params = params
-
     def init_state(self) -> None:
+        super().init_state()
         slab = -(-self.params.m // len(self.owners))
         boundaries = tuple(slab * i for i in range(1, len(self.owners)))
         self.column_plan = PartitionPlan("range", self.owners,
                                          column="column",
                                          boundaries=boundaries)
-        self.slabs: dict[int, dict] = {wid: {} for wid in self.owners}
 
     def column_owner(self, j: int) -> int:
         return self.column_plan.owner_of_key(j)
@@ -220,19 +220,9 @@ class Design1Program(KmerIngestProgram):
                 batches.setdefault(self.column_owner(j), []).append((i, j, off))
         return batches
 
-    def on_deliver(self, sim: Simulation, env: Envelope) -> None:
-        slab = self.slabs[env.dst]
-        for i, j, token in env.payload[1]:
-            slab.setdefault((i, j), set()).add(token)
-
-    def state_size(self) -> int:
-        return sum(len(c) for slab in self.slabs.values()
-                   for c in slab.values())
-
 
 @dataclass
 class Design1Result:
-    slabs: dict
     sim: Simulation
     program: Design1Program
 
@@ -251,7 +241,7 @@ class Design1Result:
                 return IDK
             if owner != at_worker:
                 self.sim.log("gather", src=at_worker, dst=owner)
-            sizes.append(len(self.slabs[owner].get((i, j), ())))
+            sizes.append(len(prog.sketches[owner].cells[i][j]))
         return Value(min(sizes))
 
     def estimate(self, item: str, at_worker: int = 0) -> int:
@@ -263,10 +253,7 @@ class Design1Result:
 
 def design1_run(corpus, k: int, params: CmsParams, workers: int,
                 schedule: DeliverySchedule | None = None,
-                failures=(), joins=(), partitions=(),
-                chunk_len: int | None = None) -> Design1Result:
-    data = normalize_corpus(corpus)
-    sim, prog = _run(
-        Design1Program(data, k, workers, params, chunk_len=chunk_len),
-        schedule, failures, joins, partitions)
-    return Design1Result(prog.slabs, sim, prog)
+                failures=(), joins=(), partitions=()) -> Design1Result:
+    return Design1Result(*_run(
+        Design1Program(normalize_corpus(corpus), k, workers, params),
+        schedule, failures, joins, partitions))

@@ -203,11 +203,13 @@ def test_main_malformed_flag_exits_2(corpus_file, option, flag, config_line,
     assert f"calmsim: error: {option}: " in capsys.readouterr().err
 
 
-def test_verify_malformed_seeds_exits_2(corpus_file, capsys):
+@pytest.mark.parametrize("seeds", ["1,x", "1,1", "1,,2"],
+                         ids=["not-int", "repeated", "empty-item"])
+def test_verify_malformed_seeds_exits_2(corpus_file, seeds, capsys):
     code = cli.main(["verify", "--workload", "kmer_a", "--input", corpus_file,
-                     "--seeds", "1,x"])
+                     "--seeds", seeds])
     assert code == 2
-    assert "calmsim: error:" in capsys.readouterr().err
+    assert "calmsim: error: seeds: " in capsys.readouterr().err
 
 
 def test_worker_failed_twice_exits_2(corpus_file, capsys):
@@ -254,12 +256,15 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg)]) == 2
 
 
-def test_report_and_event_files_deterministic(tmp_path, corpus_file):
+@pytest.mark.parametrize(
+    "workload",
+    [w for w, spec in cli.WORKLOADS.items() if "emit_events" in spec.reads])
+def test_report_and_event_files_deterministic(tmp_path, corpus_file, workload):
     rep = tmp_path / "report.json"
     ev = tmp_path / "events.log"
 
     def one_run():
-        config = RunConfig(workload="kmer_a", input=corpus_file, workers=3,
+        config = RunConfig(workload=workload, input=corpus_file, workers=3,
                            seed=9, dup_prob=0.3, reorder_window=4,
                            drop_prob=0.1, report=str(rep),
                            emit_events=str(ev))

@@ -89,11 +89,10 @@ def test_merge_is_union_of_streams():
     rng = random.Random(7)
     stream = [(f"K{rng.randint(0, 20)}", tok) for tok in range(200)]
     p = params()
-    merged = sequential_sketch(stream[:90], p).merge(
-        sequential_sketch(stream[90:], p))
+    merged = sequential_sketch(stream[:90], p)
+    merged.add((i, j, tok) for item, tok in stream[90:]
+               for i, j in enumerate(p.columns(item)))
     assert merged == sequential_sketch(stream, p)
-    with pytest.raises(ValueError):
-        merged.merge(SketchMatrix(params(m=32)))
 
 
 def test_dump_shape():
@@ -151,6 +150,38 @@ def test_designs_match_sequential_under_faults(cms_corpus):
         assert len(d2.sim.workers) == 4  # the join took effect
         assert d2.converged() and d2.sketch() == ref
         assert all(d1.estimate(item) == ref.query(item) for item in items)
+
+
+def test_design2_hashes_each_window_once(cms_corpus, monkeypatch):
+    # The ingesting worker hashes each window into cells; owners and
+    # replicas only apply cells, even when deliveries repeat.
+    calls = []
+    columns = CmsParams.columns
+
+    def counted(self, item):
+        calls.append(item)
+        return columns(self, item)
+
+    monkeypatch.setattr(CmsParams, "columns", counted)
+    res = design2_run(cms_corpus, 6, params(), workers=3,
+                      schedule=DeliverySchedule(seed=4, duplicate_prob=0.3),
+                      failures=[(6, 1)], joins=[8])
+    assert {ev[1] for ev in res.sim.events} >= {"dup", "fail"}
+    assert len(res.sim.workers) == 4 and res.converged()
+    assert len(calls) == len(corpus_stream(cms_corpus, 6))
+
+
+def test_design1_sketches_partition_the_reference(cms_corpus):
+    p = params(h=3, m=90)
+    ref = sequential_sketch(corpus_stream(cms_corpus, 6), p)
+    res = design1_run(cms_corpus, 6, p, workers=4, schedule=adversarial(5))
+    prog = res.program
+    assert sorted(prog.sketches) == [0, 1, 2, 3]
+    for wid, sk in prog.sketches.items():
+        for i in range(p.h):
+            for j in range(p.m):
+                want = ref.cells[i][j] if prog.column_owner(j) == wid else set()
+                assert sk.cells[i][j] == want
 
 
 def test_design1_query_gathers_from_cell_owners(cms_corpus):
