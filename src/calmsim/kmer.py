@@ -19,6 +19,7 @@ single-threaded scan.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -30,7 +31,7 @@ from .runtime import (DeliverySchedule, Envelope, Program, Rule, Simulation,
 from .tables import GlobalTable, PartitionPlan, plan_query
 
 BASES = frozenset("ACGT")
-_BASE_BYTES = frozenset(b"ACGT")
+_NOT_BASE = re.compile(rb"[^ACGT]")
 
 
 def extract_kmers(seq: str, k: int) -> list[tuple[str, int]]:
@@ -68,19 +69,26 @@ def chunk_windows(data: bytes, chunk: Chunk, k: int) -> list[tuple[str, int]]:
 
     The read overlaps the next chunk by k-1 bytes so straddling windows are
     attributed to the earlier chunk exactly once.  Windows containing a
-    newline are skipped (sequences never span lines).
+    newline are skipped (sequences never span lines).  Each line of the
+    read is validated and decoded once; a byte outside ACGT raises at the
+    offset of the first window that holds it, and a line shorter than k
+    holds no window, so it is not checked.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     end = min(chunk.start + chunk.length, len(data))
     out = []
-    for off in range(chunk.start, end):
-        win = data[off:off + k]
-        if len(win) < k or b"\n" in win:
-            continue
-        if not _BASE_BYTES.issuperset(win):
-            raise ValueError(f"invalid base at offset {off}")
-        out.append((win.decode("ascii"), off))
+    off = chunk.start
+    for line in data[off:end + k - 1].split(b"\n"):
+        starts = len(line) - k + 1
+        if starts > 0:
+            bad = _NOT_BASE.search(line)
+            if bad:
+                raise ValueError(
+                    f"invalid base at offset {off + max(0, bad.start() - k + 1)}")
+            text = line.decode("ascii")
+            out.extend((text[i:i + k], off + i) for i in range(starts))
+        off += len(line) + 1
     return out
 
 
@@ -344,6 +352,11 @@ def threshold_rule_run(corpus, k: int, threshold: int,
     instantaneous the two rules feed each other within one tick and engine
     construction raises :class:`StratificationError`; deferring the merge to
     the next tick makes the program run.
+
+    Both rules read their source as a delta (see :class:`Rule`): ``admit``
+    is a morphism in ``arrivals`` and reads ``local`` only through the
+    guard ``len(local[kmer]) < threshold``, and ``local`` only grows, so a
+    blocked k-mer stays blocked.
     """
     data = normalize_corpus(corpus)
     windows = chunk_windows(data, Chunk(0, len(data), 0), k)
@@ -351,19 +364,17 @@ def threshold_rule_run(corpus, k: int, threshold: int,
     empty = GSet.bottom()
 
     def admit(tabs):
-        arrivals, local = tabs["arrivals"], tabs["local"]
-        kept = {
-            kmer: ids for kmer, ids in arrivals.entries.items()
-            if len(local.get(kmer, empty)) < threshold
-        }
-        return LMap(kept)
+        local = tabs["local"]
+        return LMap({kmer: ids
+                     for kmer, ids in tabs.delta["arrivals"].entries.items()
+                     if len(local.get(kmer, empty)) < threshold})
 
     engine = TickRuleEngine(
         tables={"arrivals": LMap.bottom(), "incoming": LMap.bottom(),
                 "local": LMap.bottom()},
         rules=[
             Rule("incoming", admit, sources=("arrivals", "local")),
-            Rule("local", lambda t: t["incoming"], sources=("incoming",),
+            Rule("local", lambda t: t.delta["incoming"], sources=("incoming",),
                  deferred=deferred),
         ],
     )

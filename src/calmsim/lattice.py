@@ -98,7 +98,7 @@ class LMap(LatticeValue):
             out[key] = value if cur is None else merge(cur, value)
         return LMap(out)
 
-    def merge_in(self, delta: "LMap") -> bool:
+    def merge_in(self, delta: "LMap", gained: dict | None = None) -> bool:
         """Merge ``delta`` into this map in place; True if the map changed.
 
         Touches only the delta's keys, so it costs O(delta) rather than the
@@ -106,6 +106,8 @@ class LMap(LatticeValue):
         ``merge(current, value)``, so a receiver-side guard such as
         :class:`ThresholdLSet`'s still reads this map's value.  The delta is
         never mutated, and the values stored from it are shared, not copied.
+        When ``gained`` is given, each key whose value changed is stored in
+        it with the delta's value for that key.
         """
         if type(delta) is not LMap:
             raise LatticeTypeError(
@@ -116,12 +118,14 @@ class LMap(LatticeValue):
             cur = entries.get(key)
             if cur is None:
                 entries[key] = value
-                changed = True
-                continue
-            new = merge(cur, value)
-            if new != cur:
+            else:
+                new = merge(cur, value)
+                if new == cur:
+                    continue
                 entries[key] = new
-                changed = True
+            changed = True
+            if gained is not None:
+                gained[key] = value
         return changed
 
     def get(self, key, default=None):

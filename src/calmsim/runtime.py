@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import lattice
 from .errors import DivergenceError, StratificationError, UnknownWorkerError
-from .lattice import GSet, Timestamp
+from .lattice import GSet, LMap, Timestamp
 
 
 @dataclass(frozen=True)
@@ -386,10 +386,24 @@ def _cycle_through(start, deps: Mapping[Any, Sequence]) -> tuple:
 class Rule:
     """A merge rule over named lattice tables.
 
-    ``expr`` maps the current table mapping to a lattice delta merged into
+    ``expr`` maps the engine's table mapping to a lattice value merged into
     ``target``.  ``sources`` names the tables the expression reads (used for
-    the static stratification check).  Deferred rules apply their delta at
+    the static stratification check).  Deferred rules apply their output at
     the start of the next tick.
+
+    ``t[name]`` is the full table; ``t.delta[name]`` is what that table
+    gained since the rules last ran (on the first tick, its whole initial
+    value).  Reading deltas is semi-naive evaluation, and it is sound only
+    under this contract:
+
+    - A rule may read a table as a delta only if it is a morphism in that
+      table: its output on ``old ⊔ new`` equals its output on ``old``
+      merged with its output on ``new``.
+    - Any other table it reads must pass through an anti-monotone guard
+      over a table that only grows, such as ``len(local[k]) < T``: once an
+      element is blocked, it stays blocked.
+    - Otherwise it must read the full table.  A rule that reads only full
+      tables is re-evaluated in full on every tick and is always correct.
     """
 
     target: str
@@ -398,14 +412,58 @@ class Rule:
     deferred: bool = False
 
 
+class _Tables(dict):
+    """The engine's tables by name, with ``delta``: what each table gained
+    since the rules last ran.  A table that gained nothing has no delta
+    entry and reads as its type's bottom."""
+
+    def __init__(self, tables: Mapping[str, Any]):
+        super().__init__(tables)
+        self.delta = _Gains(self)
+
+
+class _Gains(dict):
+    def __init__(self, tables: dict):
+        super().__init__()
+        self.tables = tables
+
+    def __missing__(self, name):
+        return type(self.tables[name]).bottom()
+
+
+def _own(value):
+    """A copy the engine may merge into in place.  Only an ``LMap`` is
+    merged in place; every other lattice value is immutable."""
+    return LMap(dict(value.entries)) if type(value) is LMap else value
+
+
+def _merge_into(store: dict, name: str, value) -> None:
+    """Merge ``value`` into ``store[name]``, which the engine owns."""
+    cur = store.get(name)
+    if type(cur) is LMap:
+        cur.merge_in(value)
+    else:
+        store[name] = _own(value) if cur is None else lattice.merge(cur, value)
+
+
 class TickRuleEngine:
-    """Applies rules tick by tick with instantaneous/deferred timing."""
+    """Applies rules tick by tick with instantaneous/deferred timing.
+
+    The engine owns its tables: it copies the caller's values at
+    construction, merges maps in place, and never mutates a caller's value
+    or an injected delta.  Each table's delta collects what the table
+    gains from injected input, applied ``<+`` output and same-tick ``<=``
+    output, and is cleared at the end of each tick.
+    """
 
     def __init__(self, tables: dict, rules: Sequence[Rule]):
-        self.tables = dict(tables)
+        self.tables = _Tables({n: _own(v) for n, v in tables.items()})
+        # Tick 1 reads each table's whole initial value as its delta.
+        self.tables.delta.update({n: _own(v) for n, v in tables.items()})
         self.rules = list(rules)
         self.now = 0
         self._pending: dict = {}
+        self._gained = False
         self._instant_order = self._stratify()
 
     def _stratify(self) -> list[Rule]:
@@ -430,33 +488,53 @@ class TickRuleEngine:
 
     def inject(self, name: str, delta) -> None:
         """Merge external input into a table before the next tick runs."""
-        self.tables[name] = lattice.merge(self.tables[name], delta)
+        self._absorb(name, delta)
+
+    def _absorb(self, name: str, value) -> None:
+        """Merge ``value`` into table ``name`` and its real gain into the
+        table's delta."""
+        table = self.tables[name]
+        if type(table) is LMap:
+            gained: dict = {}
+            table.merge_in(value, gained)
+            gain = LMap(gained) if gained else None
+        else:
+            self.tables[name] = lattice.merge(table, value)
+            gain = None if self.tables[name] == table else value
+        if gain is not None:
+            self._gained = True
+            _merge_into(self.tables.delta, name, gain)
+
+    def _holds(self, name: str, value) -> bool:
+        """True when merging ``value`` into table ``name`` would change
+        nothing; costs O(value) for a map."""
+        table = self.tables[name]
+        if type(table) is LMap and type(value) is LMap:
+            held = table.entries
+            return all(k in held and lattice.merge(held[k], v) == held[k]
+                       for k, v in value.entries.items())
+        return lattice.merge(table, value) == table
 
     def tick(self) -> None:
         self.now += 1
-        for name in sorted(self._pending):
-            self.tables[name] = lattice.merge(self.tables[name],
-                                              self._pending[name])
-        self._pending = {}
+        self._gained = False
+        pending, self._pending = self._pending, {}
+        for name in sorted(pending):
+            self._absorb(name, pending[name])
         for rule in self._instant_order:
-            delta = rule.expr(self.tables)
-            self.tables[rule.target] = lattice.merge(self.tables[rule.target], delta)
+            self._absorb(rule.target, rule.expr(self.tables))
         for rule in self.rules:
             if rule.deferred:
-                delta = rule.expr(self.tables)
-                cur = self._pending.get(rule.target)
-                self._pending[rule.target] = (
-                    delta if cur is None else lattice.merge(cur, delta)
-                )
+                _merge_into(self._pending, rule.target, rule.expr(self.tables))
+        self.tables.delta.clear()
 
     def run_to_fixpoint(self, cap: int = 10_000) -> dict:
+        """Tick until a tick gives no table a real gain and leaves nothing
+        pending that its table does not already hold."""
         for _ in range(cap):
-            before = dict(self.tables)
             self.tick()
-            pending_absorbed = all(
-                lattice.merge(self.tables[name], delta) == self.tables[name]
-                for name, delta in self._pending.items()
-            )
-            if pending_absorbed and self.tables == before:
+            if not self._gained and all(
+                    self._holds(name, value)
+                    for name, value in self._pending.items()):
                 return self.tables
         raise DivergenceError(f"rules did not quiesce within {cap} ticks")

@@ -68,13 +68,22 @@ def row_seeds(h: int, seed: int = 0) -> tuple:
     return tuple(seeds)
 
 
-class SketchMatrix:
-    """h-by-m grid of token-id sets; cells only ever grow."""
+_NO_CELL = frozenset()
 
-    def __init__(self, params: CmsParams):
+
+class SketchMatrix:
+    """h-by-m grid of token-id sets; cells only ever grow.
+
+    ``columns`` limits storage to the columns an owner fills.  Every other
+    cell is one shared empty frozenset: it reads as an empty cell and
+    rejects writes.
+    """
+
+    def __init__(self, params: CmsParams, columns: Iterable[int] | None = None):
         self.params = params
-        self.cells = [[set() for _ in range(params.m)]
-                      for _ in range(params.h)]
+        owned = set(range(params.m) if columns is None else columns)
+        self.cells = [[set() if j in owned else _NO_CELL
+                       for j in range(params.m)] for _ in range(params.h)]
 
     def insert(self, item: str, token: int) -> None:
         for i, j in enumerate(self.params.columns(item)):
@@ -201,12 +210,16 @@ class Design1Program(_CellProgram):
     """
 
     def init_state(self) -> None:
-        super().init_state()
         slab = -(-self.params.m // len(self.owners))
         boundaries = tuple(slab * i for i in range(1, len(self.owners)))
         self.column_plan = PartitionPlan("range", self.owners,
                                          column="column",
                                          boundaries=boundaries)
+        columns: dict[int, list] = {wid: [] for wid in self.owners}
+        for j in range(self.params.m):
+            columns[self.column_owner(j)].append(j)
+        self.sketches = {wid: SketchMatrix(self.params, columns[wid])
+                         for wid in self.owners}
 
     def column_owner(self, j: int) -> int:
         return self.column_plan.owner_of_key(j)

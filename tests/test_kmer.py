@@ -1,10 +1,14 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from calmsim import kmer, sketch
+from calmsim import kmer, runtime, sketch
+from calmsim.dispenser import Chunk
 from calmsim.errors import StratificationError
-from calmsim.runtime import DeliverySchedule
+from calmsim.lattice import GSet, LMap
+from calmsim.runtime import DeliverySchedule, Rule, TickRuleEngine
 
 THRESH_CORPUS = ("AAAA\n" + "CCCC\n" * 2 + "GGGG\n" * 3
                  + "TTTT\n" * 10 + "ACGT\n" * 100)
@@ -62,6 +66,47 @@ def test_oracle_window_identity(small_corpus):
     expected = sum(max(0, len(line) - 4)
                    for line in small_corpus.splitlines() if line)
     assert sum(counts.values()) == expected
+
+
+def per_window_chunk_windows(data, chunk, k):
+    """The per-window scan ``chunk_windows`` replaced: decodes and
+    validates every window on its own."""
+    end = min(chunk.start + chunk.length, len(data))
+    out = []
+    for off in range(chunk.start, end):
+        win = data[off:off + k]
+        if len(win) < k or b"\n" in win:
+            continue
+        if not frozenset(b"ACGT").issuperset(win):
+            raise ValueError(f"invalid base at offset {off}")
+        out.append((win.decode("ascii"), off))
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=60).map(
+           lambda b: bytes(b"ACGT\nX"[x % 6] for x in b)),
+       k=st.integers(1, 6), start=st.integers(0, 62),
+       length=st.integers(0, 62))
+def test_chunk_windows_matches_per_window_scan(data, k, start, length):
+    chunk = Chunk(start, length, 0)
+    assert (outcome(kmer.chunk_windows, data, chunk, k)
+            == outcome(per_window_chunk_windows, data, chunk, k))
+
+
+def test_chunk_windows_skips_invalid_bytes_on_short_lines():
+    data = b"ACGTA\nXX\nAXGTT"
+    assert kmer.chunk_windows(data, Chunk(0, 9, 0), 4) == [
+        ("ACGT", 0), ("CGTA", 1)]
+    with pytest.raises(ValueError, match="invalid base at offset 9"):
+        kmer.chunk_windows(data, Chunk(0, len(data), 0), 4)
 
 
 # -- implementation A -------------------------------------------------------
@@ -177,6 +222,95 @@ def test_deferred_merge_runs_and_matches_oracle():
         if true < 3:
             assert c == true
         assert (c >= 3) == (true >= 3)
+
+
+def full_reevaluation_run(corpus, k, threshold, batch):
+    """``threshold_rule_run`` with both rules re-read from full tables on
+    every tick, as before the engine kept deltas."""
+    data = kmer.normalize_corpus(corpus)
+    windows = kmer.chunk_windows(data, Chunk(0, len(data), 0), k)
+
+    def admit(tabs):
+        return LMap({km: ids for km, ids in tabs["arrivals"].entries.items()
+                     if len(tabs["local"].get(km, GSet())) < threshold})
+
+    engine = TickRuleEngine(
+        tables={"arrivals": LMap(), "incoming": LMap(), "local": LMap()},
+        rules=[Rule("incoming", admit, sources=("arrivals", "local")),
+               Rule("local", lambda t: t["incoming"], sources=("incoming",),
+                    deferred=True)])
+    for i in range(0, len(windows), batch):
+        grouped: dict = {}
+        for km, off in windows[i:i + batch]:
+            grouped.setdefault(km, set()).add(off)
+        engine.inject("arrivals", LMap({km: GSet.of(offs)
+                                        for km, offs in grouped.items()}))
+        engine.tick()
+    engine.run_to_fixpoint()
+    return ({km: len(ids) for km, ids in engine.tables["local"].entries.items()},
+            engine.now)
+
+
+class EngineSpy:
+    """Catches the engines a call builds and wraps their rules' ``expr``."""
+
+    def __init__(self, monkeypatch, wrap=lambda rule: rule.expr):
+        self.engines = []
+        init = TickRuleEngine.__init__
+
+        def spy(engine, tables, rules):
+            init(engine, tables, [dataclasses.replace(r, expr=wrap(r))
+                                  for r in rules])
+            self.engines.append(engine)
+
+        monkeypatch.setattr(runtime.TickRuleEngine, "__init__", spy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=st.lists(st.text("ACGT", max_size=30), max_size=12),
+       k=st.integers(1, 5), threshold=st.integers(1, 6),
+       batch=st.integers(1, 20))
+def test_delta_rules_match_full_reevaluation(lines, k, threshold, batch):
+    corpus = "\n".join(lines) + "\n"
+    want, ticks = full_reevaluation_run(corpus, k, threshold, batch)
+    with pytest.MonkeyPatch.context() as mp:
+        spy = EngineSpy(mp)
+        got = kmer.threshold_rule_run(corpus, k, threshold, deferred=True,
+                                      batch=batch)
+    assert got == want
+    assert spy.engines[0].now == ticks
+    truth = kmer.oracle_count(corpus, k)
+    assert got.keys() == truth.keys()
+    assert all(c <= truth[km] and min(c, threshold) == min(truth[km], threshold)
+               for km, c in got.items())
+
+
+def test_admit_reads_each_arrival_once(monkeypatch):
+    corpus = "ACGTACGTAC\nTTTTTT\n" * 20 + "GATTACA\n"
+    read = []
+
+    class NoFullArrivals(dict):
+        def __init__(self, tabs):
+            super().__init__(tabs)
+            self.delta = tabs.delta
+
+        def __getitem__(self, name):
+            assert name != "arrivals", "admit read the whole arrivals table"
+            return super().__getitem__(name)
+
+    def wrap(rule):
+        if rule.target != "incoming":
+            return rule.expr
+
+        def expr(tabs):
+            read.append(sum(len(ids) for ids in
+                            tabs.delta["arrivals"].entries.values()))
+            return rule.expr(NoFullArrivals(tabs))
+        return expr
+
+    EngineSpy(monkeypatch, wrap)
+    kmer.threshold_rule_run(corpus, 3, 4, batch=5)
+    assert sum(read) == sum(kmer.oracle_count(corpus, 3).values())
 
 
 # -- quiescence under faults ------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from calmsim import lattice
 from calmsim.errors import (DivergenceError, StratificationError,
                             UnknownWorkerError)
-from calmsim.lattice import GSet, LMax
+from calmsim.lattice import GSet, LMap, LMax
 from calmsim.runtime import (DeliverySchedule, Program, Rule, Simulation,
                              TickRuleEngine, run_to_quiescence)
 
@@ -212,3 +212,65 @@ def test_rule_fixpoint():
         rules=[Rule("b", lambda t: t["a"], sources=("a",), deferred=True)])
     tables = eng.run_to_fixpoint()
     assert tables["b"] == GSet.of([1, 2])
+    # Tick 1 gains nothing but leaves a pending output that b lacks.
+    assert eng.now == 3
+
+
+def test_full_rule_reads_whole_tables_and_delta_rule_reads_gains():
+    seen = []
+
+    def copy_delta(t):
+        seen.append(t.delta["a"])
+        return t.delta["a"]
+
+    eng = TickRuleEngine(
+        tables={"a": LMap({"x": GSet.of([1])}), "full": LMap(),
+                "delta": LMap()},
+        rules=[Rule("full", lambda t: t["a"], sources=("a",), deferred=True),
+               Rule("delta", copy_delta, sources=("a",), deferred=True)])
+    eng.tick()
+    eng.inject("a", LMap({"x": GSet.of([1]), "y": GSet.of([2])}))
+    eng.tick()
+    eng.tick()
+    # Tick 1 reads the initial value; tick 2 only the key that changed (with
+    # the value merged in); tick 3 nothing.
+    assert seen == [LMap({"x": GSet.of([1])}), LMap({"y": GSet.of([2])}),
+                    LMap()]
+    assert eng.tables["full"] == eng.tables["delta"] == eng.tables["a"]
+
+
+def test_engine_never_mutates_caller_values():
+    initial = LMap({"k": GSet.of([1])})
+    injected = [LMap({"k": GSet.of([2]), "j": GSet.of([3])}),
+                LMap({"k": GSet.of([1, 4])})]
+    snapshots = [dict(v.entries) for v in (initial, *injected)]
+    eng = TickRuleEngine(
+        tables={"a": initial, "b": LMap()},
+        rules=[Rule("a", lambda t: t.delta["b"], sources=("b",),
+                    deferred=True),
+               Rule("b", lambda t: t.delta["a"], sources=("a",))])
+    for delta in injected:
+        eng.inject("a", delta)
+        eng.inject("b", delta)
+        eng.tick()
+    eng.run_to_fixpoint()
+    assert eng.tables["a"] == LMap({"k": GSet.of([1, 2, 4]),
+                                    "j": GSet.of([3])})
+    for value, before in zip((initial, *injected), snapshots):
+        assert value.entries == before
+        assert all(value.entries[k] is v for k, v in before.items())
+    assert eng.tables["a"] is not initial
+
+
+def test_noop_inject_does_not_keep_fixpoint_running():
+    eng = TickRuleEngine(
+        tables={"a": LMap({"k": GSet.of([1, 2])}), "b": LMap()},
+        rules=[Rule("b", lambda t: t.delta["a"], sources=("a",),
+                    deferred=True)])
+    eng.run_to_fixpoint()
+    assert eng.tables["b"] == eng.tables["a"]
+    now = eng.now
+    eng.inject("a", LMap({"k": GSet.of([2])}))
+    eng.run_to_fixpoint()
+    assert eng.now == now + 1
+
