@@ -31,8 +31,10 @@ def _parse_partition(spec: str):
     tick, _, pairs = spec.partition(":")
     cut = []
     for pair in filter(None, pairs.split(",")):
-        a, b = pair.split("-")
-        cut.append((int(a), int(b)))
+        a, b = map(int, pair.split("-"))
+        if a == b:
+            raise ValueError(f"worker {a} cannot be cut off from itself")
+        cut.append((a, b))
     return (int(tick), tuple(cut))
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .dispenser import Chunk, WorkPool
-from .hashing import hash64
 from .lattice import GSet, LMap, ThresholdLSet
 from .runtime import (DeliverySchedule, Envelope, Program, Rule, Simulation,
                       TickRuleEngine, run_to_quiescence)
@@ -97,6 +96,12 @@ def normalize_corpus(corpus: str | bytes) -> bytes:
     return data.upper()
 
 
+def corpus_stream(corpus, k: int) -> list[tuple[str, int]]:
+    """(k-mer, instance-token) pairs for a corpus; tokens are byte offsets."""
+    data = normalize_corpus(corpus)
+    return chunk_windows(data, Chunk(0, len(data), 0), k)
+
+
 # ---------------------------------------------------------------------------
 # Ingestion programs
 
@@ -110,9 +115,12 @@ class KmerIngestProgram(Program):
     into one batch per receiving worker with ``route``, and sends one
     envelope per batch stamped with the chunk's token id.
 
-    Owner state only grows, by merge on delivery.  The program is idle once
-    the pool is done and no live worker holds a chunk, so the run is at its
-    fixpoint when, in addition, nothing is in flight or held.
+    The pool is the one record of the chunk each worker holds, and one
+    hash plan on the k-mer, fixed over the workers present at setup, says
+    which worker owns a k-mer; later joiners only ingest.  Owner state only
+    grows, by merge on delivery.  The program is idle once the pool is
+    done, so the run is at its fixpoint when, in addition, nothing is in
+    flight or held.
     """
 
     def __init__(self, data: bytes, k: int, workers: int,
@@ -124,49 +132,42 @@ class KmerIngestProgram(Program):
         self.nworkers = workers
         self.chunk_len = chunk_len
         self.pool: WorkPool | None = None
-        self.owners: tuple[int, ...] = ()
-        self.current: dict[int, Chunk | None] = {}
+        self.plan: PartitionPlan | None = None
 
     def setup(self, sim: Simulation) -> None:
         self.pool = WorkPool.from_bytes(
             self.data, chunk_len=self.chunk_len,
             target_chunks=8 * self.nworkers)
-        for i in range(self.nworkers):
-            wid = sim.register_worker(f"worker-{i}")
-            self.pool.add_worker(wid)
-            self.current[wid] = None
-        # Ownership is fixed for the run; later joiners only ingest.
-        self.owners = tuple(sorted(self.current))
+        for _ in range(self.nworkers):
+            self.handle_join(sim)
+        self.plan = PartitionPlan("hash", tuple(self.pool.assigned),
+                                  column="seq")
         self.init_state()
 
     def init_state(self) -> None:
         raise NotImplementedError
 
-    def owner_of(self, kmer: str) -> int:
-        return self.owners[hash64(kmer) % len(self.owners)]
-
     def route(self, windows: list[tuple[str, int]]) -> dict[int, list]:
         """Group one chunk's windows into a batch per receiving worker."""
         batches: dict[int, list] = {}
         for kmer, off in windows:
-            batches.setdefault(self.owner_of(kmer), []).append((kmer, off))
+            owner = self.plan.owner_of_key(kmer)
+            batches.setdefault(owner, []).append((kmer, off))
         return batches
 
     def worker_step(self, sim: Simulation, wid: int) -> None:
-        chunk = self.current.get(wid)
-        if chunk is None:
+        if not self.pool.assigned.get(wid):
             chunk = self.pool.next(wid)
             if chunk is not None:
-                self.current[wid] = chunk
                 sim.log("assign", dst=wid, token_id=chunk.token_id)
             return
+        (chunk,) = self.pool.assigned[wid]  # one chunk at a time
         batches = self.route(chunk_windows(self.data, chunk, self.k))
         for owner in sorted(batches):
             sim.send(wid, owner, ("ingest", tuple(batches[owner])),
                      token_id=chunk.token_id)
         self.pool.complete(wid, chunk)
         sim.log("complete", dst=wid, token_id=chunk.token_id)
-        self.current[wid] = None
 
     def on_deliver(self, sim: Simulation, env: Envelope) -> None:
         _kind, pairs = env.payload
@@ -176,8 +177,7 @@ class KmerIngestProgram(Program):
         raise NotImplementedError
 
     def idle(self, sim: Simulation) -> bool:
-        return self.pool.done and all(
-            self.current.get(wid) is None for wid in sim.alive_workers())
+        return self.pool.done
 
     def state_size(self) -> int:
         """Elements held in owner state; an O(state) end-of-run report."""
@@ -188,12 +188,10 @@ class KmerIngestProgram(Program):
     def handle_fail(self, sim: Simulation, wid: int) -> None:
         sim.fail_worker(wid)
         self.pool.fail(wid)
-        self.current.pop(wid, None)
 
     def handle_join(self, sim: Simulation) -> int:
         wid = sim.register_worker(f"worker-{len(sim.workers)}")
         self.pool.add_worker(wid)
-        self.current[wid] = None
         return wid
 
 
@@ -208,7 +206,7 @@ class ImplAProgram(KmerIngestProgram):
     """Owner shards: map from k-mer to grow-only set of instance ids."""
 
     def init_state(self) -> None:
-        self.shards = {wid: LMap.bottom() for wid in self.owners}
+        self.shards = {wid: LMap.bottom() for wid in self.plan.workers}
 
     def absorb(self, wid, pairs) -> None:
         delta = _batch_lmap(pairs, lambda offs: GSet(frozenset(offs)))
@@ -248,10 +246,7 @@ class TableKmerProgram(KmerIngestProgram):
     def init_state(self) -> None:
         self.table = GlobalTable(
             name="kmers", crdt_kind=GSet, schema=("seq", "token"),
-            plan=PartitionPlan("hash", self.owners, column="seq"))
-
-    def owner_of(self, kmer: str) -> int:
-        return self.table.plan.owner_of_key(kmer)
+            plan=self.plan)
 
     def absorb(self, wid, pairs) -> None:
         self.table.merge_shard(wid, GSet.of(pairs))
@@ -358,8 +353,7 @@ def threshold_rule_run(corpus, k: int, threshold: int,
     guard ``len(local[kmer]) < threshold``, and ``local`` only grows, so a
     blocked k-mer stays blocked.
     """
-    data = normalize_corpus(corpus)
-    windows = chunk_windows(data, Chunk(0, len(data), 0), k)
+    windows = corpus_stream(corpus, k)
 
     empty = GSet.bottom()
 

@@ -92,11 +92,9 @@ class LMap(LatticeValue):
         return cls()
 
     def merge(self, other: "LMap") -> "LMap":
-        out = dict(self.entries)
-        for key, value in other.entries.items():
-            cur = out.get(key)
-            out[key] = value if cur is None else merge(cur, value)
-        return LMap(out)
+        out = LMap(dict(self.entries))
+        out.merge_in(other)
+        return out
 
     def merge_in(self, delta: "LMap", gained: dict | None = None) -> bool:
         """Merge ``delta`` into this map in place; True if the map changed.
@@ -244,28 +242,34 @@ class Timestamp:
 
 
 @dataclass(frozen=True)
-class LWWSet(LatticeValue):
-    """Last-writer-wins set: timestamped add/remove entries, merge is union.
+class _AddRemove(LatticeValue):
+    """Add entries in ``pos`` and remove entries in ``neg``; merge is the
+    union of each.  Subclasses decide what the entries are and how a read
+    resolves them."""
+
+    pos: frozenset = frozenset()
+    neg: frozenset = frozenset()
+
+    @classmethod
+    def bottom(cls):
+        return cls()
+
+    def merge(self, other):
+        return type(self)(self.pos | other.pos, self.neg | other.neg)
+
+
+class LWWSet(_AddRemove):
+    """Last-writer-wins set: ``(elem, Timestamp)`` add and remove entries.
 
     An element is a member iff its latest add is later than its latest
     remove.
     """
-
-    pos: frozenset = frozenset()  # of (elem, Timestamp)
-    neg: frozenset = frozenset()  # of (elem, Timestamp)
-
-    @classmethod
-    def bottom(cls) -> "LWWSet":
-        return cls()
 
     def add(self, elem, ts: Timestamp) -> "LWWSet":
         return LWWSet(self.pos | {(elem, ts)}, self.neg)
 
     def remove(self, elem, ts: Timestamp) -> "LWWSet":
         return LWWSet(self.pos, self.neg | {(elem, ts)})
-
-    def merge(self, other: "LWWSet") -> "LWWSet":
-        return LWWSet(self.pos | other.pos, self.neg | other.neg)
 
     def read(self) -> frozenset:
         latest_add: dict = {}
@@ -310,9 +314,8 @@ class VersionVector:
         return VersionVector.of(counts)
 
 
-@dataclass(frozen=True)
-class MVSet(LatticeValue):
-    """Multi-value set: version-vectored add/remove entries.
+class MVSet(_AddRemove):
+    """Multi-value set: ``(elem, VersionVector)`` add and remove entries.
 
     Concurrent (causally incomparable) writes are all retained.  A version of
     an element is live unless some remove entry causally dominates it; a read
@@ -320,21 +323,11 @@ class MVSet(LatticeValue):
     winner.
     """
 
-    pos: frozenset = frozenset()  # of (elem, VersionVector)
-    neg: frozenset = frozenset()  # of (elem, VersionVector)
-
-    @classmethod
-    def bottom(cls) -> "MVSet":
-        return cls()
-
     def add(self, elem, vv: VersionVector) -> "MVSet":
         return MVSet(self.pos | {(elem, vv)}, self.neg)
 
     def remove(self, elem, vv: VersionVector) -> "MVSet":
         return MVSet(self.pos, self.neg | {(elem, vv)})
-
-    def merge(self, other: "MVSet") -> "MVSet":
-        return MVSet(self.pos | other.pos, self.neg | other.neg)
 
     def read(self) -> dict:
         removed: dict = {}
@@ -355,8 +348,7 @@ class MVSet(LatticeValue):
         return out
 
 
-@dataclass(frozen=True)
-class LWWTokenSet(LatticeValue):
+class LWWTokenSet(_AddRemove):
     """Two-phase set over (token, use) identifiers with LWW liveness.
 
     Restores full set semantics on top of tombstones: add, remove,
@@ -367,13 +359,6 @@ class LWWTokenSet(LatticeValue):
     and a read reports the payload of the latest insert.
     """
 
-    pos: frozenset = frozenset()  # of (token, use, Timestamp, payload)
-    neg: frozenset = frozenset()  # of (token, Timestamp)
-
-    @classmethod
-    def bottom(cls) -> "LWWTokenSet":
-        return cls()
-
     def insert(self, token, use, ts: Timestamp, payload) -> "LWWTokenSet":
         """Record a new use of ``token``; no remote read required."""
         return LWWTokenSet(self.pos | {(token, use, ts, payload)}, self.neg)
@@ -381,9 +366,6 @@ class LWWTokenSet(LatticeValue):
     def remove(self, token, ts: Timestamp) -> "LWWTokenSet":
         """Tombstone ``token`` as of ``ts``; no remote read required."""
         return LWWTokenSet(self.pos, self.neg | {(token, ts)})
-
-    def merge(self, other: "LWWTokenSet") -> "LWWTokenSet":
-        return LWWTokenSet(self.pos | other.pos, self.neg | other.neg)
 
     def read(self) -> dict:
         latest: dict = {}  # token -> (ts, payload)

@@ -71,10 +71,6 @@ class NetworkCondition:
     def __init__(self, cut: Iterable = ()):
         self._cut = frozenset(frozenset(pair) for pair in cut)
 
-    @property
-    def healthy(self) -> bool:
-        return not self._cut
-
     def partitioned(self, a: int, b: int) -> bool:
         return a != b and frozenset((a, b)) in self._cut
 
@@ -82,7 +78,6 @@ class NetworkCondition:
 @dataclass
 class _Worker:
     wid: int
-    meta: Any
     alive: bool = True
     clock: int = 0
 
@@ -140,7 +135,7 @@ class Simulation:
 
     def register_worker(self, meta=None) -> int:
         wid = len(self.workers)
-        self.workers[wid] = _Worker(wid, meta)
+        self.workers[wid] = _Worker(wid)
         # Redelivered registrations are absorbed by set idempotence.
         self.membership = self.membership.merge(GSet.of([(wid, meta)]))
         self.log("register", dst=wid)
@@ -162,8 +157,12 @@ class Simulation:
     # -- network ------------------------------------------------------------
 
     def set_partition(self, pairs: Iterable) -> None:
-        """Replace the partition set; healing releases held envelopes."""
-        self.net = NetworkCondition(pairs)
+        """Replace the partition set; healing releases held envelopes.
+        Every endpoint must be a registered worker."""
+        net = NetworkCondition(pairs)
+        for wid in sorted(set().union(*net._cut)):
+            self._worker(wid)
+        self.net = net
         self.log("partition", payload=len(self.net._cut))
         still_held = []
         for env in self.held:
@@ -178,11 +177,11 @@ class Simulation:
 
     # -- channel ------------------------------------------------------------
 
-    def send(self, src: int, dst: int, payload, token_id: int | None = None,
-             use_id: int | None = None) -> Envelope:
+    def send(self, src: int, dst: int, payload,
+             token_id: int | None = None) -> Envelope:
         env = Envelope(
             token_id=self.fresh_id() if token_id is None else token_id,
-            use_id=self.fresh_id() if use_id is None else use_id,
+            use_id=self.fresh_id(),
             src=src, dst=dst, payload=payload,
         )
         self.log("send", src=src, dst=dst, token_id=env.token_id,
@@ -431,19 +430,24 @@ class _Gains(dict):
         return type(self.tables[name]).bottom()
 
 
-def _own(value):
-    """A copy the engine may merge into in place.  Only an ``LMap`` is
-    merged in place; every other lattice value is immutable."""
-    return LMap(dict(value.entries)) if type(value) is LMap else value
-
-
-def _merge_into(store: dict, name: str, value) -> None:
-    """Merge ``value`` into ``store[name]``, which the engine owns."""
+def _merge_into(store: dict, name: str, value):
+    """Merge ``value`` into ``store[name]``, which the engine owns, and
+    return the gain (None if nothing changed).  An absent entry takes a copy
+    of a map; a present map merges in place; any other value is immutable
+    and merges purely.  ``value`` is never mutated."""
     cur = store.get(name)
+    if cur is None:
+        store[name] = LMap(dict(value.entries)) if type(value) is LMap else value
+        return value
     if type(cur) is LMap:
-        cur.merge_in(value)
-    else:
-        store[name] = _own(value) if cur is None else lattice.merge(cur, value)
+        gained: dict = {}
+        cur.merge_in(value, gained)
+        return LMap(gained) if gained else None
+    store[name] = lattice.merge(cur, value)
+    return None if store[name] == cur else value
+
+
+_FIXPOINT_CAP = 10_000
 
 
 class TickRuleEngine:
@@ -457,13 +461,13 @@ class TickRuleEngine:
     """
 
     def __init__(self, tables: dict, rules: Sequence[Rule]):
-        self.tables = _Tables({n: _own(v) for n, v in tables.items()})
-        # Tick 1 reads each table's whole initial value as its delta.
-        self.tables.delta.update({n: _own(v) for n, v in tables.items()})
+        self.tables = _Tables({})
+        for name, value in tables.items():
+            # Tick 1 reads each table's whole initial value as its delta.
+            self._absorb(name, value)
         self.rules = list(rules)
         self.now = 0
         self._pending: dict = {}
-        self._gained = False
         self._instant_order = self._stratify()
 
     def _stratify(self) -> list[Rule]:
@@ -493,14 +497,7 @@ class TickRuleEngine:
     def _absorb(self, name: str, value) -> None:
         """Merge ``value`` into table ``name`` and its real gain into the
         table's delta."""
-        table = self.tables[name]
-        if type(table) is LMap:
-            gained: dict = {}
-            table.merge_in(value, gained)
-            gain = LMap(gained) if gained else None
-        else:
-            self.tables[name] = lattice.merge(table, value)
-            gain = None if self.tables[name] == table else value
+        gain = _merge_into(self.tables, name, value)
         if gain is not None:
             self._gained = True
             _merge_into(self.tables.delta, name, gain)
@@ -528,13 +525,14 @@ class TickRuleEngine:
                 _merge_into(self._pending, rule.target, rule.expr(self.tables))
         self.tables.delta.clear()
 
-    def run_to_fixpoint(self, cap: int = 10_000) -> dict:
+    def run_to_fixpoint(self) -> dict:
         """Tick until a tick gives no table a real gain and leaves nothing
         pending that its table does not already hold."""
-        for _ in range(cap):
+        for _ in range(_FIXPOINT_CAP):
             self.tick()
             if not self._gained and all(
                     self._holds(name, value)
                     for name, value in self._pending.items()):
                 return self.tables
-        raise DivergenceError(f"rules did not quiesce within {cap} ticks")
+        raise DivergenceError(
+            f"rules did not quiesce within {_FIXPOINT_CAP} ticks")

@@ -22,9 +22,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dispenser import Chunk
 from .hashing import hash64
-from .kmer import KmerIngestProgram, _run, chunk_windows, normalize_corpus
+# corpus_stream is re-exported: the sketch tests and benchmark read it here.
+from .kmer import KmerIngestProgram, _run, corpus_stream, normalize_corpus
 from .runtime import DeliverySchedule, Envelope, Simulation
 from .tables import IDK, PartitionPlan, Tristate, Value
 
@@ -121,12 +121,6 @@ def sequential_sketch(stream: Iterable[tuple[str, int]],
     return sk
 
 
-def corpus_stream(corpus, k: int) -> list[tuple[str, int]]:
-    """(k-mer, instance-token) pairs for a corpus; tokens are byte offsets."""
-    data = normalize_corpus(corpus)
-    return chunk_windows(data, Chunk(0, len(data), 0), k)
-
-
 class _CellProgram(KmerIngestProgram):
     """Ingestion whose batches are ``(row, column, token)`` cells; every
     owner applies what it receives to its own :class:`SketchMatrix`."""
@@ -137,7 +131,7 @@ class _CellProgram(KmerIngestProgram):
 
     def init_state(self) -> None:
         self.sketches = {wid: SketchMatrix(self.params)
-                         for wid in self.owners}
+                         for wid in self.plan.workers}
 
     def on_deliver(self, sim: Simulation, env: Envelope) -> None:
         self.sketches[env.dst].add(env.payload[1])
@@ -158,7 +152,7 @@ class Design2Program(_CellProgram):
         """Each window becomes its h cells, batched by the k-mer's owner."""
         batches: dict[int, list] = {}
         for kmer, off in windows:
-            batches.setdefault(self.owner_of(kmer), []).extend(
+            batches.setdefault(self.plan.owner_of_key(kmer), []).extend(
                 (i, j, off) for i, j in enumerate(self.params.columns(kmer)))
         return batches
 
@@ -210,16 +204,16 @@ class Design1Program(_CellProgram):
     """
 
     def init_state(self) -> None:
-        slab = -(-self.params.m // len(self.owners))
-        boundaries = tuple(slab * i for i in range(1, len(self.owners)))
-        self.column_plan = PartitionPlan("range", self.owners,
-                                         column="column",
+        owners = self.plan.workers
+        slab = -(-self.params.m // len(owners))
+        boundaries = tuple(slab * i for i in range(1, len(owners)))
+        self.column_plan = PartitionPlan("range", owners, column="column",
                                          boundaries=boundaries)
-        columns: dict[int, list] = {wid: [] for wid in self.owners}
+        columns: dict[int, list] = {wid: [] for wid in owners}
         for j in range(self.params.m):
             columns[self.column_owner(j)].append(j)
         self.sketches = {wid: SketchMatrix(self.params, columns[wid])
-                         for wid in self.owners}
+                         for wid in owners}
 
     def column_owner(self, j: int) -> int:
         return self.column_plan.owner_of_key(j)

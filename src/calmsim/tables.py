@@ -284,6 +284,7 @@ def _reads(g: DataflowGraph) -> dict:
 
 _OPERATOR = re.compile(r"(?<!\S)(-|\+|minus)(?!\S)")
 _OPS = {"-": "difference", "minus": "difference", "+": "union"}
+_NAME = re.compile(r"\w+")
 
 
 def parse_rules(text: str) -> DataflowGraph:
@@ -295,7 +296,8 @@ def parse_rules(text: str) -> DataflowGraph:
     ``#`` starts a comment.  Raises ``ValueError`` naming the line for a
     missing ``<=``, for ``<+`` (set-valued graphs have no ticks to defer
     to; see ``runtime.Rule(deferred=True)``), for more than one operator,
-    and for an empty node name.
+    and for a node name that is not a single word of letters, digits or
+    ``_``.
     """
     rules = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -311,10 +313,10 @@ def parse_rules(text: str) -> DataflowGraph:
         pieces = [p.strip() for p in _OPERATOR.split(rhs)]
         if len(pieces) > 3:
             raise ValueError(f"line {lineno}: more than one operator in {raw!r}")
-        names = pieces[0::2]
-        target = target.strip()
-        if not target or not all(names):
-            raise ValueError(f"line {lineno}: empty node name in {raw!r}")
+        target, names = target.strip(), pieces[0::2]
+        if not all(_NAME.fullmatch(n) for n in (target, *names)):
+            raise ValueError(f"line {lineno}: node names must be single "
+                             f"words in {raw!r}")
         op = _OPS[pieces[1]] if len(pieces) == 3 else "copy"
         rules.append(RuleSpec(target, op, tuple(names)))
     return DataflowGraph(rules)

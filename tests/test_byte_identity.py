@@ -1,0 +1,74 @@
+"""Pinned event-log and answer digests of the five simulated runners.
+
+One small corpus and one fault schedule (duplication, reordering, loss, a
+worker failure, a join and a partition that heals) fix every run.  Only
+``random.Random`` and blake2b feed the digests, but they were computed and
+checked on one CPython build only; a refactor that keeps behaviour keeps
+them.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from calmsim import kmer, sketch
+from calmsim.runtime import DeliverySchedule
+from calmsim.tables import Value
+
+from conftest import make_corpus
+
+CORPUS = make_corpus(random.Random(5), lines=20, width=50)
+FAULTS = dict(
+    schedule=DeliverySchedule(seed=9, duplicate_prob=0.3, reorder_window=3,
+                              drop_prob=0.1),
+    failures=[(5, 1)], joins=[7], partitions=[(3, ((0, 2),)), (12, ())])
+PARAMS = sketch.choose_params(0.05, 0.1)
+
+
+def _digest(text: str) -> str:
+    return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
+
+
+def _items():
+    return sorted(kmer.oracle_count(CORPUS, 5))
+
+
+def _kmer(runner, **kw):
+    res = getattr(kmer, runner)(CORPUS, 5, 3, **kw, **FAULTS)
+    return res.sim, sorted(res.histogram.items())
+
+
+def _design1():
+    res = sketch.design1_run(CORPUS, 5, PARAMS, 3, **FAULTS)
+    answers = [res.query(x) for x in _items()]
+    return res.sim, [a.payload if isinstance(a, Value) else repr(a)
+                     for a in answers]
+
+
+def _design2():
+    res = sketch.design2_run(CORPUS, 5, PARAMS, 3, **FAULTS)
+    return res.sim, ([res.query(x) for x in _items()], res.converged())
+
+
+RUNS = {
+    "impl_a_run": lambda: _kmer("impl_a_run"),
+    "impl_b_run": lambda: _kmer("impl_b_run", threshold=2),
+    "table_kmer_run": lambda: _kmer("table_kmer_run"),
+    "design1_run": _design1,
+    "design2_run": _design2,
+}
+
+PINNED = {
+    "impl_a_run": ("189d3afcca75ec65", "34fe9c9879d96016"),
+    "impl_b_run": ("189d3afcca75ec65", "975093536b777464"),
+    "table_kmer_run": ("e7c97ec6cb96ccfc", "34fe9c9879d96016"),
+    "design1_run": ("882fb67acd21d0f8", "6b819185609a1cbc"),
+    "design2_run": ("bfcaa398d2349984", "77b1ac23712d32db"),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(RUNS))
+def test_event_log_and_answer_digests_are_pinned(runner):
+    sim, answer = RUNS[runner]()
+    assert (_digest(sim.event_lines()), _digest(repr(answer))) == PINNED[runner]

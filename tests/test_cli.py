@@ -87,12 +87,14 @@ def test_dropped_windows_exit_1(corpus_file, monkeypatch):
 
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_fail_unregistered_worker_exits_2(corpus_file, command, capsys):
-    argv = [command, "--workload", "kmer_a", "--input", corpus_file,
-            "--workers", "2", "--fail", "3:9"]
-    if command == "verify":
-        argv += ["--seeds", "1,2"]
-    assert cli.main(argv) == 2
-    assert "worker 9" in json.loads(capsys.readouterr().out)["error"]
+    # A partition endpoint must be registered too.
+    for flag in (["--fail", "3:9"], ["--partition", "3:0-9"]):
+        argv = [command, "--workload", "kmer_a", "--input", corpus_file,
+                "--workers", "2", *flag]
+        if command == "verify":
+            argv += ["--seeds", "1,2"]
+        assert cli.main(argv) == 2
+        assert "worker 9" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_cms_design1_reports_idk_behind_unhealed_partition(corpus_file):
@@ -190,7 +192,8 @@ def test_lattice_demo_rejects_options_it_does_not_read(tmp_path, capsys):
     ("fail", ["--fail", "notanumber"], None),
     ("workers", ["--workers", "x"], None),
     ("workers", [], "workers = x"),
-], ids=["fail", "workers", "workers-in-config"])
+    ("partition", ["--partition", "3:1-1"], None),
+], ids=["fail", "workers", "workers-in-config", "partition-self-pair"])
 def test_main_malformed_flag_exits_2(corpus_file, option, flag, config_line,
                                      tmp_path, capsys):
     if config_line:

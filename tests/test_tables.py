@@ -159,6 +159,10 @@ def test_detect_cycles_independent_of_hash_seed():
     "x <=",              # empty source
     "x <= a -",
     "x a",               # no arrow
+    "x <= a <= b",       # node names are single words
+    "x <= a b",
+    "x y <= a",
+    "x <= -a",
 ])
 def test_parse_rules_rejects_unrepresentable_lines(bad):
     with pytest.raises(ValueError, match="^line 2: "):
