@@ -74,9 +74,7 @@ class RunConfig:
             raise ValueError("--input is required for this workload")
         if self.k < 1 or self.workers < 1 or self.threshold < 1:
             raise ValueError("k, workers, and threshold must be >= 1")
-        for p in (self.dup_prob, self.drop_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must be in [0, 1]")
+        _schedule(self)  # raises ValueError on a bad delivery schedule
         ticks = ([t for t, _wid in self.fail] + [t for t, _p in self.partition]
                  + self.join)
         if any(t < 1 for t in ticks):
@@ -165,13 +163,16 @@ def _load_corpus(config: RunConfig) -> str:
         return fh.read()
 
 
-def _run_kwargs(config: RunConfig) -> dict:
-    """Delivery schedule and fault injections shared by every runner."""
-    schedule = DeliverySchedule(
+def _schedule(config: RunConfig) -> DeliverySchedule:
+    return DeliverySchedule(
         seed=config.seed, duplicate_prob=config.dup_prob,
         reorder_window=config.reorder_window, drop_prob=config.drop_prob)
-    return dict(schedule=schedule, failures=config.fail, joins=config.join,
-                partitions=config.partition)
+
+
+def _run_kwargs(config: RunConfig) -> dict:
+    """Delivery schedule and fault injections shared by every runner."""
+    return dict(schedule=_schedule(config), failures=config.fail,
+                joins=config.join, partitions=config.partition)
 
 
 def _at_threshold(config: RunConfig, counts: dict) -> dict:

@@ -190,7 +190,7 @@ class KmerIngestProgram(Program):
         self.pool.fail(wid)
 
     def handle_join(self, sim: Simulation) -> int:
-        wid = sim.register_worker(f"worker-{len(sim.workers)}")
+        wid = sim.register_worker()
         self.pool.add_worker(wid)
         return wid
 
@@ -353,6 +353,8 @@ def threshold_rule_run(corpus, k: int, threshold: int,
     guard ``len(local[kmer]) < threshold``, and ``local`` only grows, so a
     blocked k-mer stays blocked.
     """
+    if threshold < 1 or batch < 1:
+        raise ValueError("threshold and batch must be >= 1")
     windows = corpus_stream(corpus, k)
 
     empty = GSet.bottom()

@@ -20,6 +20,7 @@ order-invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import LatticeLawError, LatticeTypeError, ThresholdMismatchError
@@ -200,35 +201,6 @@ class GSet(LatticeValue):
         return len(self.elems)
 
 
-@dataclass(frozen=True)
-class TwoPSet(LatticeValue):
-    """Two-phase set: a positive G-Set and a tombstone G-Set.
-
-    An element is a member iff it is in ``pos`` and not in ``neg``; once an
-    element lands in ``neg`` it can never be a member again.
-    """
-
-    pos: GSet = field(default_factory=GSet)
-    neg: GSet = field(default_factory=GSet)
-
-    @classmethod
-    def bottom(cls) -> "TwoPSet":
-        return cls()
-
-    def add(self, elem) -> "TwoPSet":
-        return TwoPSet(self.pos.add(elem), self.neg)
-
-    def remove(self, elem) -> "TwoPSet":
-        return TwoPSet(self.pos, self.neg.add(elem))
-
-    def merge(self, other: "TwoPSet") -> "TwoPSet":
-        return TwoPSet(self.pos.merge(other.pos), self.neg.merge(other.neg))
-
-    def read(self) -> frozenset:
-        # Single pass: pos minus tombstones, no fixpoint iteration needed.
-        return self.pos.elems - self.neg.elems
-
-
 @dataclass(frozen=True, order=True)
 class Timestamp:
     """Logical timestamp: per-worker monotone counter, worker id tiebreak.
@@ -258,6 +230,35 @@ class _AddRemove(LatticeValue):
         return type(self)(self.pos | other.pos, self.neg | other.neg)
 
 
+def _latest(entries: Iterable[tuple], rank: Callable) -> dict:
+    """Each key's entry of largest ``rank(entry)``; an entry's key is its
+    first field.  The result does not depend on iteration order as long as
+    no two entries of one key have equal ranks."""
+    out: dict = {}
+    for entry in entries:
+        key = entry[0]
+        if key not in out or rank(entry) > rank(out[key]):
+            out[key] = entry
+    return out
+
+
+class TwoPSet(_AddRemove):
+    """Two-phase set: ``pos`` holds added elements, ``neg`` tombstones.
+
+    An element is a member iff it is in ``pos`` and not in ``neg``; once an
+    element lands in ``neg`` it can never be a member again.
+    """
+
+    def add(self, elem) -> "TwoPSet":
+        return TwoPSet(self.pos | {elem}, self.neg)
+
+    def remove(self, elem) -> "TwoPSet":
+        return TwoPSet(self.pos, self.neg | {elem})
+
+    def read(self) -> frozenset:
+        return self.pos - self.neg
+
+
 class LWWSet(_AddRemove):
     """Last-writer-wins set: ``(elem, Timestamp)`` add and remove entries.
 
@@ -272,18 +273,10 @@ class LWWSet(_AddRemove):
         return LWWSet(self.pos, self.neg | {(elem, ts)})
 
     def read(self) -> frozenset:
-        latest_add: dict = {}
-        for elem, ts in self.pos:
-            if elem not in latest_add or ts > latest_add[elem]:
-                latest_add[elem] = ts
-        latest_rm: dict = {}
-        for elem, ts in self.neg:
-            if elem not in latest_rm or ts > latest_rm[elem]:
-                latest_rm[elem] = ts
-        return frozenset(
-            e for e, ts in latest_add.items()
-            if e not in latest_rm or ts > latest_rm[e]
-        )
+        ts = itemgetter(1)
+        removed = _latest(self.neg, ts)
+        return frozenset(elem for elem, add in _latest(self.pos, ts).items()
+                         if elem not in removed or add[1] > removed[elem][1])
 
 
 @dataclass(frozen=True)
@@ -356,7 +349,9 @@ class LWWTokenSet(_AddRemove):
     An insert records ``(token, use, ts, payload)`` in ``pos``; a removal
     records ``(token, ts)`` in ``neg`` with a later timestamp.  A token is
     live iff its latest insert timestamp beats its latest removal timestamp,
-    and a read reports the payload of the latest insert.
+    and a read reports the payload of the latest insert.  Of two inserts of
+    one token at equal timestamps, the one with the larger use id is the
+    latest, so a read does not depend on set iteration order.
     """
 
     def insert(self, token, use, ts: Timestamp, payload) -> "LWWTokenSet":
@@ -368,19 +363,11 @@ class LWWTokenSet(_AddRemove):
         return LWWTokenSet(self.pos, self.neg | {(token, ts)})
 
     def read(self) -> dict:
-        latest: dict = {}  # token -> (ts, payload)
-        for token, _use, ts, payload in self.pos:
-            if token not in latest or ts > latest[token][0]:
-                latest[token] = (ts, payload)
-        dead: dict = {}
-        for token, ts in self.neg:
-            if token not in dead or ts > dead[token]:
-                dead[token] = ts
-        return {
-            token: payload
-            for token, (ts, payload) in latest.items()
-            if token not in dead or ts > dead[token]
-        }
+        removed = _latest(self.neg, itemgetter(1))
+        return {token: payload
+                for token, (_, _use, ts, payload)
+                in _latest(self.pos, itemgetter(2, 1)).items()
+                if token not in removed or ts > removed[token][1]}
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import lattice
 from .errors import DivergenceError, StratificationError, UnknownWorkerError
-from .lattice import GSet, LMap, Timestamp
+from .lattice import LMap
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,6 @@ class NetworkCondition:
 
 
 @dataclass
-class _Worker:
-    wid: int
-    alive: bool = True
-    clock: int = 0
-
-
-@dataclass
 class _Flight:
     due: int
     seq: int
@@ -92,6 +85,7 @@ class _Flight:
 
 
 _BACKOFF_CAP = 32
+_TICK_CAP = 100_000
 
 
 class Simulation:
@@ -101,22 +95,19 @@ class Simulation:
     instead (e.g. one per seed).
     """
 
-    def __init__(self, schedule: DeliverySchedule | None = None,
-                 tick_cap: int = 100_000):
+    def __init__(self, schedule: DeliverySchedule | None = None):
         self.schedule = schedule or DeliverySchedule()
-        self.tick_cap = tick_cap
         self.rng = random.Random(self.schedule.seed)
         self.now = 0
         self.net = NetworkCondition()
-        self.workers: dict[int, _Worker] = {}
-        self.membership = GSet.bottom()
+        self.workers: dict[int, bool] = {}  # worker id -> alive
         self.events: list[tuple] = []
         self.in_flight: list[_Flight] = []
         self.held: list[Envelope] = []
         self._seq = 0
         self._issued_ids: set[int] = set()
 
-    # -- identity and clocks ------------------------------------------------
+    # -- identity -----------------------------------------------------------
 
     def fresh_id(self) -> int:
         """Seeded 64-bit id; collisions are checked at desk scale."""
@@ -126,33 +117,25 @@ class Simulation:
                 self._issued_ids.add(uid)
                 return uid
 
-    def next_ts(self, wid: int) -> Timestamp:
-        w = self._worker(wid)
-        w.clock += 1
-        return Timestamp(w.clock, wid)
-
     # -- membership ---------------------------------------------------------
 
-    def register_worker(self, meta=None) -> int:
+    def register_worker(self) -> int:
         wid = len(self.workers)
-        self.workers[wid] = _Worker(wid)
-        # Redelivered registrations are absorbed by set idempotence.
-        self.membership = self.membership.merge(GSet.of([(wid, meta)]))
+        self.workers[wid] = True
         self.log("register", dst=wid)
         return wid
 
     def fail_worker(self, wid: int) -> None:
-        self._worker(wid).alive = False
+        self._known(wid)
+        self.workers[wid] = False
         self.log("fail", dst=wid)
 
     def alive_workers(self) -> list[int]:
-        return sorted(w.wid for w in self.workers.values() if w.alive)
+        return sorted(wid for wid, alive in self.workers.items() if alive)
 
-    def _worker(self, wid: int) -> _Worker:
-        try:
-            return self.workers[wid]
-        except KeyError:
-            raise UnknownWorkerError(f"worker {wid} was never registered") from None
+    def _known(self, wid: int) -> None:
+        if wid not in self.workers:
+            raise UnknownWorkerError(f"worker {wid} was never registered")
 
     # -- network ------------------------------------------------------------
 
@@ -161,9 +144,9 @@ class Simulation:
         Every endpoint must be a registered worker."""
         net = NetworkCondition(pairs)
         for wid in sorted(set().union(*net._cut)):
-            self._worker(wid)
+            self._known(wid)
         self.net = net
-        self.log("partition", payload=len(self.net._cut))
+        self.log("partition")
         still_held = []
         for env in self.held:
             if self.net.partitioned(env.src, env.dst):
@@ -224,8 +207,8 @@ class Simulation:
 
     # -- event log ----------------------------------------------------------
 
-    def log(self, kind: str, src=None, dst=None, token_id=None, use_id=None,
-            payload=None) -> None:
+    def log(self, kind: str, src=None, dst=None, token_id=None,
+            use_id=None) -> None:
         self.events.append((self.now, kind, src, dst, token_id, use_id))
 
     def event_lines(self) -> str:
@@ -281,7 +264,7 @@ def run_to_quiescence(sim: Simulation, program: Program,
     ``program.idle(sim)`` is true and every harness event has run
     (``sim.now >= max(events)``).  Lattice state grows only on delivery,
     so from there no tick could change it.  Raises ``DivergenceError``
-    when that takes more than ``sim.tick_cap`` ticks.
+    when that takes more than ``_TICK_CAP`` ticks.
 
     ``events`` maps tick index to harness callables (failure injection,
     joins, partitions) invoked at the start of that tick with
@@ -292,8 +275,8 @@ def run_to_quiescence(sim: Simulation, program: Program,
     program.setup(sim)
     while (sim.in_flight or sim.held or not program.idle(sim)
            or sim.now < last_event):
-        if sim.now >= sim.tick_cap:
-            raise DivergenceError(f"no quiescence within {sim.tick_cap} ticks")
+        if sim.now >= _TICK_CAP:
+            raise DivergenceError(f"no quiescence within {_TICK_CAP} ticks")
         sim.now += 1
         for action in events.get(sim.now, ()):
             action(sim, program)
@@ -457,7 +440,9 @@ class TickRuleEngine:
     construction, merges maps in place, and never mutates a caller's value
     or an injected delta.  Each table's delta collects what the table
     gains from injected input, applied ``<+`` output and same-tick ``<=``
-    output, and is cleared at the end of each tick.
+    output, and is cleared at the end of each tick.  Every table a rule or
+    an inject names must be declared in ``tables``; any other name raises
+    ``ValueError``.
     """
 
     def __init__(self, tables: dict, rules: Sequence[Rule]):
@@ -466,6 +451,9 @@ class TickRuleEngine:
             # Tick 1 reads each table's whole initial value as its delta.
             self._absorb(name, value)
         self.rules = list(rules)
+        for rule in self.rules:
+            for name in (rule.target, *rule.sources):
+                self._declared(name)
         self.now = 0
         self._pending: dict = {}
         self._instant_order = self._stratify()
@@ -492,7 +480,12 @@ class TickRuleEngine:
 
     def inject(self, name: str, delta) -> None:
         """Merge external input into a table before the next tick runs."""
+        self._declared(name)
         self._absorb(name, delta)
+
+    def _declared(self, name: str) -> None:
+        if name not in self.tables:
+            raise ValueError(f"undeclared table {name!r}")
 
     def _absorb(self, name: str, value) -> None:
         """Merge ``value`` into table ``name`` and its real gain into the

@@ -14,13 +14,13 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from . import lattice
 from .errors import DivergenceError
 from .hashing import hash64
-from .lattice import GSet, LatticeValue, TwoPSet
-from .runtime import _components, _cyclic
+from .lattice import GSet
+from .runtime import _FIXPOINT_CAP, _components, _cyclic
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +69,11 @@ class PartitionPlan:
 
 @dataclass
 class GlobalTable:
-    """A named tuple collection typed by CRDT kind, sharded per worker.
+    """A named tuple collection sharded per worker.
 
-    The CRDT kind is fixed at creation.  Shards hold lattice values; the
-    logical table contents are the merge of all shards, so re-delivered or
-    re-ordered updates cannot corrupt the table.
+    Every shard is a G-Set of tuples, the only CRDT kind (``crdt_kind``) a
+    table takes.  The logical table contents are the merge of all shards,
+    so re-delivered or re-ordered updates cannot corrupt the table.
     """
 
     name: str
@@ -84,10 +84,10 @@ class GlobalTable:
     _arrivals: int = 0
 
     def __post_init__(self):
-        if not issubclass(self.crdt_kind, LatticeValue):
-            raise TypeError("crdt_kind must be a lattice type")
+        if self.crdt_kind is not GSet:
+            raise TypeError("global tables hold G-Set shards only")
         for wid in self.plan.workers:
-            self.shards.setdefault(wid, self.crdt_kind.bottom())
+            self.shards.setdefault(wid, GSet.bottom())
 
     def key_column(self) -> str:
         return self.plan.column if self.plan.column else self.schema[0]
@@ -101,45 +101,23 @@ class GlobalTable:
         return wid
 
     def insert(self, row: tuple) -> int:
-        """Route a tuple to its owner shard (G-Set tables only); returns the
-        owner worker id."""
-        if self.crdt_kind is not GSet:
-            raise TypeError("direct row insert is only defined for G-Set tables")
+        """Route a tuple to its owner shard; returns the owner worker id."""
         wid = self.owner_of_row(row)
         self.merge_shard(wid, GSet.of([row]))
         return wid
 
-    def merge_shard(self, wid: int, delta: LatticeValue) -> None:
-        cur = self.shards.get(wid, self.crdt_kind.bottom())
+    def merge_shard(self, wid: int, delta: GSet) -> None:
+        cur = self.shards.get(wid, GSet.bottom())
         self.shards[wid] = lattice.merge(cur, delta)
 
-    def merged(self) -> LatticeValue:
-        out = self.crdt_kind.bottom()
+    def merged(self) -> GSet:
+        out = GSet.bottom()
         for wid in sorted(self.shards):
             out = lattice.merge(out, self.shards[wid])
         return out
 
     def shard_sizes(self) -> dict:
-        return {wid: _tuple_count(v) for wid, v in self.shards.items()}
-
-
-def _tuple_count(value: LatticeValue) -> int:
-    if isinstance(value, TwoPSet):
-        return len(value.pos.elems) + len(value.neg.elems)
-    if hasattr(value, "pos"):
-        return len(value.pos) + len(value.neg)
-    if hasattr(value, "__len__"):
-        return len(value)
-    return 0
-
-
-def _shard_rows(value: LatticeValue) -> Iterable:
-    """Tuples visible in a shard, for membership lookups."""
-    if isinstance(value, GSet):
-        return value.elems
-    if isinstance(value, TwoPSet):
-        return value.read()
-    raise TypeError(f"{type(value).__name__} does not support keyed membership")
+        return {wid: len(v) for wid, v in self.shards.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +127,6 @@ def _shard_rows(value: LatticeValue) -> Iterable:
 @dataclass(frozen=True)
 class QueryPlan:
     coordination_free: bool
-    plan: PartitionPlan
 
 
 def plan_query(table: GlobalTable, group_by: str) -> QueryPlan:
@@ -164,7 +141,7 @@ def plan_query(table: GlobalTable, group_by: str) -> QueryPlan:
     free = len(table.plan.workers) == 1 or (
         table.plan.keyed and table.plan.column == group_by
     )
-    return QueryPlan(coordination_free=free, plan=table.plan)
+    return QueryPlan(coordination_free=free)
 
 
 def detect_skew(table: GlobalTable, factor: float = 2.0) -> bool:
@@ -226,8 +203,8 @@ def lookup(table: GlobalTable, key, at_worker: int, net=None) -> Tristate:
     key_idx = table.schema.index(table.key_column())
 
     def rows_at(wid):
-        shard = table.shards.get(wid, table.crdt_kind.bottom())
-        return frozenset(r for r in _shard_rows(shard) if r[key_idx] == key)
+        shard = table.shards.get(wid, GSet.bottom())
+        return frozenset(r for r in shard.elems if r[key_idx] == key)
 
     local = rows_at(at_worker)
     if local:
@@ -416,13 +393,12 @@ def one_shot_eval(g: DataflowGraph, inputs: Mapping[str, set]) -> dict:
     return env
 
 
-def evaluate_stratified(
-    g: DataflowGraph, inputs: Mapping[str, set], cap: int = 10_000
-) -> dict:
-    """Repeat the dependency-ordered pass until no node changes."""
+def evaluate_stratified(g: DataflowGraph, inputs: Mapping[str, set]) -> dict:
+    """Repeat the dependency-ordered pass until no node changes; raises
+    ``DivergenceError`` after ``_FIXPOINT_CAP`` passes."""
     env = _seed_env(g, inputs)
     strata = _strata(g)
-    for _ in range(cap):
+    for _ in range(_FIXPOINT_CAP):
         if not _pass(strata, env):
             return env
-    raise DivergenceError(f"no fixed point after {cap} passes")
+    raise DivergenceError(f"no fixed point after {_FIXPOINT_CAP} passes")

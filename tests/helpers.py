@@ -41,7 +41,7 @@ def random_value(kind, rng: random.Random):
     if kind is GSet:
         return rand_gset(rng)
     if kind is TwoPSet:
-        return TwoPSet(rand_gset(rng), rand_gset(rng))
+        return TwoPSet(_subset(rng, ELEMS), _subset(rng, ELEMS))
     if kind is LWWSet:
         return LWWSet(
             frozenset((rng.choice(ELEMS), rand_ts(rng))

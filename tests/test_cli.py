@@ -215,6 +215,17 @@ def test_verify_malformed_seeds_exits_2(corpus_file, seeds, capsys):
     assert "calmsim: error: seeds: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--drop-prob", "1.0"],
+                                  ["--reorder-window", "-1"],
+                                  ["--dup-prob", "2"]])
+def test_bad_delivery_schedule_is_a_config_error(corpus_file, flag, capsys):
+    code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
+                     *flag])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "calmsim: error: " in err and not out
+
+
 def test_worker_failed_twice_exits_2(corpus_file, capsys):
     code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
                      "--workers", "3", "--fail", "3:1", "--fail", "5:1"])

@@ -213,6 +213,12 @@ def test_instantaneous_merge_is_stratification_error():
         kmer.threshold_rule_run(THRESH_CORPUS, 4, 3, deferred=False)
 
 
+@pytest.mark.parametrize("threshold, batch", [(0, 64), (3, 0), (3, -1)])
+def test_threshold_rule_run_rejects_bad_threshold_or_batch(threshold, batch):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        kmer.threshold_rule_run(THRESH_CORPUS, 4, threshold, batch=batch)
+
+
 def test_deferred_merge_runs_and_matches_oracle():
     counts = kmer.threshold_rule_run(THRESH_CORPUS, 4, 3, deferred=True,
                                      batch=7)
