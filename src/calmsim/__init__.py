@@ -9,7 +9,8 @@ from .lattice import (GSet, LMap, LMax, LWWSet, LWWTokenSet, LatticeValue,
                       MVSet, ThresholdLSet, Timestamp, TwoPSet,
                       VersionVector, custom_lattice, merge)
 from .runtime import (DeliverySchedule, Envelope, NetworkCondition, Program,
-                      Rule, Simulation, TickRuleEngine, run_to_quiescence)
+                      Rule, Scratch, Simulation, TickRuleEngine,
+                      run_to_quiescence)
 from .tables import (DNE, IDK, DataflowGraph, GlobalTable, PartitionPlan,
                      QueryPlan, RuleSpec, Tristate, Value, detect_cycles,
                      detect_skew, evaluate_stratified, lookup, one_shot_eval,

@@ -25,8 +25,8 @@ from typing import Iterable, Mapping
 
 from .dispenser import Chunk, WorkPool
 from .lattice import GSet, LMap, ThresholdLSet
-from .runtime import (DeliverySchedule, Envelope, Program, Rule, Simulation,
-                      TickRuleEngine, run_to_quiescence)
+from .runtime import (DeliverySchedule, Envelope, Program, Rule, Scratch,
+                      Simulation, TickRuleEngine, run_to_quiescence)
 from .tables import GlobalTable, PartitionPlan, plan_query
 
 BASES = frozenset("ACGT")
@@ -351,7 +351,10 @@ def threshold_rule_run(corpus, k: int, threshold: int,
     Both rules read their source as a delta (see :class:`Rule`): ``admit``
     is a morphism in ``arrivals`` and reads ``local`` only through the
     guard ``len(local[kmer]) < threshold``, and ``local`` only grows, so a
-    blocked k-mer stays blocked.
+    blocked k-mer stays blocked.  ``arrivals`` and ``incoming`` are
+    scratch tables: each holds one tick's ids and is emptied after it, so
+    the engine keeps no id outside ``local`` and an inject costs only its
+    batch.
     """
     if threshold < 1 or batch < 1:
         raise ValueError("threshold and batch must be >= 1")
@@ -366,8 +369,8 @@ def threshold_rule_run(corpus, k: int, threshold: int,
                      if len(local.get(kmer, empty)) < threshold})
 
     engine = TickRuleEngine(
-        tables={"arrivals": LMap.bottom(), "incoming": LMap.bottom(),
-                "local": LMap.bottom()},
+        tables={"arrivals": Scratch(LMap.bottom()),
+                "incoming": Scratch(LMap.bottom()), "local": LMap.bottom()},
         rules=[
             Rule("incoming", admit, sources=("arrivals", "local")),
             Rule("local", lambda t: t.delta["incoming"], sources=("incoming",),

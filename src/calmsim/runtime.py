@@ -16,12 +16,14 @@ The tick-rule engine at the bottom gives table-update rules two timing
 modes: instantaneous rules (``<=``) apply within the current tick and are
 visible to later rules in the same tick; deferred rules (``<+``) buffer
 their merge until the next tick.  An instantaneous cycle is a static
-stratification error.
+stratification error.  Its tables are Bloom ``table`` collections, which
+persist, or ``scratch`` collections, which are emptied after every tick.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -264,7 +266,9 @@ def run_to_quiescence(sim: Simulation, program: Program,
     ``program.idle(sim)`` is true and every harness event has run
     (``sim.now >= max(events)``).  Lattice state grows only on delivery,
     so from there no tick could change it.  Raises ``DivergenceError``
-    when that takes more than ``_TICK_CAP`` ticks.
+    when that takes more than ``_TICK_CAP`` ticks, and at once when only
+    held envelopes are left: only ``set_partition`` releases them, and no
+    harness event is left to call it.
 
     ``events`` maps tick index to harness callables (failure injection,
     joins, partitions) invoked at the start of that tick with
@@ -273,8 +277,7 @@ def run_to_quiescence(sim: Simulation, program: Program,
     events = events or {}
     last_event = max(events, default=0)
     program.setup(sim)
-    while (sim.in_flight or sim.held or not program.idle(sim)
-           or sim.now < last_event):
+    while sim.in_flight or not program.idle(sim) or sim.now < last_event:
         if sim.now >= _TICK_CAP:
             raise DivergenceError(f"no quiescence within {_TICK_CAP} ticks")
         sim.now += 1
@@ -285,6 +288,13 @@ def run_to_quiescence(sim: Simulation, program: Program,
             program.worker_step(sim, wid)
         for env in sim.deliver_due():
             program.on_deliver(sim, env)
+    if sim.held:
+        links = Counter((env.src, env.dst) for env in sim.held)
+        per_link = ", ".join(f"{src}->{dst}: {n}"
+                             for (src, dst), n in sorted(links.items()))
+        raise DivergenceError(
+            f"no quiescence: {len(sim.held)} envelopes are held by a "
+            f"partition that no later event heals (per cut link: {per_link})")
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +396,25 @@ class Rule:
       element is blocked, it stays blocked.
     - Otherwise it must read the full table.  A rule that reads only full
       tables is re-evaluated in full on every tick and is always correct.
+
+    A scratch table (see :class:`Scratch`) starts every tick at bottom, so
+    a rule that reads it in full sees only this tick's content, which is
+    also its delta.
     """
 
     target: str
     expr: Callable[[Mapping[str, Any]], Any]
     sources: tuple
     deferred: bool = False
+
+
+@dataclass(frozen=True)
+class Scratch:
+    """Declares a Bloom ``scratch`` table in ``TickRuleEngine``'s
+    ``tables``: ``{"name": Scratch(initial)}``.  Its content lasts one
+    tick; the engine resets it to its type's bottom after every tick."""
+
+    value: Any
 
 
 class _Tables(dict):
@@ -443,11 +466,22 @@ class TickRuleEngine:
     output, and is cleared at the end of each tick.  Every table a rule or
     an inject names must be declared in ``tables``; any other name raises
     ``ValueError``.
+
+    A plain value in ``tables`` declares a Bloom ``table``, which persists;
+    ``Scratch(value)`` declares a ``scratch``, reset to bottom after every
+    tick (Alvaro et al., CIDR 2011).  Only gains in persistent tables keep
+    ``run_to_fixpoint`` going, so a scratch refilled from a table on every
+    tick lets the run settle; pending ``<+`` output its target lacks, even
+    into a scratch, keeps it going.
     """
 
     def __init__(self, tables: dict, rules: Sequence[Rule]):
         self.tables = _Tables({})
+        self._scratch: list[str] = []
         for name, value in tables.items():
+            if type(value) is Scratch:
+                self._scratch.append(name)
+                value = value.value
             # Tick 1 reads each table's whole initial value as its delta.
             self._absorb(name, value)
         self.rules = list(rules)
@@ -489,10 +523,12 @@ class TickRuleEngine:
 
     def _absorb(self, name: str, value) -> None:
         """Merge ``value`` into table ``name`` and its real gain into the
-        table's delta."""
+        table's delta; a gain in a persistent table keeps the fixpoint
+        running."""
         gain = _merge_into(self.tables, name, value)
         if gain is not None:
-            self._gained = True
+            if name not in self._scratch:
+                self._gained = True
             _merge_into(self.tables.delta, name, gain)
 
     def _holds(self, name: str, value) -> bool:
@@ -517,10 +553,12 @@ class TickRuleEngine:
             if rule.deferred:
                 _merge_into(self._pending, rule.target, rule.expr(self.tables))
         self.tables.delta.clear()
+        for name in self._scratch:
+            self.tables[name] = type(self.tables[name]).bottom()
 
     def run_to_fixpoint(self) -> dict:
-        """Tick until a tick gives no table a real gain and leaves nothing
-        pending that its table does not already hold."""
+        """Tick until a tick gives no persistent table a real gain and
+        leaves nothing pending that its table does not already hold."""
         for _ in range(_FIXPOINT_CAP):
             self.tick()
             if not self._gained and all(

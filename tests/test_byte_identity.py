@@ -1,7 +1,9 @@
-"""Pinned event-log and answer digests of the five simulated runners.
+"""Pinned event-log and answer digests of the five simulated runners, and
+the pinned histogram digest of ``threshold_rule_run``.
 
 One small corpus and one fault schedule (duplication, reordering, loss, a
-worker failure, a join and a partition that heals) fix every run.  Only
+worker failure, a join and a partition that heals) fix every simulated
+run; the tick-rule run reads a repeat-rich corpus of its own.  Only
 ``random.Random`` and blake2b feed the digests, but they were computed and
 checked on one CPython build only; a refactor that keeps behaviour keeps
 them.
@@ -72,3 +74,18 @@ PINNED = {
 def test_event_log_and_answer_digests_are_pinned(runner):
     sim, answer = RUNS[runner]()
     assert (_digest(sim.event_lines()), _digest(repr(answer))) == PINNED[runner]
+
+
+def _repeat_rich_corpus(rng: random.Random) -> str:
+    """Lines tiled from four 6-base motifs with 3% point mutations."""
+    motifs = ["".join(rng.choice("ACGT") for _ in range(6)) for _ in range(4)]
+    return "".join(
+        "".join(rng.choice("ACGT") if rng.random() < 0.03 else base
+                for base in "".join(rng.choice(motifs) for _ in range(8)))
+        + "\n" for _ in range(30))
+
+
+def test_threshold_rule_run_histogram_digest_is_pinned():
+    hist = kmer.threshold_rule_run(_repeat_rich_corpus(random.Random(11)),
+                                   5, 6, batch=16)
+    assert _digest(repr(sorted(hist.items()))) == "80f9cd154d45aa76"

@@ -319,6 +319,29 @@ def test_admit_reads_each_arrival_once(monkeypatch):
     assert sum(read) == sum(kmer.oracle_count(corpus, 3).values())
 
 
+def test_engine_keeps_one_batch_of_arrivals(monkeypatch):
+    # Counts the ids the engine holds outside ``local`` instead of timing
+    # the run: a table that kept every arrival would grow with the corpus.
+    corpus = "ACGTACGTAC\nTTTTTT\n" * 20 + "GATTACA\n"
+    batch = 5
+    held = []
+
+    def wrap(rule):
+        if rule.target != "incoming":
+            return rule.expr
+
+        def expr(tabs):
+            held.append(sum(len(ids) for ids in
+                            tabs["arrivals"].entries.values()))
+            return rule.expr(tabs)
+        return expr
+
+    EngineSpy(monkeypatch, wrap)
+    kmer.threshold_rule_run(corpus, 3, 4, batch=batch)
+    assert held and max(held) <= batch
+    assert sum(held) == sum(kmer.oracle_count(corpus, 3).values())
+
+
 # -- quiescence under faults ------------------------------------------------
 
 CMS = sketch.CmsParams(3, 96, sketch.row_seeds(3))

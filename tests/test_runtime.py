@@ -4,8 +4,8 @@ from calmsim import lattice, runtime
 from calmsim.errors import (DivergenceError, StratificationError,
                             UnknownWorkerError)
 from calmsim.lattice import GSet, LMap, LMax
-from calmsim.runtime import (DeliverySchedule, Program, Rule, Simulation,
-                             TickRuleEngine, run_to_quiescence)
+from calmsim.runtime import (DeliverySchedule, Program, Rule, Scratch,
+                             Simulation, TickRuleEngine, run_to_quiescence)
 
 
 class GSetSink(Program):
@@ -120,6 +120,15 @@ def test_divergence_guard(monkeypatch):
     monkeypatch.setattr(runtime, "_TICK_CAP", 50)
     with pytest.raises(DivergenceError, match="within 50 ticks"):
         run_to_quiescence(Simulation(), Chatter())
+
+
+def test_unhealed_partition_raises_at_once():
+    sim = Simulation()
+    cut = {1: [lambda sim, program: sim.set_partition([(0, 1)])]}
+    with pytest.raises(DivergenceError, match=r"per cut link: 0->1: 3\)"):
+        run_to_quiescence(sim, GSetSink(["a", "b", "c"]), cut)
+    assert len(sim.held) == 3
+    assert sim.now < runtime._TICK_CAP // 1000
 
 
 def test_fresh_ids_unique():
@@ -278,3 +287,69 @@ def test_noop_inject_does_not_keep_fixpoint_running():
     eng.run_to_fixpoint()
     assert eng.now == now + 1
 
+
+
+# -- scratch tables ---------------------------------------------------------
+
+
+def test_scratch_table_reads_bottom_after_each_tick():
+    eng = TickRuleEngine(
+        tables={"s": Scratch(LMap({"k": GSet.of([1])})), "p": LMap()},
+        rules=[Rule("p", lambda t: t["s"], sources=("s",))])
+    eng.tick()
+    assert eng.tables["s"] == LMap() and "s" in eng.tables
+    eng.inject("s", LMap({"k": GSet.of([2])}))
+    assert eng.tables["s"] == LMap({"k": GSet.of([2])})
+    eng.tick()
+    assert eng.tables["s"] == LMap()
+    assert eng.tables["p"] == LMap({"k": GSet.of([1, 2])})
+
+
+def test_injected_scratch_value_is_seen_for_one_tick():
+    seen = []
+
+    def read(t):
+        seen.append((t["s"], t.delta["s"]))
+        return t["s"]
+
+    injected = LMap({"k": GSet.of([1])})
+    eng = TickRuleEngine(
+        tables={"s": Scratch(LMap()), "p": LMap()},
+        rules=[Rule("p", read, sources=("s",))])
+    eng.inject("s", injected)
+    eng.tick()
+    eng.tick()
+    eng.inject("s", injected)  # a repeat is new again: s forgot it
+    eng.tick()
+    assert seen == [(injected, injected), (LMap(), LMap()),
+                    (injected, injected)]
+    assert injected == LMap({"k": GSet.of([1])})
+
+
+def test_scratch_fed_in_full_from_a_table_reaches_fixpoint():
+    eng = TickRuleEngine(
+        tables={"p": GSet.of([1, 2]), "s": Scratch(GSet.bottom()),
+                "q": GSet.bottom()},
+        rules=[Rule("s", lambda t: t["p"], sources=("p",)),
+               Rule("q", lambda t: t["s"], sources=("s",), deferred=True)])
+    tables = eng.run_to_fixpoint()
+    assert tables["q"] == GSet.of([1, 2])
+    assert eng.now == 3
+
+
+def test_undeclared_table_rejected_beside_scratch():
+    with pytest.raises(ValueError, match="undeclared table 'b'"):
+        TickRuleEngine({"a": Scratch(GSet.bottom())},
+                       [Rule("b", lambda t: t["a"], sources=("a",))])
+    eng = TickRuleEngine({"a": Scratch(GSet.bottom())}, [])
+    with pytest.raises(ValueError, match="undeclared table 'b'"):
+        eng.inject("b", GSet.of([1]))
+
+
+def test_instantaneous_cycle_through_scratch_is_stratification_error():
+    with pytest.raises(StratificationError) as err:
+        TickRuleEngine(
+            tables={"x": GSet.bottom(), "s": Scratch(GSet.bottom())},
+            rules=[Rule("s", lambda t: t["x"], sources=("x",)),
+                   Rule("x", lambda t: t["s"], sources=("s",))])
+    assert err.value.cycle == ("s", "x", "s")
