@@ -13,21 +13,22 @@ Three variants over the same chunk-ingestion pipeline:
   on the k-mer column; grouping is then coordination-free and the per-worker
   aggregates concatenate into the full histogram.
 
-All variants are verified against ``oracle_count``, a sequential
-single-threaded scan.
+A chunk ships each owner one lattice delta, built once; a duplicated or
+resent envelope reuses it.  All variants are verified against
+``oracle_count``, a sequential single-threaded scan.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .dispenser import Chunk, WorkPool
 from .lattice import GSet, LMap, ThresholdLSet
 from .runtime import (DeliverySchedule, Envelope, Program, Rule, Scratch,
                       Simulation, TickRuleEngine, run_to_quiescence)
-from .tables import GlobalTable, PartitionPlan, plan_query
+from .tables import GlobalTable, PartitionPlan, hash_owner, plan_query
 
 BASES = frozenset("ACGT")
 _NOT_BASE = re.compile(rb"[^ACGT]")
@@ -113,7 +114,8 @@ class KmerIngestProgram(Program):
     injected failure between the two leaves an uncompleted chunk for the
     pool to reassign.  Processing extracts the chunk's windows, groups them
     into one batch per receiving worker with ``route``, and sends one
-    envelope per batch stamped with the chunk's token id.
+    envelope per batch stamped with the chunk's token id.  Its payload is
+    the batch's ``delta``, which every delivery hands to ``absorb``.
 
     The pool is the one record of the chunk each worker holds, and one
     hash plan on the k-mer, fixed over the workers present at setup, says
@@ -149,10 +151,10 @@ class KmerIngestProgram(Program):
 
     def route(self, windows: list[tuple[str, int]]) -> dict[int, list]:
         """Group one chunk's windows into a batch per receiving worker."""
+        workers = self.plan.workers
         batches: dict[int, list] = {}
-        for kmer, off in windows:
-            owner = self.plan.owner_of_key(kmer)
-            batches.setdefault(owner, []).append((kmer, off))
+        for pair in windows:
+            batches.setdefault(hash_owner(workers, pair[0]), []).append(pair)
         return batches
 
     def worker_step(self, sim: Simulation, wid: int) -> None:
@@ -164,16 +166,20 @@ class KmerIngestProgram(Program):
         (chunk,) = self.pool.assigned[wid]  # one chunk at a time
         batches = self.route(chunk_windows(self.data, chunk, self.k))
         for owner in sorted(batches):
-            sim.send(wid, owner, ("ingest", tuple(batches[owner])),
+            sim.send(wid, owner, ("ingest", self.delta(batches[owner])),
                      token_id=chunk.token_id)
         self.pool.complete(wid, chunk)
         sim.log("complete", dst=wid, token_id=chunk.token_id)
 
     def on_deliver(self, sim: Simulation, env: Envelope) -> None:
-        _kind, pairs = env.payload
-        self.absorb(env.dst, pairs)
+        self.absorb(env.dst, env.payload[1])
 
-    def absorb(self, wid: int, pairs: Iterable[tuple[str, int]]) -> None:
+    def delta(self, pairs: list):
+        """What one batch adds to its owner; by default the batch itself."""
+        return tuple(pairs)
+
+    def absorb(self, wid: int, delta) -> None:
+        """Merge ``delta`` into ``wid``'s state; it may arrive again."""
         raise NotImplementedError
 
     def idle(self, sim: Simulation) -> bool:
@@ -199,7 +205,7 @@ def _batch_lmap(pairs, value_of) -> LMap:
     grouped: dict[str, set] = {}
     for kmer, off in pairs:
         grouped.setdefault(kmer, set()).add(off)
-    return LMap({kmer: value_of(offs) for kmer, offs in grouped.items()})
+    return LMap({km: value_of(frozenset(ids)) for km, ids in grouped.items()})
 
 
 class ImplAProgram(KmerIngestProgram):
@@ -208,8 +214,10 @@ class ImplAProgram(KmerIngestProgram):
     def init_state(self) -> None:
         self.shards = {wid: LMap.bottom() for wid in self.plan.workers}
 
-    def absorb(self, wid, pairs) -> None:
-        delta = _batch_lmap(pairs, lambda offs: GSet(frozenset(offs)))
+    def delta(self, pairs) -> LMap:
+        return _batch_lmap(pairs, GSet)
+
+    def absorb(self, wid, delta: LMap) -> None:
         self.shards[wid].merge_in(delta)
 
     def state_size(self) -> int:
@@ -221,7 +229,7 @@ class ImplAProgram(KmerIngestProgram):
         for wid in sorted(self.shards):
             for kmer, ids in self.shards[wid].entries.items():
                 assert kmer not in counts, "k-mer key on two owner shards"
-                counts[kmer] = len(ids)
+                counts[kmer] = len(ids.elems)
         return counts
 
 
@@ -234,10 +242,9 @@ class ImplBProgram(ImplAProgram):
             raise ValueError("threshold must be >= 1")
         self.threshold = threshold
 
-    def absorb(self, wid, pairs) -> None:
-        delta = _batch_lmap(
-            pairs, lambda offs: ThresholdLSet(frozenset(offs), self.threshold))
-        self.shards[wid].merge_in(delta)
+    def delta(self, pairs) -> LMap:
+        return _batch_lmap(
+            pairs, lambda offs: ThresholdLSet(offs, self.threshold))
 
 
 class TableKmerProgram(KmerIngestProgram):
@@ -248,8 +255,11 @@ class TableKmerProgram(KmerIngestProgram):
             name="kmers", crdt_kind=GSet, schema=("seq", "token"),
             plan=self.plan)
 
-    def absorb(self, wid, pairs) -> None:
-        self.table.merge_shard(wid, GSet.of(pairs))
+    def delta(self, pairs) -> GSet:
+        return GSet.of(pairs)
+
+    def absorb(self, wid, delta: GSet) -> None:
+        self.table.merge_shard(wid, delta)
 
     def state_size(self) -> int:
         return sum(len(s) for s in self.table.shards.values())
@@ -379,8 +389,7 @@ def threshold_rule_run(corpus, k: int, threshold: int,
     )
     for i in range(0, len(windows), batch):
         chunk = windows[i:i + batch]
-        engine.inject("arrivals", _batch_lmap(
-            chunk, lambda offs: GSet(frozenset(offs))))
+        engine.inject("arrivals", _batch_lmap(chunk, GSet))
         engine.tick()
     engine.run_to_fixpoint()
     return {kmer: len(ids)

@@ -115,13 +115,12 @@ class LMap(LatticeValue):
         changed = False
         for key, value in delta.entries.items():
             cur = entries.get(key)
-            if cur is None:
-                entries[key] = value
-            else:
-                new = merge(cur, value)
-                if new == cur:
-                    continue
-                entries[key] = new
+            if cur is value:  # a redelivered value; merge is idempotent
+                continue
+            new = value if cur is None else merge(cur, value)
+            if cur is not None and new == cur:
+                continue
+            entries[key] = new
             changed = True
             if gained is not None:
                 gained[key] = value

@@ -25,11 +25,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import lattice
 from .errors import DivergenceError, StratificationError, UnknownWorkerError
-from .lattice import LMap
+from .lattice import LMap, ThresholdLSet
 
 
 @dataclass(frozen=True)
@@ -412,18 +413,19 @@ class Rule:
 class Scratch:
     """Declares a Bloom ``scratch`` table in ``TickRuleEngine``'s
     ``tables``: ``{"name": Scratch(initial)}``.  Its content lasts one
-    tick; the engine resets it to its type's bottom after every tick."""
+    tick; the engine resets it to its bottom after every tick."""
 
     value: Any
 
 
 class _Tables(dict):
     """The engine's tables by name, with ``delta``: what each table gained
-    since the rules last ran.  A table that gained nothing has no delta
-    entry and reads as its type's bottom."""
+    since the rules last ran, and ``bottom``: each table's bottom maker.
+    A table that gained nothing has no delta entry and reads as bottom."""
 
     def __init__(self, tables: Mapping[str, Any]):
         super().__init__(tables)
+        self.bottom: dict[str, Callable] = {}
         self.delta = _Gains(self)
 
 
@@ -433,7 +435,7 @@ class _Gains(dict):
         self.tables = tables
 
     def __missing__(self, name):
-        return type(self.tables[name]).bottom()
+        return self.tables.bottom[name]()
 
 
 def _merge_into(store: dict, name: str, value):
@@ -482,6 +484,9 @@ class TickRuleEngine:
             if type(value) is Scratch:
                 self._scratch.append(name)
                 value = value.value
+            self.tables.bottom[name] = (  # keeps a declared threshold
+                partial(ThresholdLSet.bottom, value.threshold)
+                if type(value) is ThresholdLSet else type(value).bottom)
             # Tick 1 reads each table's whole initial value as its delta.
             self._absorb(name, value)
         self.rules = list(rules)
@@ -554,7 +559,7 @@ class TickRuleEngine:
                 _merge_into(self._pending, rule.target, rule.expr(self.tables))
         self.tables.delta.clear()
         for name in self._scratch:
-            self.tables[name] = type(self.tables[name]).bottom()
+            self.tables[name] = self.tables.bottom[name]()
 
     def run_to_fixpoint(self) -> dict:
         """Tick until a tick gives no persistent table a real gain and

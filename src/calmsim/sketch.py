@@ -5,7 +5,8 @@ inserts stay idempotent under at-least-once delivery: the estimate for an
 item is the minimum cardinality over its h addressed cells, and it can only
 over-count (never under-count).  Both designs hash a window once, where it
 is ingested, and ship its h ``(row, column, token)`` cells, which
-:meth:`SketchMatrix.add` applies on delivery.
+:meth:`SketchMatrix.add` applies on delivery; a chunk's cells for one owner
+are one tuple, which every redelivery (and Design 2's forwarding) reuses.
 
 - Design 1 partitions the m columns into contiguous slabs, one per worker;
   a query must gather its h cells from their owners and reduce by min, which
@@ -26,7 +27,7 @@ from .hashing import hash64
 # corpus_stream is re-exported: the sketch tests and benchmark read it here.
 from .kmer import KmerIngestProgram, _run, corpus_stream, normalize_corpus
 from .runtime import DeliverySchedule, Envelope, Simulation
-from .tables import IDK, PartitionPlan, Tristate, Value
+from .tables import IDK, PartitionPlan, Tristate, Value, hash_owner
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,9 @@ class SketchMatrix:
 
     def add(self, cells: Iterable[tuple[int, int, int]]) -> None:
         """Apply ``(row, column, token)`` cell updates by set union."""
+        grid = self.cells
         for i, j, token in cells:
-            self.cells[i][j].add(token)
+            grid[i][j].add(token)
 
     def query(self, item: str) -> int:
         return min(len(self.cells[i][j])
@@ -150,9 +152,10 @@ class Design2Program(_CellProgram):
 
     def route(self, windows: list[tuple[str, int]]) -> dict[int, list]:
         """Each window becomes its h cells, batched by the k-mer's owner."""
+        workers = self.plan.workers
         batches: dict[int, list] = {}
         for kmer, off in windows:
-            batches.setdefault(self.plan.owner_of_key(kmer), []).extend(
+            batches.setdefault(hash_owner(workers, kmer), []).extend(
                 (i, j, off) for i, j in enumerate(self.params.columns(kmer)))
         return batches
 
@@ -207,24 +210,21 @@ class Design1Program(_CellProgram):
         owners = self.plan.workers
         slab = -(-self.params.m // len(owners))
         boundaries = tuple(slab * i for i in range(1, len(owners)))
-        self.column_plan = PartitionPlan("range", owners, column="column",
-                                         boundaries=boundaries)
-        columns: dict[int, list] = {wid: [] for wid in owners}
-        for j in range(self.params.m):
-            columns[self.column_owner(j)].append(j)
-        self.sketches = {wid: SketchMatrix(self.params, columns[wid])
-                         for wid in owners}
-
-    def column_owner(self, j: int) -> int:
-        return self.column_plan.owner_of_key(j)
+        plan = PartitionPlan("range", owners, column="column",
+                             boundaries=boundaries)
+        self.column_owners = [plan.owner_of_key(j) for j in range(self.params.m)]
+        self.sketches = {wid: SketchMatrix(self.params, [
+            j for j, o in enumerate(self.column_owners) if o == wid])
+            for wid in owners}
 
     def route(self, windows: list[tuple[str, int]]) -> dict[int, list]:
         """Each window becomes h ``(row, column, token)`` cell updates,
         batched by the worker owning the column."""
+        owners = self.column_owners
         batches: dict[int, list] = {}
         for kmer, off in windows:
             for i, j in enumerate(self.params.columns(kmer)):
-                batches.setdefault(self.column_owner(j), []).append((i, j, off))
+                batches.setdefault(owners[j], []).append((i, j, off))
         return batches
 
 
@@ -243,7 +243,7 @@ class Design1Result:
         prog = self.program
         sizes = []
         for i, j in enumerate(prog.params.columns(item)):
-            owner = prog.column_owner(j)
+            owner = prog.column_owners[j]
             if self.sim.net.partitioned(at_worker, owner):
                 return IDK
             if owner != at_worker:

@@ -27,6 +27,11 @@ from .runtime import _FIXPOINT_CAP, _components, _cyclic
 # Partitioning
 
 
+def hash_owner(workers: tuple, key: str) -> int:
+    """Where a hash plan over ``workers`` puts ``key``; hash routes use it."""
+    return workers[hash64(key) % len(workers)]
+
+
 @dataclass(frozen=True)
 class PartitionPlan:
     """How tuples of a table are routed to workers.
@@ -57,7 +62,7 @@ class PartitionPlan:
 
     def owner_of_key(self, key) -> int:
         if self.strategy == "hash":
-            return self.workers[hash64(str(key)) % len(self.workers)]
+            return hash_owner(self.workers, str(key))
         if self.strategy == "range":
             return self.workers[min(bisect_right(self.boundaries, key),
                                     len(self.workers) - 1)]

@@ -8,7 +8,8 @@ from calmsim import kmer, runtime, sketch
 from calmsim.dispenser import Chunk
 from calmsim.errors import StratificationError
 from calmsim.lattice import GSet, LMap
-from calmsim.runtime import DeliverySchedule, Rule, TickRuleEngine
+from calmsim.runtime import (DeliverySchedule, Rule, Simulation,
+                             TickRuleEngine)
 
 THRESH_CORPUS = ("AAAA\n" + "CCCC\n" * 2 + "GGGG\n" * 3
                  + "TTTT\n" * 10 + "ACGT\n" * 100)
@@ -396,3 +397,67 @@ def test_runs_never_rescan_state(name, small_corpus, monkeypatch):
         monkeypatch.setattr(cls, "state_size", rescan)
     res = faulty_run(name, small_corpus, 0)
     assert agrees_with_oracle(name, small_corpus, res)
+
+
+# -- deltas shipped once, owners routed directly ----------------------------
+
+PROGRAMS = {"impl_a": kmer.ImplAProgram, "impl_b": kmer.ImplBProgram,
+            "table_kmer": kmer.TableKmerProgram,
+            "design1": sketch.Design1Program,
+            "design2": sketch.Design2Program}
+
+
+@pytest.mark.parametrize("name", RUNNERS)
+def test_each_delta_is_built_once_and_delivered_as_sent(
+        name, small_corpus, monkeypatch):
+    cls = PROGRAMS[name]
+    make_delta, send, on_deliver = cls.delta, Simulation.send, cls.on_deliver
+    built, sent, delivered = [], [], []
+
+    def spy_delta(self, pairs):
+        out = make_delta(self, pairs)
+        built.append((list(pairs), out))
+        return out
+
+    def spy_send(sim, src, dst, payload, token_id=None):
+        sent.append(payload)
+        return send(sim, src, dst, payload, token_id)
+
+    def spy_deliver(self, sim, env):
+        delivered.append(env.payload)
+        return on_deliver(self, sim, env)
+
+    monkeypatch.setattr(cls, "delta", spy_delta)
+    monkeypatch.setattr(Simulation, "send", spy_send)
+    monkeypatch.setattr(cls, "on_deliver", spy_deliver)
+    res = faulty_run(name, small_corpus, 0)
+    assert agrees_with_oracle(name, small_corpus, res)
+    assert {"dup", "drop", "hold"} <= {ev[1] for ev in res.sim.events}
+
+    # One delta per ingest send; design 2's replicate sends forward the
+    # delta they received.
+    ingest = [p for p in sent if p[0] == "ingest"]
+    if name != "design2":
+        assert len(ingest) == sum(ev[1] == "send" for ev in res.sim.events)
+    assert len(built) == len(ingest)
+    assert all(p[1] is delta for p, (_pairs, delta) in zip(ingest, built))
+    assert len(delivered) == sum(ev[1] == "deliver" for ev in res.sim.events)
+    sent_ids = {id(p) for p in sent}
+    shipped = {id(delta) for _pairs, delta in built}
+    assert all(id(p) in sent_ids and id(p[1]) in shipped for p in delivered)
+    # Merging a delivered delta never mutated it.
+    assert all(delta == make_delta(res.program, pairs)
+               for pairs, delta in built)
+
+
+@pytest.mark.parametrize("name", ["impl_a", "design2"])
+def test_direct_owner_agrees_with_the_plan(name, corpus_10k):
+    res = faulty_run(name, corpus_10k, 1)
+    prog = res.program
+    windows = kmer.corpus_stream(corpus_10k, 4)
+    kmer_at = dict((off, km) for km, off in windows)
+    for owner, batch in prog.route(windows).items():
+        for item in batch:
+            km = kmer_at[item[-1]]  # the offset ends a pair and a cell
+            assert owner == prog.plan.owner_of_key(km)
+    assert len(prog.plan.workers) == 3 < len(res.sim.workers)

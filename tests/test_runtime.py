@@ -3,7 +3,7 @@ import pytest
 from calmsim import lattice, runtime
 from calmsim.errors import (DivergenceError, StratificationError,
                             UnknownWorkerError)
-from calmsim.lattice import GSet, LMap, LMax
+from calmsim.lattice import GSet, LMap, LMax, ThresholdLSet
 from calmsim.runtime import (DeliverySchedule, Program, Rule, Scratch,
                              Simulation, TickRuleEngine, run_to_quiescence)
 
@@ -353,3 +353,34 @@ def test_instantaneous_cycle_through_scratch_is_stratification_error():
             rules=[Rule("s", lambda t: t["x"], sources=("x",)),
                    Rule("x", lambda t: t["s"], sources=("s",))])
     assert err.value.cycle == ("s", "x", "s")
+
+
+# -- bottoms of threshold tables ---------------------------------------------
+
+
+def test_delta_of_an_unchanged_threshold_table_keeps_its_threshold():
+    # On tick 2, "a" gained nothing, so its delta reads as bottom; that
+    # bottom must carry threshold 3 to merge into "b".
+    eng = TickRuleEngine(
+        tables={"a": ThresholdLSet(frozenset({1}), 3),
+                "b": ThresholdLSet.bottom(3)},
+        rules=[Rule("b", lambda t: t.delta["a"], sources=("a",))])
+    eng.tick()
+    eng.tick()
+    assert eng.tables["b"] == ThresholdLSet(frozenset({1}), 3)
+    eng.inject("a", ThresholdLSet(frozenset({2}), 3))
+    eng.run_to_fixpoint()
+    assert eng.tables["b"] == ThresholdLSet(frozenset({1, 2}), 3)
+
+
+def test_threshold_scratch_resets_to_its_declared_threshold():
+    eng = TickRuleEngine(
+        tables={"s": Scratch(ThresholdLSet(frozenset({1}), 3)),
+                "p": ThresholdLSet.bottom(3)},
+        rules=[Rule("p", lambda t: t["s"], sources=("s",))])
+    eng.tick()
+    assert eng.tables["s"] == ThresholdLSet.bottom(3)
+    eng.inject("s", ThresholdLSet(frozenset({2}), 3))
+    eng.tick()
+    assert eng.tables["s"] == ThresholdLSet.bottom(3)
+    assert eng.tables["p"] == ThresholdLSet(frozenset({1, 2}), 3)

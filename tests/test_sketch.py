@@ -180,7 +180,7 @@ def test_design1_sketches_partition_the_reference(cms_corpus):
     for wid, sk in prog.sketches.items():
         for i in range(p.h):
             for j in range(p.m):
-                want = ref.cells[i][j] if prog.column_owner(j) == wid else set()
+                want = ref.cells[i][j] if prog.column_owners[j] == wid else set()
                 assert sk.cells[i][j] == want
 
 
@@ -188,7 +188,7 @@ def test_design1_query_gathers_from_cell_owners(cms_corpus):
     p = params(h=3, m=90)
     res = design1_run(cms_corpus, 6, p, workers=3)
     item = corpus_stream(cms_corpus, 6)[0][0]
-    owners = {res.program.column_owner(j) for j in p.columns(item)}
+    owners = {res.program.column_owners[j] for j in p.columns(item)}
     before = len(res.sim.events)
     res.query(item, at_worker=0)
     gathers = [ev for ev in res.sim.events[before:] if ev[1] == "gather"]
@@ -202,7 +202,7 @@ def test_design1_partitioned_owner_means_idk(cms_corpus):
     assert isinstance(res.query(item, at_worker=0), Value)
     res.sim.set_partition([(0, 1), (0, 2)])
     out = res.query(item, at_worker=0)
-    owners = {res.program.column_owner(j) for j in p.columns(item)}
+    owners = {res.program.column_owners[j] for j in p.columns(item)}
     if owners - {0}:
         assert out is IDK
     res.sim.heal()
