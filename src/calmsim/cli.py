@@ -5,7 +5,7 @@ Each ``WORKLOADS`` record names the options a workload reads; any other
 option is a config error.  ``--seed`` drives only the delivery schedule; the
 same config and seed reproduce a byte-identical report and event log.  Exit
 codes: 0 when the result matches the built-in oracle, 1 on mismatch, 2 on
-config errors, 3 on divergence (tick cap exceeded).
+config errors, 3 on divergence (no quiescence; see ``run_to_quiescence``).
 """
 
 from __future__ import annotations

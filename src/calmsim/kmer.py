@@ -114,8 +114,9 @@ class KmerIngestProgram(Program):
     injected failure between the two leaves an uncompleted chunk for the
     pool to reassign.  Processing extracts the chunk's windows, groups them
     into one batch per receiving worker with ``route``, and sends one
-    envelope per batch stamped with the chunk's token id.  Its payload is
-    the batch's ``delta``, which every delivery hands to ``absorb``.
+    envelope per batch stamped with the chunk's token id.  The payload is
+    the batch's ``delta`` itself, which every delivery hands to ``absorb``;
+    delivery only merges and never sends.
 
     The pool is the one record of the chunk each worker holds, and one
     hash plan on the k-mer, fixed over the workers present at setup, says
@@ -166,16 +167,16 @@ class KmerIngestProgram(Program):
         (chunk,) = self.pool.assigned[wid]  # one chunk at a time
         batches = self.route(chunk_windows(self.data, chunk, self.k))
         for owner in sorted(batches):
-            sim.send(wid, owner, ("ingest", self.delta(batches[owner])),
+            sim.send(wid, owner, self.delta(batches[owner]),
                      token_id=chunk.token_id)
         self.pool.complete(wid, chunk)
         sim.log("complete", dst=wid, token_id=chunk.token_id)
 
     def on_deliver(self, sim: Simulation, env: Envelope) -> None:
-        self.absorb(env.dst, env.payload[1])
+        self.absorb(env.dst, env.payload)
 
     def delta(self, pairs: list):
-        """What one batch adds to its owner; by default the batch itself."""
+        """What one batch adds to its owner; by default, the batch's tuple."""
         return tuple(pairs)
 
     def absorb(self, wid: int, delta) -> None:

@@ -230,7 +230,8 @@ class Program:
     State changes only in the hooks and in harness actions, and a message
     changes it only when delivered.  So ``idle`` is the one contract a
     program must meet: it is False while any ``worker_step`` or ``on_tick``
-    could still change state or send.
+    could still change state or send.  Work left with no live worker, no
+    harness event left and nothing in flight is stuck: the run raises.
     """
 
     def setup(self, sim: Simulation) -> None:
@@ -269,7 +270,9 @@ def run_to_quiescence(sim: Simulation, program: Program,
     so from there no tick could change it.  Raises ``DivergenceError``
     when that takes more than ``_TICK_CAP`` ticks, and at once when only
     held envelopes are left: only ``set_partition`` releases them, and no
-    harness event is left to call it.
+    harness event is left to call it; and at once when the program is not
+    idle, but no worker is alive, no harness event is left to add one and
+    nothing is in flight.
 
     ``events`` maps tick index to harness callables (failure injection,
     joins, partitions) invoked at the start of that tick with
@@ -278,7 +281,8 @@ def run_to_quiescence(sim: Simulation, program: Program,
     events = events or {}
     last_event = max(events, default=0)
     program.setup(sim)
-    while sim.in_flight or not program.idle(sim) or sim.now < last_event:
+    while sim.in_flight or sim.now < last_event or (
+            not program.idle(sim) and sim.alive_workers()):
         if sim.now >= _TICK_CAP:
             raise DivergenceError(f"no quiescence within {_TICK_CAP} ticks")
         sim.now += 1
@@ -296,6 +300,10 @@ def run_to_quiescence(sim: Simulation, program: Program,
         raise DivergenceError(
             f"no quiescence: {len(sim.held)} envelopes are held by a "
             f"partition that no later event heals (per cut link: {per_link})")
+    if not program.idle(sim):
+        raise DivergenceError(
+            "no quiescence: work is left but no worker is alive, and no "
+            "later event adds one")
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,16 @@ inserts stay idempotent under at-least-once delivery: the estimate for an
 item is the minimum cardinality over its h addressed cells, and it can only
 over-count (never under-count).  Both designs hash a window once, where it
 is ingested, and ship its h ``(row, column, token)`` cells, which
-:meth:`SketchMatrix.add` applies on delivery; a chunk's cells for one owner
-are one tuple, which every redelivery (and Design 2's forwarding) reuses.
+:meth:`SketchMatrix.add` applies on delivery; a chunk's cells for one
+receiver are one tuple, which every redelivery reuses.
 
 - Design 1 partitions the m columns into contiguous slabs, one per worker;
   a query must gather its h cells from their owners and reduce by min, which
   is visible as cross-worker coordination in the event log.
-- Design 2 replicates the full h-by-m matrix on every worker; owners apply
-  cells and forward them, replicas never hash and converge by cellwise set
-  union, and a query is a purely local read.
+- Design 2 replicates the full h-by-m matrix on every worker; the ingesting
+  worker sends one tuple of a chunk's cells to every replica, replicas never
+  hash or send and converge by cellwise set union, and a query is a purely
+  local read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .hashing import hash64
 # corpus_stream is re-exported: the sketch tests and benchmark read it here.
 from .kmer import KmerIngestProgram, _run, corpus_stream, normalize_corpus
 from .runtime import DeliverySchedule, Envelope, Simulation
-from .tables import IDK, PartitionPlan, Tristate, Value, hash_owner
+from .tables import IDK, PartitionPlan, Tristate, Value
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,8 @@ class CmsParams:
 
     def columns(self, item: str) -> list[int]:
         """The column ``item`` addresses in each row, in row order."""
-        return [hash64(item, seed) % self.m for seed in self.seeds]
+        data = item.encode("utf-8")  # once for all h rows
+        return [hash64(data, seed) % self.m for seed in self.seeds]
 
 
 def choose_params(epsilon: float, delta: float, seed: int = 0) -> CmsParams:
@@ -136,7 +138,7 @@ class _CellProgram(KmerIngestProgram):
                          for wid in self.plan.workers}
 
     def on_deliver(self, sim: Simulation, env: Envelope) -> None:
-        self.sketches[env.dst].add(env.payload[1])
+        self.sketches[env.dst].add(env.payload)
 
     def state_size(self) -> int:
         return sum(len(c) for sk in self.sketches.values()
@@ -148,26 +150,15 @@ class _CellProgram(KmerIngestProgram):
 
 
 class Design2Program(_CellProgram):
-    """Every worker holds a full replica; owners apply and forward cells."""
+    """Every worker holds a full replica; the ingesting worker sends each
+    chunk's cells to every replica, and a replica only merges them."""
 
-    def route(self, windows: list[tuple[str, int]]) -> dict[int, list]:
-        """Each window becomes its h cells, batched by the k-mer's owner."""
-        workers = self.plan.workers
-        batches: dict[int, list] = {}
-        for kmer, off in windows:
-            batches.setdefault(hash_owner(workers, kmer), []).extend(
-                (i, j, off) for i, j in enumerate(self.params.columns(kmer)))
-        return batches
-
-    def on_deliver(self, sim: Simulation, env: Envelope) -> None:
-        super().on_deliver(sim, env)
-        kind, cells = env.payload
-        if kind == "ingest":
-            # The owner forwards the same cells to every other replica.
-            for wid in sorted(self.sketches):
-                if wid != env.dst:
-                    sim.send(env.dst, wid, ("replicate", cells),
-                             token_id=env.token_id)
+    def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
+        """One chunk's h cells per window, as one tuple that every replica
+        gets and ``delta`` returns as is (``tuple`` of a tuple is itself)."""
+        cells = tuple((i, j, off) for kmer, off in windows
+                      for i, j in enumerate(self.params.columns(kmer)))
+        return dict.fromkeys(self.plan.workers, cells)
 
 
 @dataclass

@@ -68,9 +68,6 @@ class PartitionPlan:
                                     len(self.workers) - 1)]
         raise ValueError("round_robin placement is not a function of the key")
 
-    def owner_of_arrival(self, index: int) -> int:
-        return self.workers[index % len(self.workers)]
-
 
 @dataclass
 class GlobalTable:
@@ -87,6 +84,7 @@ class GlobalTable:
     plan: PartitionPlan
     shards: dict = field(default_factory=dict)
     _arrivals: int = 0
+    _displaced: bool = False  # a plan switch left a row off its owner
 
     def __post_init__(self):
         if self.crdt_kind is not GSet:
@@ -94,20 +92,14 @@ class GlobalTable:
         for wid in self.plan.workers:
             self.shards.setdefault(wid, GSet.bottom())
 
-    def key_column(self) -> str:
-        return self.plan.column if self.plan.column else self.schema[0]
-
-    def owner_of_row(self, row: tuple) -> int:
-        if self.plan.keyed:
-            idx = self.schema.index(self.plan.column)
-            return self.plan.owner_of_key(row[idx])
-        wid = self.plan.owner_of_arrival(self._arrivals)
-        self._arrivals += 1
-        return wid
-
     def insert(self, row: tuple) -> int:
         """Route a tuple to its owner shard; returns the owner worker id."""
-        wid = self.owner_of_row(row)
+        plan = self.plan
+        if plan.keyed:
+            wid = plan.owner_of_key(row[self.schema.index(plan.column)])
+        else:
+            wid = plan.workers[self._arrivals % len(plan.workers)]
+            self._arrivals += 1
         self.merge_shard(wid, GSet.of([row]))
         return wid
 
@@ -120,9 +112,6 @@ class GlobalTable:
         for wid in sorted(self.shards):
             out = lattice.merge(out, self.shards[wid])
         return out
-
-    def shard_sizes(self) -> dict:
-        return {wid: len(v) for wid, v in self.shards.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +128,13 @@ def plan_query(table: GlobalTable, group_by: str) -> QueryPlan:
 
     Grouping is coordination-free when the plan already partitions tuples on
     the grouping column (hash or range), or trivially when there is a single
-    worker: every group then lives wholly on one shard.
+    worker: every group then lives wholly on one shard.  Neither holds while
+    a plan switch has left rows where the plan would not put them.
     """
     if group_by not in table.schema:
         raise ValueError(f"unknown column {group_by!r} in table {table.name!r}")
-    free = len(table.plan.workers) == 1 or (
-        table.plan.keyed and table.plan.column == group_by
-    )
+    free = not table._displaced and (len(table.plan.workers) == 1 or (
+        table.plan.keyed and table.plan.column == group_by))
     return QueryPlan(coordination_free=free)
 
 
@@ -153,7 +142,7 @@ def detect_skew(table: GlobalTable, factor: float = 2.0) -> bool:
     """True when the largest shard exceeds ``factor`` times the mean size."""
     if factor <= 1:
         raise ValueError("skew factor must be > 1")
-    sizes = list(table.shard_sizes().values())
+    sizes = [len(shard) for shard in table.shards.values()]
     if not sizes or sum(sizes) == 0:
         return False
     return max(sizes) > factor * (sum(sizes) / len(sizes))
@@ -163,9 +152,17 @@ def switch_partitioning(table: GlobalTable, new: PartitionPlan) -> GlobalTable:
     """Swap the partition plan without moving any existing tuples.
 
     Only routing of future inserts and the coordination cost of grouped
-    queries change; the merged logical contents are untouched.
+    queries change; the merged logical contents are untouched.  If some
+    row now sits on a shard the new plan would not put it on, a keyed
+    ``lookup`` miss answers ``IDK`` and grouping is not coordination-free.
     """
-    return replace(table, plan=new, shards=dict(table.shards))
+    key = table.schema.index(new.column) if new.keyed else None
+    displaced = any(wid not in new.workers if key is None
+                    else new.owner_of_key(row[key]) != wid
+                    for wid, shard in table.shards.items()
+                    for row in shard.elems)
+    return replace(table, plan=new, shards=dict(table.shards),
+                   _displaced=displaced)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +199,10 @@ def lookup(table: GlobalTable, key, at_worker: int, net=None) -> Tristate:
 
     Returns ``Value(rows)`` when matching tuples are locally visible.  On a
     miss, ``DNE`` is only justified when the plan guarantees the key lives on
-    exactly one owner and that owner is reachable; otherwise the honest
-    answer is ``IDK``.
+    exactly one owner (no plan switch left a row elsewhere) and that owner
+    is reachable; otherwise the honest answer is ``IDK``.
     """
-    key_idx = table.schema.index(table.key_column())
+    key_idx = table.schema.index(table.plan.column or table.schema[0])
 
     def rows_at(wid):
         shard = table.shards.get(wid, GSet.bottom())
@@ -221,7 +218,7 @@ def lookup(table: GlobalTable, key, at_worker: int, net=None) -> Tristate:
     if not reachable:
         return IDK
     owned = rows_at(owner)
-    return Value(owned) if owned else DNE
+    return Value(owned) if owned else IDK if table._displaced else DNE
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ PINNED = {
     "impl_b_run": ("189d3afcca75ec65", "975093536b777464"),
     "table_kmer_run": ("e7c97ec6cb96ccfc", "34fe9c9879d96016"),
     "design1_run": ("882fb67acd21d0f8", "6b819185609a1cbc"),
-    "design2_run": ("bfcaa398d2349984", "77b1ac23712d32db"),
+    "design2_run": ("189d3afcca75ec65", "77b1ac23712d32db"),
 }
 
 

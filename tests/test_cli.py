@@ -71,6 +71,16 @@ def test_divergence_exits_3(corpus_file, monkeypatch):
     assert code == 3 and "error" in report
 
 
+def test_run_with_every_worker_failed_exits_3_at_once(corpus_file):
+    config = RunConfig(workload="kmer_a", input=corpus_file, workers=2,
+                       fail=[(2, 0), (2, 1)])
+    code, report = cli.run(config)
+    assert code == 3 and "no worker is alive" in report["error"]
+    # A later join takes the work left.
+    code, report = cli.run(replace(config, join=[5]))
+    assert code == 0 and report["match"]
+
+
 def test_dropped_windows_exit_1(corpus_file, monkeypatch):
     real = kmer.chunk_windows
 

@@ -434,23 +434,64 @@ def test_each_delta_is_built_once_and_delivered_as_sent(
     assert agrees_with_oracle(name, small_corpus, res)
     assert {"dup", "drop", "hold"} <= {ev[1] for ev in res.sim.events}
 
-    # One delta per ingest send; design 2's replicate sends forward the
-    # delta they received.
-    ingest = [p for p in sent if p[0] == "ingest"]
-    if name != "design2":
-        assert len(ingest) == sum(ev[1] == "send" for ev in res.sim.events)
-    assert len(built) == len(ingest)
-    assert all(p[1] is delta for p, (_pairs, delta) in zip(ingest, built))
+    # One delta per send, and the payload is that delta.
+    assert len(sent) == sum(ev[1] == "send" for ev in res.sim.events)
+    assert len(built) == len(sent)
+    assert all(p is delta for p, (_pairs, delta) in zip(sent, built))
     assert len(delivered) == sum(ev[1] == "deliver" for ev in res.sim.events)
     sent_ids = {id(p) for p in sent}
-    shipped = {id(delta) for _pairs, delta in built}
-    assert all(id(p) in sent_ids and id(p[1]) in shipped for p in delivered)
+    assert all(id(p) in sent_ids for p in delivered)
     # Merging a delivered delta never mutated it.
     assert all(delta == make_delta(res.program, pairs)
                for pairs, delta in built)
 
 
-@pytest.mark.parametrize("name", ["impl_a", "design2"])
+@pytest.mark.parametrize("name", RUNNERS)
+def test_delivery_never_sends(name, small_corpus, monkeypatch):
+    cls = PROGRAMS[name]
+    send, on_deliver = Simulation.send, cls.on_deliver
+    delivering = []
+
+    def spy_send(sim, *args, **kw):
+        assert not delivering, "on_deliver sent a message"
+        return send(sim, *args, **kw)
+
+    def spy_deliver(self, sim, env):
+        delivering.append(env)
+        on_deliver(self, sim, env)
+        delivering.pop()
+
+    monkeypatch.setattr(Simulation, "send", spy_send)
+    monkeypatch.setattr(cls, "on_deliver", spy_deliver)
+    res = faulty_run(name, small_corpus, 0)
+    assert agrees_with_oracle(name, small_corpus, res)
+    assert any(ev[1] == "deliver" for ev in res.sim.events)
+
+
+def test_design2_sends_each_chunk_once_to_every_replica(small_corpus,
+                                                        monkeypatch):
+    send = Simulation.send
+    sent: dict = {}
+
+    def spy_send(sim, src, dst, payload, token_id=None):
+        sent.setdefault(token_id, []).append((dst, payload))
+        return send(sim, src, dst, payload, token_id)
+
+    monkeypatch.setattr(Simulation, "send", spy_send)
+    for seed in range(3):
+        sent.clear()
+        res = faulty_run("design2", small_corpus, seed)
+        replicas = res.program.plan.workers
+        completed = [ev[4] for ev in res.sim.events if ev[1] == "complete"]
+        assert sum(ev[1] == "send" for ev in res.sim.events) == (
+            len(completed) * len(replicas))
+        assert sorted(sent) == sorted(completed)
+        for envelopes in sent.values():
+            assert [dst for dst, _ in envelopes] == list(replicas)
+            assert all(p is envelopes[0][1] for _, p in envelopes)
+
+
+@pytest.mark.parametrize("name", ["impl_a"])
 def test_direct_owner_agrees_with_the_plan(name, corpus_10k):
     res = faulty_run(name, corpus_10k, 1)
     prog = res.program

@@ -131,6 +131,36 @@ def test_unhealed_partition_raises_at_once():
     assert sim.now < runtime._TICK_CAP // 1000
 
 
+def test_run_with_no_live_worker_raises_at_once():
+    def kill_both(sim, program):
+        sim.fail_worker(0)
+        sim.fail_worker(1)
+
+    sim = Simulation()
+    with pytest.raises(DivergenceError, match="no worker is alive"):
+        run_to_quiescence(sim, GSetSink(["a"]), {1: [kill_both]})
+    assert sim.now == 1 and not sim.in_flight
+
+
+def test_held_envelopes_keep_their_message_when_no_worker_is_alive():
+    class SendThenDie(GSetSink):
+        def idle(self, sim):
+            return False
+
+    def cut(sim, program):
+        sim.set_partition([(0, 1)])
+
+    def kill_both(sim, program):
+        sim.fail_worker(0)
+        sim.fail_worker(1)
+
+    sim = Simulation()
+    with pytest.raises(DivergenceError, match=r"per cut link: 0->1: 2\)"):
+        run_to_quiescence(sim, SendThenDie(["a", "b"]),
+                          {1: [cut], 2: [kill_both]})
+    assert sim.now == 2
+
+
 def test_fresh_ids_unique():
     sim = Simulation()
     ids = [sim.fresh_id() for _ in range(2000)]

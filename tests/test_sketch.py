@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from calmsim import sketch
+from calmsim.hashing import hash64
 from calmsim.runtime import DeliverySchedule, NetworkCondition
 from calmsim.sketch import (CmsParams, SketchMatrix, choose_params,
                             corpus_stream, design1_run, design2_run,
@@ -43,6 +45,21 @@ def test_row_seeds_reproducible_and_distinct():
     assert row_seeds(8, 3) == row_seeds(8, 3)
     assert len(set(row_seeds(8, 3))) == 8
     assert row_seeds(4, 1) != row_seeds(4, 2)
+
+
+def test_columns_hash_each_row_seed_of_the_item(monkeypatch):
+    rng = random.Random(4)
+    items = ["".join(rng.choice("ACGTé") for _ in range(rng.randint(0, 12)))
+             for _ in range(200)]
+    for h, m in ((1, 7), (5, 272)):
+        p = params(h=h, m=m, seed=h)
+        for item in items:
+            assert p.columns(item) == [hash64(item, s) % m for s in p.seeds]
+    hashed = []
+    monkeypatch.setattr(sketch, "hash64",
+                        lambda data, seed: hashed.append(data) or 0)
+    params(h=4).columns("ACGT")
+    assert hashed == [b"ACGT"] * 4  # one encoding serves every row
 
 
 # -- matrix core ------------------------------------------------------------

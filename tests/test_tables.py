@@ -85,6 +85,66 @@ def test_post_switch_inserts_route_by_new_plan():
     assert t2.merged() == GSet.of(log)
 
 
+def test_switch_leaves_rows_off_their_new_owner():
+    t = kmer_table(workers=(0, 1), strategy="round_robin")
+    keys = ["ATAG", "CCCC", "GGGG", "TTTT"]
+    for i, key in enumerate(keys):
+        t.insert((key, i))
+    t2 = switch_partitioning(t, PartitionPlan("hash", (0, 1), column="seq"))
+    assert all(lookup(t2, key, wid) is not DNE
+               for key in keys for wid in (0, 1))
+    assert lookup(t2, "ACGT", 0) is IDK
+    assert not plan_query(t2, "seq").coordination_free
+
+
+def test_switch_to_the_same_plan_or_of_an_empty_table_keeps_answers():
+    t = kmer_table(workers=(0, 1))
+    for i, key in enumerate(["ATAG", "CCCC", "GGGG"]):
+        t.insert((key, i))
+    same = switch_partitioning(t, t.plan)
+    probes = [(key, wid) for key in ("ATAG", "CCCC", "GGGG", "TTTT", "ACGT")
+              for wid in (0, 1)]
+    assert [lookup(same, *p) for p in probes] == [
+        lookup(t, *p) for p in probes]
+    assert plan_query(same, "seq").coordination_free
+    empty = switch_partitioning(
+        kmer_table(workers=(0, 1), strategy="round_robin"),
+        PartitionPlan("hash", (0, 1), column="seq"))
+    empty.insert(("ATAG", 0))
+    assert lookup(empty, "TTTT", 0) is DNE
+    assert plan_query(empty, "seq").coordination_free
+
+
+def _random_plan(rng, keyed_only=False):
+    workers = tuple(sorted(rng.sample(range(4), rng.randint(1, 3))))
+    strategy = rng.choice(("hash", "range") if keyed_only
+                          else ("hash", "range", "round_robin"))
+    if strategy == "round_robin":
+        return PartitionPlan(strategy, workers)
+    cuts = tuple(sorted(rng.sample(["C", "G", "T"], len(workers) - 1)))
+    return PartitionPlan(strategy, workers, column="seq",
+                         boundaries=cuts if strategy == "range" else ())
+
+
+def test_no_held_key_reads_dne_after_random_switches():
+    rng = random.Random(8)
+    for _ in range(300):
+        t = GlobalTable("kmers", GSet, ("seq", "token"), _random_plan(rng))
+        for i in range(rng.randint(0, 12)):
+            t.insert(("".join(rng.choice("ACGT") for _ in range(2)), i))
+        for _ in range(rng.randint(1, 2)):
+            t = switch_partitioning(t, _random_plan(rng, keyed_only=True))
+        holders: dict = {}
+        for wid, shard in t.shards.items():
+            for key, _token in shard.elems:
+                holders.setdefault(key, set()).add(wid)
+        for key in holders:
+            for wid in t.shards:
+                assert lookup(t, key, wid) is not DNE
+        if plan_query(t, "seq").coordination_free:
+            assert all(len(wids) == 1 for wids in holders.values())
+
+
 # -- tri-state lookups ------------------------------------------------------
 
 
