@@ -75,8 +75,8 @@ class RunConfig:
         if self.k < 1 or self.workers < 1 or self.threshold < 1:
             raise ValueError("k, workers, and threshold must be >= 1")
         _schedule(self)  # raises ValueError on a bad delivery schedule
-        ticks = ([t for t, _wid in self.fail] + [t for t, _p in self.partition]
-                 + self.join)
+        cut_ticks = [t for t, _p in self.partition]
+        ticks = [t for t, _wid in self.fail] + cut_ticks + self.join
         if any(t < 1 for t in ticks):
             raise ValueError("fault ticks must be >= 1 (the run starts at 1)")
         failed = [wid for _tick, wid in self.fail]
@@ -84,6 +84,10 @@ class RunConfig:
             if failed.count(wid) > 1:
                 raise ValueError(
                     f"worker {wid} is listed to fail more than once")
+        for tick in cut_ticks:
+            if cut_ticks.count(tick) > 1:
+                raise ValueError(f"two --partition cuts at tick {tick}: list "
+                                 "every pair of that tick in one --partition")
 
     def echo(self) -> dict:
         out = asdict(self)

@@ -359,13 +359,10 @@ def threshold_rule_run(corpus, k: int, threshold: int,
     construction raises :class:`StratificationError`; deferring the merge to
     the next tick makes the program run.
 
-    Both rules read their source as a delta (see :class:`Rule`): ``admit``
-    is a morphism in ``arrivals`` and reads ``local`` only through the
-    guard ``len(local[kmer]) < threshold``, and ``local`` only grows, so a
-    blocked k-mer stays blocked.  ``arrivals`` and ``incoming`` are
+    Both rules read full tables.  ``arrivals`` and ``incoming`` are
     scratch tables: each holds one tick's ids and is emptied after it, so
-    the engine keeps no id outside ``local`` and an inject costs only its
-    batch.
+    each rule sees an id in the tick it arrives, the engine keeps no id
+    outside ``local`` and an inject costs only its batch.
     """
     if threshold < 1 or batch < 1:
         raise ValueError("threshold and batch must be >= 1")
@@ -376,7 +373,7 @@ def threshold_rule_run(corpus, k: int, threshold: int,
     def admit(tabs):
         local = tabs["local"]
         return LMap({kmer: ids
-                     for kmer, ids in tabs.delta["arrivals"].entries.items()
+                     for kmer, ids in tabs["arrivals"].entries.items()
                      if len(local.get(kmer, empty)) < threshold})
 
     engine = TickRuleEngine(
@@ -384,7 +381,7 @@ def threshold_rule_run(corpus, k: int, threshold: int,
                 "incoming": Scratch(LMap.bottom()), "local": LMap.bottom()},
         rules=[
             Rule("incoming", admit, sources=("arrivals", "local")),
-            Rule("local", lambda t: t.delta["incoming"], sources=("incoming",),
+            Rule("local", lambda t: t["incoming"], sources=("incoming",),
                  deferred=deferred),
         ],
     )

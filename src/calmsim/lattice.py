@@ -97,7 +97,7 @@ class LMap(LatticeValue):
         out.merge_in(other)
         return out
 
-    def merge_in(self, delta: "LMap", gained: dict | None = None) -> bool:
+    def merge_in(self, delta: "LMap") -> bool:
         """Merge ``delta`` into this map in place; True if the map changed.
 
         Touches only the delta's keys, so it costs O(delta) rather than the
@@ -105,8 +105,6 @@ class LMap(LatticeValue):
         ``merge(current, value)``, so a receiver-side guard such as
         :class:`ThresholdLSet`'s still reads this map's value.  The delta is
         never mutated, and the values stored from it are shared, not copied.
-        When ``gained`` is given, each key whose value changed is stored in
-        it with the delta's value for that key.
         """
         if type(delta) is not LMap:
             raise LatticeTypeError(
@@ -122,8 +120,6 @@ class LMap(LatticeValue):
                 continue
             entries[key] = new
             changed = True
-            if gained is not None:
-                gained[key] = value
         return changed
 
     def get(self, key, default=None):

@@ -18,6 +18,8 @@ visible to later rules in the same tick; deferred rules (``<+``) buffer
 their merge until the next tick.  An instantaneous cycle is a static
 stratification error.  Its tables are Bloom ``table`` collections, which
 persist, or ``scratch`` collections, which are emptied after every tick.
+Rules read full tables; a rule that should see only one tick's input reads
+a scratch.
 """
 
 from __future__ import annotations
@@ -392,23 +394,9 @@ class Rule:
     the static stratification check).  Deferred rules apply their output at
     the start of the next tick.
 
-    ``t[name]`` is the full table; ``t.delta[name]`` is what that table
-    gained since the rules last ran (on the first tick, its whole initial
-    value).  Reading deltas is semi-naive evaluation, and it is sound only
-    under this contract:
-
-    - A rule may read a table as a delta only if it is a morphism in that
-      table: its output on ``old ⊔ new`` equals its output on ``old``
-      merged with its output on ``new``.
-    - Any other table it reads must pass through an anti-monotone guard
-      over a table that only grows, such as ``len(local[k]) < T``: once an
-      element is blocked, it stays blocked.
-    - Otherwise it must read the full table.  A rule that reads only full
-      tables is re-evaluated in full on every tick and is always correct.
-
-    A scratch table (see :class:`Scratch`) starts every tick at bottom, so
-    a rule that reads it in full sees only this tick's content, which is
-    also its delta.
+    Rules read full tables and are correct for any expression.  To see
+    only new input, read a scratch table (see :class:`Scratch`): it starts
+    every tick at bottom, so it holds only what reached it this tick.
     """
 
     target: str
@@ -426,41 +414,19 @@ class Scratch:
     value: Any
 
 
-class _Tables(dict):
-    """The engine's tables by name, with ``delta``: what each table gained
-    since the rules last ran, and ``bottom``: each table's bottom maker.
-    A table that gained nothing has no delta entry and reads as bottom."""
-
-    def __init__(self, tables: Mapping[str, Any]):
-        super().__init__(tables)
-        self.bottom: dict[str, Callable] = {}
-        self.delta = _Gains(self)
-
-
-class _Gains(dict):
-    def __init__(self, tables: dict):
-        super().__init__()
-        self.tables = tables
-
-    def __missing__(self, name):
-        return self.tables.bottom[name]()
-
-
-def _merge_into(store: dict, name: str, value):
+def _merge_into(store: dict, name: str, value) -> bool:
     """Merge ``value`` into ``store[name]``, which the engine owns, and
-    return the gain (None if nothing changed).  An absent entry takes a copy
-    of a map; a present map merges in place; any other value is immutable
-    and merges purely.  ``value`` is never mutated."""
+    return whether it changed.  An absent entry takes a copy of a map; a
+    present map merges in place; any other value is immutable and merges
+    purely.  ``value`` is never mutated."""
     cur = store.get(name)
     if cur is None:
         store[name] = LMap(dict(value.entries)) if type(value) is LMap else value
-        return value
+        return True
     if type(cur) is LMap:
-        gained: dict = {}
-        cur.merge_in(value, gained)
-        return LMap(gained) if gained else None
+        return cur.merge_in(value)
     store[name] = lattice.merge(cur, value)
-    return None if store[name] == cur else value
+    return store[name] != cur
 
 
 _FIXPOINT_CAP = 10_000
@@ -471,31 +437,26 @@ class TickRuleEngine:
 
     The engine owns its tables: it copies the caller's values at
     construction, merges maps in place, and never mutates a caller's value
-    or an injected delta.  Each table's delta collects what the table
-    gains from injected input, applied ``<+`` output and same-tick ``<=``
-    output, and is cleared at the end of each tick.  Every table a rule or
-    an inject names must be declared in ``tables``; any other name raises
-    ``ValueError``.
+    or an injected one.  Every table a rule or an inject names must be
+    declared in ``tables``; any other name raises ``ValueError``.
 
     A plain value in ``tables`` declares a Bloom ``table``, which persists;
     ``Scratch(value)`` declares a ``scratch``, reset to bottom after every
     tick (Alvaro et al., CIDR 2011).  Only gains in persistent tables keep
-    ``run_to_fixpoint`` going, so a scratch refilled from a table on every
-    tick lets the run settle; pending ``<+`` output its target lacks, even
-    into a scratch, keeps it going.
+    ``run_to_fixpoint`` going, so a scratch refilled on every tick lets the
+    run settle; so does pending ``<+`` output that its table holds or that
+    repeats what this tick applied, as a ``<+`` into a scratch does.
     """
 
     def __init__(self, tables: dict, rules: Sequence[Rule]):
-        self.tables = _Tables({})
-        self._scratch: list[str] = []
+        self.tables: dict = {}
+        self._scratch: dict[str, Callable] = {}  # name -> bottom maker
         for name, value in tables.items():
             if type(value) is Scratch:
-                self._scratch.append(name)
                 value = value.value
-            self.tables.bottom[name] = (  # keeps a declared threshold
-                partial(ThresholdLSet.bottom, value.threshold)
-                if type(value) is ThresholdLSet else type(value).bottom)
-            # Tick 1 reads each table's whole initial value as its delta.
+                self._scratch[name] = (  # keeps a declared threshold
+                    partial(ThresholdLSet.bottom, value.threshold)
+                    if type(value) is ThresholdLSet else type(value).bottom)
             self._absorb(name, value)
         self.rules = list(rules)
         for rule in self.rules:
@@ -535,14 +496,10 @@ class TickRuleEngine:
             raise ValueError(f"undeclared table {name!r}")
 
     def _absorb(self, name: str, value) -> None:
-        """Merge ``value`` into table ``name`` and its real gain into the
-        table's delta; a gain in a persistent table keeps the fixpoint
-        running."""
-        gain = _merge_into(self.tables, name, value)
-        if gain is not None:
-            if name not in self._scratch:
-                self._gained = True
-            _merge_into(self.tables.delta, name, gain)
+        """Merge ``value`` into table ``name``; a gain in a persistent table
+        keeps the fixpoint running."""
+        if _merge_into(self.tables, name, value) and name not in self._scratch:
+            self._gained = True
 
     def _holds(self, name: str, value) -> bool:
         """True when merging ``value`` into table ``name`` would change
@@ -557,25 +514,26 @@ class TickRuleEngine:
     def tick(self) -> None:
         self.now += 1
         self._gained = False
-        pending, self._pending = self._pending, {}
-        for name in sorted(pending):
-            self._absorb(name, pending[name])
+        self._applied, self._pending = self._pending, {}
+        for name in sorted(self._applied):
+            self._absorb(name, self._applied[name])
         for rule in self._instant_order:
             self._absorb(rule.target, rule.expr(self.tables))
         for rule in self.rules:
             if rule.deferred:
                 _merge_into(self._pending, rule.target, rule.expr(self.tables))
-        self.tables.delta.clear()
-        for name in self._scratch:
-            self.tables[name] = self.tables.bottom[name]()
+        for name, bottom in self._scratch.items():
+            self.tables[name] = bottom()
 
     def run_to_fixpoint(self) -> dict:
         """Tick until a tick gives no persistent table a real gain and
-        leaves nothing pending that its table does not already hold."""
+        leaves nothing pending that would change the next tick: each
+        pending output is held by its table, or is what this tick applied
+        to it (as for a scratch), so the next tick replays this one."""
         for _ in range(_FIXPOINT_CAP):
             self.tick()
             if not self._gained and all(
-                    self._holds(name, value)
+                    self._holds(name, value) or value == self._applied.get(name)
                     for name, value in self._pending.items()):
                 return self.tables
         raise DivergenceError(

@@ -39,7 +39,8 @@ class PartitionPlan:
     strategy is one of ``hash`` / ``range`` (deterministic in the key
     column) or ``round_robin`` (depends only on arrival index).  Range
     boundaries are the upper-exclusive cut points between consecutive
-    workers, supplied by the caller.
+    workers, supplied by the caller: ``len(workers) - 1`` of them, strictly
+    increasing, so every worker owns a non-empty range.
     """
 
     strategy: str
@@ -54,6 +55,11 @@ class PartitionPlan:
             raise ValueError(f"{self.strategy} partitioning needs a key column")
         if not self.workers:
             raise ValueError("plan needs at least one worker")
+        cuts = list(self.boundaries)
+        if self.strategy == "range" and (len(cuts) != len(self.workers) - 1
+                                         or cuts != sorted(set(cuts))):
+            raise ValueError("a range plan needs len(workers) - 1 strictly "
+                             "increasing boundaries")
 
     @property
     def keyed(self) -> bool:
@@ -64,8 +70,7 @@ class PartitionPlan:
         if self.strategy == "hash":
             return hash_owner(self.workers, str(key))
         if self.strategy == "range":
-            return self.workers[min(bisect_right(self.boundaries, key),
-                                    len(self.workers) - 1)]
+            return self.workers[bisect_right(self.boundaries, key)]
         raise ValueError("round_robin placement is not a function of the key")
 
 

@@ -244,6 +244,20 @@ def test_worker_failed_twice_exits_2(corpus_file, capsys):
     assert "worker 1 is listed to fail more than once" in err
 
 
+def test_two_cuts_at_one_tick_exit_2(corpus_file, capsys):
+    # The second cut would replace the first, silently dropping its pair.
+    code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
+                     "--workers", "3", "--partition", "1:0-1",
+                     "--partition", "1:1-2", "--partition", "6:"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "two --partition cuts at tick 1" in err and not out
+    code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
+                     "--workers", "3", "--partition", "1:0-1,1-2",
+                     "--partition", "6:"])
+    assert code == 0
+
+
 def test_main_run_and_flag_parsing(corpus_file, capsys):
     code = cli.main([
         "run", "--workload", "kmer_table", "--input", corpus_file,

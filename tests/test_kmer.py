@@ -231,9 +231,10 @@ def test_deferred_merge_runs_and_matches_oracle():
         assert (c >= 3) == (true >= 3)
 
 
-def full_reevaluation_run(corpus, k, threshold, batch):
-    """``threshold_rule_run`` with both rules re-read from full tables on
-    every tick, as before the engine kept deltas."""
+def persistent_tables_run(corpus, k, threshold, batch):
+    """``threshold_rule_run`` with ``arrivals`` and ``incoming`` kept as
+    persistent tables, so both rules re-read every earlier arrival on every
+    tick."""
     data = kmer.normalize_corpus(corpus)
     windows = kmer.chunk_windows(data, Chunk(0, len(data), 0), k)
 
@@ -277,9 +278,9 @@ class EngineSpy:
 @given(lines=st.lists(st.text("ACGT", max_size=30), max_size=12),
        k=st.integers(1, 5), threshold=st.integers(1, 6),
        batch=st.integers(1, 20))
-def test_delta_rules_match_full_reevaluation(lines, k, threshold, batch):
+def test_scratch_tables_match_persistent_tables(lines, k, threshold, batch):
     corpus = "\n".join(lines) + "\n"
-    want, ticks = full_reevaluation_run(corpus, k, threshold, batch)
+    want, ticks = persistent_tables_run(corpus, k, threshold, batch)
     with pytest.MonkeyPatch.context() as mp:
         spy = EngineSpy(mp)
         got = kmer.threshold_rule_run(corpus, k, threshold, deferred=True,
@@ -290,34 +291,6 @@ def test_delta_rules_match_full_reevaluation(lines, k, threshold, batch):
     assert got.keys() == truth.keys()
     assert all(c <= truth[km] and min(c, threshold) == min(truth[km], threshold)
                for km, c in got.items())
-
-
-def test_admit_reads_each_arrival_once(monkeypatch):
-    corpus = "ACGTACGTAC\nTTTTTT\n" * 20 + "GATTACA\n"
-    read = []
-
-    class NoFullArrivals(dict):
-        def __init__(self, tabs):
-            super().__init__(tabs)
-            self.delta = tabs.delta
-
-        def __getitem__(self, name):
-            assert name != "arrivals", "admit read the whole arrivals table"
-            return super().__getitem__(name)
-
-    def wrap(rule):
-        if rule.target != "incoming":
-            return rule.expr
-
-        def expr(tabs):
-            read.append(sum(len(ids) for ids in
-                            tabs.delta["arrivals"].entries.values()))
-            return rule.expr(NoFullArrivals(tabs))
-        return expr
-
-    EngineSpy(monkeypatch, wrap)
-    kmer.threshold_rule_run(corpus, 3, 4, batch=5)
-    assert sum(read) == sum(kmer.oracle_count(corpus, 3).values())
 
 
 def test_engine_keeps_one_batch_of_arrivals(monkeypatch):

@@ -243,29 +243,6 @@ def test_rule_fixpoint():
     assert eng.now == 3
 
 
-def test_full_rule_reads_whole_tables_and_delta_rule_reads_gains():
-    seen = []
-
-    def copy_delta(t):
-        seen.append(t.delta["a"])
-        return t.delta["a"]
-
-    eng = TickRuleEngine(
-        tables={"a": LMap({"x": GSet.of([1])}), "full": LMap(),
-                "delta": LMap()},
-        rules=[Rule("full", lambda t: t["a"], sources=("a",), deferred=True),
-               Rule("delta", copy_delta, sources=("a",), deferred=True)])
-    eng.tick()
-    eng.inject("a", LMap({"x": GSet.of([1]), "y": GSet.of([2])}))
-    eng.tick()
-    eng.tick()
-    # Tick 1 reads the initial value; tick 2 only the key that changed (with
-    # the value merged in); tick 3 nothing.
-    assert seen == [LMap({"x": GSet.of([1])}), LMap({"y": GSet.of([2])}),
-                    LMap()]
-    assert eng.tables["full"] == eng.tables["delta"] == eng.tables["a"]
-
-
 def test_engine_never_mutates_caller_values():
     initial = LMap({"k": GSet.of([1])})
     injected = [LMap({"k": GSet.of([2]), "j": GSet.of([3])}),
@@ -273,9 +250,8 @@ def test_engine_never_mutates_caller_values():
     snapshots = [dict(v.entries) for v in (initial, *injected)]
     eng = TickRuleEngine(
         tables={"a": initial, "b": LMap()},
-        rules=[Rule("a", lambda t: t.delta["b"], sources=("b",),
-                    deferred=True),
-               Rule("b", lambda t: t.delta["a"], sources=("a",))])
+        rules=[Rule("a", lambda t: t["b"], sources=("b",), deferred=True),
+               Rule("b", lambda t: t["a"], sources=("a",))])
     for delta in injected:
         eng.inject("a", delta)
         eng.inject("b", delta)
@@ -308,8 +284,7 @@ def test_inject_into_undeclared_table_rejected():
 def test_noop_inject_does_not_keep_fixpoint_running():
     eng = TickRuleEngine(
         tables={"a": LMap({"k": GSet.of([1, 2])}), "b": LMap()},
-        rules=[Rule("b", lambda t: t.delta["a"], sources=("a",),
-                    deferred=True)])
+        rules=[Rule("b", lambda t: t["a"], sources=("a",), deferred=True)])
     eng.run_to_fixpoint()
     assert eng.tables["b"] == eng.tables["a"]
     now = eng.now
@@ -339,7 +314,7 @@ def test_injected_scratch_value_is_seen_for_one_tick():
     seen = []
 
     def read(t):
-        seen.append((t["s"], t.delta["s"]))
+        seen.append(t["s"])
         return t["s"]
 
     injected = LMap({"k": GSet.of([1])})
@@ -351,20 +326,28 @@ def test_injected_scratch_value_is_seen_for_one_tick():
     eng.tick()
     eng.inject("s", injected)  # a repeat is new again: s forgot it
     eng.tick()
-    assert seen == [(injected, injected), (LMap(), LMap()),
-                    (injected, injected)]
+    assert seen == [injected, LMap(), injected]
     assert injected == LMap({"k": GSet.of([1])})
 
 
 def test_scratch_fed_in_full_from_a_table_reaches_fixpoint():
-    eng = TickRuleEngine(
-        tables={"p": GSet.of([1, 2]), "s": Scratch(GSet.bottom()),
-                "q": GSet.bottom()},
-        rules=[Rule("s", lambda t: t["p"], sources=("p",)),
-               Rule("q", lambda t: t["s"], sources=("s",), deferred=True)])
-    tables = eng.run_to_fixpoint()
-    assert tables["q"] == GSet.of([1, 2])
-    assert eng.now == 3
+    for p, rules in [
+        (GSet.of([1, 2]),
+         [Rule("s", lambda t: t["p"], sources=("p",)),
+          Rule("q", lambda t: t["s"], sources=("s",), deferred=True)]),
+        # The reset empties s after every tick, so s never holds the
+        # pending s <+ p; it settles once that repeats what the tick
+        # applied to s.
+        (GSet.of([1]),
+         [Rule("s", lambda t: t["p"], sources=("p",), deferred=True),
+          Rule("q", lambda t: t["s"], sources=("s",))]),
+    ]:
+        eng = TickRuleEngine(
+            tables={"p": p, "s": Scratch(GSet.bottom()), "q": GSet.bottom()},
+            rules=rules)
+        tables = eng.run_to_fixpoint()
+        assert tables["q"] == p
+        assert eng.now == 3
 
 
 def test_undeclared_table_rejected_beside_scratch():
@@ -386,21 +369,6 @@ def test_instantaneous_cycle_through_scratch_is_stratification_error():
 
 
 # -- bottoms of threshold tables ---------------------------------------------
-
-
-def test_delta_of_an_unchanged_threshold_table_keeps_its_threshold():
-    # On tick 2, "a" gained nothing, so its delta reads as bottom; that
-    # bottom must carry threshold 3 to merge into "b".
-    eng = TickRuleEngine(
-        tables={"a": ThresholdLSet(frozenset({1}), 3),
-                "b": ThresholdLSet.bottom(3)},
-        rules=[Rule("b", lambda t: t.delta["a"], sources=("a",))])
-    eng.tick()
-    eng.tick()
-    assert eng.tables["b"] == ThresholdLSet(frozenset({1}), 3)
-    eng.inject("a", ThresholdLSet(frozenset({2}), 3))
-    eng.run_to_fixpoint()
-    assert eng.tables["b"] == ThresholdLSet(frozenset({1, 2}), 3)
 
 
 def test_threshold_scratch_resets_to_its_declared_threshold():

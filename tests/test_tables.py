@@ -41,6 +41,22 @@ def test_unknown_column_rejected():
         plan_query(kmer_table(), "nope")
 
 
+@pytest.mark.parametrize("boundaries", [(), ("G",), ("T", "C"), ("C", "C"),
+                                        ("C", "G", "T")])
+def test_range_plan_needs_one_increasing_cut_between_workers(boundaries):
+    # ("G",) over three workers never routes to the third; ("T", "C")
+    # routes nothing to the second.
+    with pytest.raises(ValueError, match="strictly increasing boundaries"):
+        kmer_table(workers=(0, 1, 2), strategy="range", boundaries=boundaries)
+
+
+def test_range_plan_routes_each_worker_its_range():
+    plan = kmer_table(workers=(4, 5, 6), strategy="range",
+                      boundaries=("C", "G")).plan
+    owners = {key: plan.owner_of_key(key) for key in ("A", "C", "G", "T")}
+    assert owners == {"A": 4, "C": 5, "G": 6, "T": 6}
+
+
 def test_detect_skew():
     t = kmer_table(workers=(0, 1, 2))
     for wid, n in zip((0, 1, 2), (100, 100, 100)):
