@@ -46,10 +46,13 @@ def extract_kmers(seq: str, k: int) -> list[tuple[str, int]]:
 
 
 def oracle_count(corpus: str, k: int) -> dict[str, int]:
-    """Exact histogram by sequential scan, one sequence per line."""
+    """Exact histogram by sequential scan, one sequence per line.
+
+    Only a newline ends a line, and a line shorter than k holds no window,
+    so it is not checked: the corpora ``chunk_windows`` accepts."""
     counts: dict[str, int] = {}
-    for line in corpus.splitlines():
-        if not line:
+    for line in corpus.split("\n"):
+        if len(line) < k:
             continue
         for kmer, _ in extract_kmers(line, k):
             counts[kmer] = counts.get(kmer, 0) + 1

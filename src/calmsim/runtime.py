@@ -19,11 +19,13 @@ their merge until the next tick.  An instantaneous cycle is a static
 stratification error.  Its tables are Bloom ``table`` collections, which
 persist, or ``scratch`` collections, which are emptied after every tick.
 Rules read full tables; a rule that should see only one tick's input reads
-a scratch.
+a scratch.  A run is at its fixpoint after a tick that gains no persistent
+table anything and leaves pending exactly the ``<+`` output it applied.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -80,15 +82,6 @@ class NetworkCondition:
         return a != b and frozenset((a, b)) in self._cut
 
 
-@dataclass
-class _Flight:
-    due: int
-    seq: int
-    env: Envelope
-    attempts: int
-    dropped: bool
-
-
 _BACKOFF_CAP = 32
 _TICK_CAP = 100_000
 
@@ -107,7 +100,8 @@ class Simulation:
         self.net = NetworkCondition()
         self.workers: dict[int, bool] = {}  # worker id -> alive
         self.events: list[tuple] = []
-        self.in_flight: list[_Flight] = []
+        # heapq of (due, seq, env, attempts, dropped); seq is unique
+        self.in_flight: list[tuple] = []
         self.held: list[Envelope] = []
         self._seq = 0
         self._issued_ids: set[int] = set()
@@ -192,22 +186,20 @@ class Simulation:
         due = self.now + 1 + backoff + self.rng.randint(0, self.schedule.reorder_window)
         dropped = self.rng.random() < self.schedule.drop_prob
         self._seq += 1
-        self.in_flight.append(_Flight(due, self._seq, env, attempts, dropped))
+        heapq.heappush(self.in_flight, (due, self._seq, env, attempts, dropped))
 
     def deliver_due(self) -> list[Envelope]:
-        ready = [f for f in self.in_flight if f.due <= self.now]
-        self.in_flight = [f for f in self.in_flight if f.due > self.now]
-        ready.sort(key=lambda f: (f.due, f.seq))
+        """Deliver every envelope due by now in ``(due, seq)`` order.  A
+        dropped one is re-sent with ``due > now``, so not in this call."""
         delivered = []
-        for f in ready:
-            if f.dropped:
-                self.log("drop", src=f.env.src, dst=f.env.dst,
-                         token_id=f.env.token_id, use_id=f.env.use_id)
-                self._enqueue(f.env, f.attempts + 1)
+        while self.in_flight and self.in_flight[0][0] <= self.now:
+            _, _, env, attempts, dropped = heapq.heappop(self.in_flight)
+            self.log("drop" if dropped else "deliver", src=env.src,
+                     dst=env.dst, token_id=env.token_id, use_id=env.use_id)
+            if dropped:
+                self._enqueue(env, attempts + 1)
             else:
-                self.log("deliver", src=f.env.src, dst=f.env.dst,
-                         token_id=f.env.token_id, use_id=f.env.use_id)
-                delivered.append(f.env)
+                delivered.append(env)
         return delivered
 
     # -- event log ----------------------------------------------------------
@@ -442,10 +434,10 @@ class TickRuleEngine:
 
     A plain value in ``tables`` declares a Bloom ``table``, which persists;
     ``Scratch(value)`` declares a ``scratch``, reset to bottom after every
-    tick (Alvaro et al., CIDR 2011).  Only gains in persistent tables keep
-    ``run_to_fixpoint`` going, so a scratch refilled on every tick lets the
-    run settle; so does pending ``<+`` output that its table holds or that
-    repeats what this tick applied, as a ``<+`` into a scratch does.
+    tick (Alvaro et al., CIDR 2011).  ``run_to_fixpoint`` stops after a
+    tick that gains no persistent table anything and whose pending ``<+``
+    output equals what it applied, so a scratch refilled on every tick, or
+    a ``<+`` that repeats its output, lets the run settle.
     """
 
     def __init__(self, tables: dict, rules: Sequence[Rule]):
@@ -501,16 +493,6 @@ class TickRuleEngine:
         if _merge_into(self.tables, name, value) and name not in self._scratch:
             self._gained = True
 
-    def _holds(self, name: str, value) -> bool:
-        """True when merging ``value`` into table ``name`` would change
-        nothing; costs O(value) for a map."""
-        table = self.tables[name]
-        if type(table) is LMap and type(value) is LMap:
-            held = table.entries
-            return all(k in held and lattice.merge(held[k], v) == held[k]
-                       for k, v in value.entries.items())
-        return lattice.merge(table, value) == table
-
     def tick(self) -> None:
         self.now += 1
         self._gained = False
@@ -526,15 +508,13 @@ class TickRuleEngine:
             self.tables[name] = bottom()
 
     def run_to_fixpoint(self) -> dict:
-        """Tick until a tick gives no persistent table a real gain and
-        leaves nothing pending that would change the next tick: each
-        pending output is held by its table, or is what this tick applied
-        to it (as for a scratch), so the next tick replays this one."""
+        """Tick until a tick gains no persistent table anything and leaves
+        pending exactly the ``<+`` output it applied.  The next tick then
+        starts from the same persistent tables, bottom scratches and the
+        same applied output, so it would replay this one."""
         for _ in range(_FIXPOINT_CAP):
             self.tick()
-            if not self._gained and all(
-                    self._holds(name, value) or value == self._applied.get(name)
-                    for name, value in self._pending.items()):
+            if not self._gained and self._pending == self._applied:
                 return self.tables
         raise DivergenceError(
             f"rules did not quiesce within {_FIXPOINT_CAP} ticks")

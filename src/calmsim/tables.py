@@ -40,7 +40,9 @@ class PartitionPlan:
     column) or ``round_robin`` (depends only on arrival index).  Range
     boundaries are the upper-exclusive cut points between consecutive
     workers, supplied by the caller: ``len(workers) - 1`` of them, strictly
-    increasing, so every worker owns a non-empty range.
+    increasing, so every worker owns a non-empty range.  A plan rejects a
+    field its strategy does not read: ``column`` is for hash and range
+    plans only, ``boundaries`` for range plans only.
     """
 
     strategy: str
@@ -53,6 +55,10 @@ class PartitionPlan:
             raise ValueError(f"unknown partition strategy {self.strategy!r}")
         if self.strategy in ("hash", "range") and self.column is None:
             raise ValueError(f"{self.strategy} partitioning needs a key column")
+        if self.strategy == "round_robin" and self.column is not None:
+            raise ValueError("round_robin partitioning takes no key column")
+        if self.strategy != "range" and self.boundaries:
+            raise ValueError(f"{self.strategy} partitioning takes no boundaries")
         if not self.workers:
             raise ValueError("plan needs at least one worker")
         cuts = list(self.boundaries)
@@ -80,7 +86,8 @@ class GlobalTable:
 
     Every shard is a G-Set of tuples, the only CRDT kind (``crdt_kind``) a
     table takes.  The logical table contents are the merge of all shards,
-    so re-delivered or re-ordered updates cannot corrupt the table.
+    so re-delivered or re-ordered updates cannot corrupt the table.  A
+    keyed plan's ``column`` must name a column of ``schema``.
     """
 
     name: str
@@ -94,6 +101,9 @@ class GlobalTable:
     def __post_init__(self):
         if self.crdt_kind is not GSet:
             raise TypeError("global tables hold G-Set shards only")
+        if self.plan.keyed and self.plan.column not in self.schema:
+            raise ValueError(f"partition column {self.plan.column!r} is not "
+                             f"in the schema {self.schema}")
         for wid in self.plan.workers:
             self.shards.setdefault(wid, GSet.bottom())
 
@@ -161,13 +171,14 @@ def switch_partitioning(table: GlobalTable, new: PartitionPlan) -> GlobalTable:
     row now sits on a shard the new plan would not put it on, a keyed
     ``lookup`` miss answers ``IDK`` and grouping is not coordination-free.
     """
+    # replace runs GlobalTable's checks: a column not in the schema raises
+    switched = replace(table, plan=new, shards=dict(table.shards))
     key = table.schema.index(new.column) if new.keyed else None
-    displaced = any(wid not in new.workers if key is None
-                    else new.owner_of_key(row[key]) != wid
-                    for wid, shard in table.shards.items()
-                    for row in shard.elems)
-    return replace(table, plan=new, shards=dict(table.shards),
-                   _displaced=displaced)
+    switched._displaced = any(wid not in new.workers if key is None
+                              else new.owner_of_key(row[key]) != wid
+                              for wid, shard in table.shards.items()
+                              for row in shard.elems)
+    return switched
 
 
 # ---------------------------------------------------------------------------

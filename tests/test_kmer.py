@@ -110,6 +110,19 @@ def test_chunk_windows_skips_invalid_bytes_on_short_lines():
         kmer.chunk_windows(data, Chunk(0, len(data), 0), 4)
 
 
+@pytest.mark.parametrize("corpus", ["ACGT\r\nACGT\r\n", "AN\nACGT\n",
+                                    "ACGT\x0bACGT\n", "ACGT\x1cACGT"])
+def test_oracle_and_runner_accept_the_same_corpora(corpus):
+    answers = []
+    for count in (lambda: kmer.oracle_count(corpus, 4),
+                  lambda: kmer.impl_a_run(corpus, 4, 2).histogram):
+        try:
+            answers.append(count())
+        except ValueError:
+            answers.append(ValueError)
+    assert answers[0] == answers[1]
+
+
 # -- implementation A -------------------------------------------------------
 
 

@@ -91,6 +91,27 @@ def test_partition_holds_then_heals():
     assert not sim.held and len(sim.in_flight) == 2
 
 
+def test_deliver_due_orders_by_due_and_resends_a_drop_later():
+    sim = Simulation(DeliverySchedule(drop_prob=0.5))
+    # Scripted drop and duplicate draws: two per send, then the resend's
+    # drop draw.  Ids and delays still come from the seeded generator.
+    draws = iter([0.9, 0.9, 0.9, 0.9, 0.1, 0.9, 0.9])
+    sim.rng.random = lambda: next(draws)
+    sim.now = 4
+    late = sim.send(0, 1, "late")  # due 5
+    sim.now = 0
+    early = sim.send(0, 1, "early")  # due 1, a later seq
+    lost = sim.send(0, 1, "lost")  # due 1, dropped
+    sim.now = 5
+    assert sim.deliver_due() == [early, late]
+    assert [(ev[1], ev[4]) for ev in sim.events if ev[1] != "send"] == [
+        ("deliver", early.token_id), ("drop", lost.token_id),
+        ("deliver", late.token_id)]
+    assert [entry[2] for entry in sim.in_flight] == [lost]
+    sim.now = 8  # resent with a backoff of 2
+    assert sim.deliver_due() == [lost] and not sim.in_flight
+
+
 def test_empty_program_quiescent_at_tick_zero():
     sim = Simulation()
     run_to_quiescence(sim, Program())
@@ -234,13 +255,16 @@ def test_stratification_error_names_a_real_cycle():
 
 
 def test_rule_fixpoint():
-    eng = TickRuleEngine(
-        tables={"a": GSet.of([1, 2]), "b": GSet.bottom()},
-        rules=[Rule("b", lambda t: t["a"], sources=("a",), deferred=True)])
-    tables = eng.run_to_fixpoint()
-    assert tables["b"] == GSet.of([1, 2])
-    # Tick 1 gains nothing but leaves a pending output that b lacks.
-    assert eng.now == 3
+    # Tick 1 gains nothing but leaves pending an output it did not apply,
+    # even when b already holds it; the run stops once a tick repeats.
+    for b, ticks in [(GSet.bottom(), 3), (GSet.of([1, 2]), 2)]:
+        eng = TickRuleEngine(
+            tables={"a": GSet.of([1, 2]), "b": b},
+            rules=[Rule("b", lambda t: t["a"], sources=("a",),
+                        deferred=True)])
+        tables = eng.run_to_fixpoint()
+        assert tables["b"] == GSet.of([1, 2])
+        assert eng.now == ticks
 
 
 def test_engine_never_mutates_caller_values():

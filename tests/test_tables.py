@@ -50,6 +50,24 @@ def test_range_plan_needs_one_increasing_cut_between_workers(boundaries):
         kmer_table(workers=(0, 1, 2), strategy="range", boundaries=boundaries)
 
 
+@pytest.mark.parametrize("strategy, kw, message", [
+    ("round_robin", {"column": "seq"}, "takes no key column"),
+    ("round_robin", {"boundaries": ("C",)}, "takes no boundaries"),
+    ("hash", {"column": "seq", "boundaries": ("C",)}, "takes no boundaries"),
+])
+def test_plan_rejects_a_field_its_strategy_ignores(strategy, kw, message):
+    with pytest.raises(ValueError, match=message):
+        PartitionPlan(strategy, (0, 1), **kw)
+
+
+def test_keyed_plan_column_must_be_in_the_schema():
+    plan = PartitionPlan("hash", (0, 1), column="zzz")
+    with pytest.raises(ValueError, match="'zzz'"):
+        GlobalTable("t", GSet, ("a", "b"), plan)
+    with pytest.raises(ValueError, match="'zzz'"):
+        switch_partitioning(kmer_table(workers=(0, 1)), plan)
+
+
 def test_range_plan_routes_each_worker_its_range():
     plan = kmer_table(workers=(4, 5, 6), strategy="range",
                       boundaries=("C", "G")).plan
