@@ -1,5 +1,6 @@
-"""Pinned event-log and answer digests of the five simulated runners, and
-the pinned histogram digest of ``threshold_rule_run``.
+"""Pinned event-log and answer digests of the five simulated runners, the
+pinned owner placement of the k-mer runners, and the pinned histogram
+digest of ``threshold_rule_run``.
 
 One small corpus and one fault schedule (duplication, reordering, loss, a
 worker failure, a join and a partition that heals) fix every simulated
@@ -7,6 +8,11 @@ run; the tick-rule run reads a repeat-rich corpus of its own.  Only
 ``random.Random`` and blake2b feed the digests, but they were computed and
 checked on one CPython build only; a refactor that keeps behaviour keeps
 them.
+
+The event log cannot see which worker owns a k-mer: on this corpus every
+chunk has a window for every owner, so it sends to each owner in the same
+order whatever the owner function.  The placement digests (each owner
+shard's sorted k-mers) pin the owner function itself.
 """
 
 import hashlib
@@ -74,6 +80,28 @@ PINNED = {
 def test_event_log_and_answer_digests_are_pinned(runner):
     sim, answer = RUNS[runner]()
     assert (_digest(sim.event_lines()), _digest(repr(answer))) == PINNED[runner]
+
+
+PLACEMENT = {
+    "impl_a_run": "a239810143447c44",
+    "table_kmer_run": "a239810143447c44",
+}
+
+
+def _placement(program):
+    """Each owner shard's sorted k-mers: what the owner function decided."""
+    if isinstance(program, kmer.TableKmerProgram):
+        shards = {wid: {seq for seq, _token in shard.elems}
+                  for wid, shard in program.table.shards.items()}
+    else:
+        shards = {wid: shard.entries for wid, shard in program.shards.items()}
+    return [(wid, sorted(shards[wid])) for wid in sorted(shards)]
+
+
+@pytest.mark.parametrize("runner", sorted(PLACEMENT))
+def test_owner_placement_digests_are_pinned(runner):
+    res = getattr(kmer, runner)(CORPUS, 5, 3, **FAULTS)
+    assert _digest(repr(_placement(res.program))) == PLACEMENT[runner]
 
 
 def _repeat_rich_corpus(rng: random.Random) -> str:
