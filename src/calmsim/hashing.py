@@ -1,8 +1,9 @@
 """Stable seeded 64-bit hashing.
 
 Python's builtin ``hash`` is randomized per process, so anything that must
-be reproducible across runs (owner routing, chunk tokens, sketch rows) goes
-through these helpers instead.
+be reproducible across runs (chunk tokens, sketch rows) goes through these
+helpers instead.  Owner routing needs no seed and uses an unkeyed crc32
+(``tables.hash_owner``).
 """
 
 from __future__ import annotations

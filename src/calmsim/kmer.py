@@ -206,9 +206,9 @@ class KmerIngestProgram(Program):
 
 
 def _batch_lmap(pairs, value_of) -> LMap:
-    grouped: dict[str, set] = {}
+    grouped: dict[str, list] = {}
     for kmer, off in pairs:
-        grouped.setdefault(kmer, set()).add(off)
+        grouped.setdefault(kmer, []).append(off)
     return LMap({km: value_of(frozenset(ids)) for km, ids in grouped.items()})
 
 

@@ -33,6 +33,8 @@ class LatticeValue:
     from the merge.
     """
 
+    __slots__ = ()
+
     @classmethod
     def bottom(cls) -> "LatticeValue":
         raise NotImplementedError
@@ -129,7 +131,7 @@ class LMap(LatticeValue):
         return len(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdLSet(LatticeValue):
     """Grow-only set that stops absorbing once it holds ``threshold`` elements.
 
@@ -169,7 +171,7 @@ class ThresholdLSet(LatticeValue):
 # CRDT sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GSet(LatticeValue):
     """Grow-only set of opaque elements: insertion only, merge is union."""
 

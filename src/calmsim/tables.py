@@ -12,13 +12,13 @@ worker's aggregate is complete locally and no communication is needed
 from __future__ import annotations
 
 import re
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from . import lattice
 from .errors import DivergenceError
-from .hashing import hash64
 from .lattice import GSet
 from .runtime import _FIXPOINT_CAP, _components, _cyclic
 
@@ -28,8 +28,12 @@ from .runtime import _FIXPOINT_CAP, _components, _cyclic
 
 
 def hash_owner(workers: tuple, key: str) -> int:
-    """Where a hash plan over ``workers`` puts ``key``; hash routes use it."""
-    return workers[hash64(key) % len(workers)]
+    """Where a hash plan over ``workers`` puts ``key``; hash routes use it.
+
+    The hash is an unkeyed crc32 of the UTF-8 key: stable across processes
+    and runs, balanced, and for placement only, never for anything seeded.
+    """
+    return workers[zlib.crc32(key.encode()) % len(workers)]
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,13 @@ class GlobalTable:
         return wid
 
     def merge_shard(self, wid: int, delta: GSet) -> None:
+        """Merge ``delta`` into ``wid``'s shard as it stands.
+
+        The plan is not consulted.  Under a keyed plan the caller must merge
+        onto ``wid`` only rows that ``wid`` owns: a row on a non-owner shard
+        does not mark the table displaced, so ``lookup`` may answer a false
+        ``DNE`` and ``plan_query`` may call grouping coordination-free.
+        """
         cur = self.shards.get(wid, GSet.bottom())
         self.shards[wid] = lattice.merge(cur, delta)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -158,6 +159,23 @@ def test_threshold_bottom_identity():
 def test_threshold_mismatch_rejected():
     with pytest.raises(ThresholdMismatchError):
         merge(ThresholdLSet(frozenset(), 2), ThresholdLSet(frozenset(), 3))
+
+
+@pytest.mark.parametrize("make", [
+    GSet, lambda elems: ThresholdLSet(elems, 2)],
+    ids=["GSet", "ThresholdLSet"])
+def test_slotted_per_key_values_stay_values(make):
+    value = make(frozenset({1, 2}))
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.elems = frozenset()
+    twin = make(frozenset([2, 1]))
+    assert twin == value and twin is not value and hash(twin) == hash(value)
+
+
+def test_threshold_must_be_positive():
+    with pytest.raises(ValueError, match="positive"):
+        ThresholdLSet(frozenset({1}), threshold=0)
 
 
 def test_threshold_predicate_is_order_invariant():

@@ -10,7 +10,8 @@ from calmsim.runtime import NetworkCondition
 from calmsim.tables import (DNE, IDK, GlobalTable, PartitionPlan, Value,
                             detect_cycles, detect_skew, evaluate_stratified,
                             lookup, one_shot_eval, parse_rules, plan_query,
-                            rewrite_one_shot, switch_partitioning)
+                            hash_owner, rewrite_one_shot,
+                            switch_partitioning)
 
 
 def kmer_table(workers=(0, 1, 2, 3), strategy="hash", **kw):
@@ -73,6 +74,24 @@ def test_range_plan_routes_each_worker_its_range():
                       boundaries=("C", "G")).plan
     owners = {key: plan.owner_of_key(key) for key in ("A", "C", "G", "T")}
     assert owners == {"A": 4, "C": 5, "G": 6, "T": 6}
+
+
+@pytest.mark.parametrize("key, owner", [
+    ("ACGTACGTACGT", 3), ("AAAAAAAAAAAA", 2), ("TTTTTTTTTTTT", 0),
+    ("GATTACAGATTA", 2), ("CGCGC", 1), ("GGCAT", 0)])
+def test_hash_owner_known_answers(key, owner):
+    # crc32 of the UTF-8 key: the same owner in every process and release
+    assert hash_owner((0, 1, 2, 3), key) == owner
+    assert kmer_table().plan.owner_of_key(key) == owner
+
+
+def test_hash_owner_balances_uniform_windows():
+    rng = random.Random(2024)
+    seq = "".join(rng.choices("ACGT", k=120_011))
+    counts = [0] * 4
+    for i in range(len(seq) - 11):
+        counts[hash_owner((0, 1, 2, 3), seq[i:i + 12])] += 1
+    assert max(counts) / (sum(counts) / 4) <= 1.02
 
 
 def test_detect_skew():
