@@ -5,7 +5,10 @@ Each ``WORKLOADS`` record names the options a workload reads; any other
 option is a config error.  ``--seed`` drives only the delivery schedule; the
 same config and seed reproduce a byte-identical report and event log.  Exit
 codes: 0 when the result matches the built-in oracle, 1 on mismatch, 2 on
-config errors, 3 on divergence (no quiescence; see ``run_to_quiescence``).
+config errors, and for a :class:`CalmsimError` raised by the run, the code
+``EXIT_CODES`` gives its class: 3 on divergence (no quiescence; see
+``run_to_quiescence``), 4 when the program breaks a lattice or
+stratification contract.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import kmer, sketch
-from .errors import CalmsimError, DivergenceError, UnknownWorkerError
+from .errors import (CalmsimError, DivergenceError, LatticeLawError,
+                     LatticeTypeError, StratificationError,
+                     ThresholdMismatchError, UnknownWorkerError)
 from .runtime import DeliverySchedule
 from .tables import Value
 from .lattice import GSet, LMax, LWWSet, LWWTokenSet, Timestamp, TwoPSet
@@ -282,6 +287,17 @@ WORKLOADS = {
 }
 
 
+# The exit code of each error class a run may raise.
+EXIT_CODES = {
+    UnknownWorkerError: 2,      # a fault names a worker never registered
+    DivergenceError: 3,         # no quiescence or no fixed point
+    LatticeTypeError: 4,        # merge across lattice types
+    ThresholdMismatchError: 4,  # merge across thresholds
+    LatticeLawError: 4,         # a merge that is not ACI
+    StratificationError: 4,     # an instantaneous rule cycle
+}
+
+
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one workload; returns (exit_code, report)."""
     try:
@@ -291,10 +307,13 @@ def run(config: RunConfig) -> tuple[int, dict]:
     try:
         sim, result, match, coordination = WORKLOADS[config.workload].run(
             config)
-    except DivergenceError as exc:
-        return 3, {"error": str(exc), "config": config.echo()}
-    except (ValueError, OSError, UnknownWorkerError) as exc:
+    except (ValueError, OSError) as exc:
         return 2, {"error": str(exc)}
+    except CalmsimError as exc:
+        code = EXIT_CODES[type(exc)]
+        if code == 2:
+            return 2, {"error": str(exc)}
+        return code, {"error": str(exc), "config": config.echo()}
     report = {
         "config": config.echo(),
         "workload": config.workload,
@@ -326,7 +345,7 @@ def verify(config: RunConfig, seeds: list[int]) -> tuple[int, dict]:
     answers, matches, diverging = [], [], None
     for seed in seeds:
         code, report = run(replace(config, seed=seed))
-        if code in (2, 3):
+        if code > 1:
             return code, report
         matches.append(code == 0)
         answers.append(
@@ -387,14 +406,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print(f"calmsim: error: {exc}", file=sys.stderr)
         return 2
-    try:
-        if args.command == "run":
-            code, report = run(config)
-        else:
-            code, report = verify(config, seeds)
-    except CalmsimError as exc:
-        print(f"calmsim: error: {exc}", file=sys.stderr)
-        return 3
+    if args.command == "run":
+        code, report = run(config)
+    else:
+        code, report = verify(config, seeds)
     sys.stdout.write(report_json(report))
     return code
 

@@ -3,10 +3,13 @@
 Cells hold sets of instance token ids rather than integer counters, so
 inserts stay idempotent under at-least-once delivery: the estimate for an
 item is the minimum cardinality over its h addressed cells, and it can only
-over-count (never under-count).  Both designs hash a window once, where it
-is ingested, and ship its h ``(row, column, token)`` cells, which
+over-count (never under-count).  Both designs hash where a window is
+ingested and ship its h ``(row, column, token)`` cells, which
 :meth:`SketchMatrix.add` applies on delivery; a chunk's cells for one
-receiver are one tuple, which every redelivery reuses.
+receiver are one tuple, which every redelivery reuses.  A run hashes each
+distinct item once: its program memoizes an item's columns for ingestion
+and estimates alike, and the memo ends with the program.  The sequential
+reference, :func:`sequential_sketch`, is not memoized.
 
 - Design 1 partitions the m columns into contiguous slabs, one per worker;
   a query must gather its h cells from their owners and reduce by min, which
@@ -127,11 +130,25 @@ def sequential_sketch(stream: Iterable[tuple[str, int]],
 
 class _CellProgram(KmerIngestProgram):
     """Ingestion whose batches are ``(row, column, token)`` cells; every
-    owner applies what it receives to its own :class:`SketchMatrix`."""
+    owner applies what it receives to its own :class:`SketchMatrix`.
+
+    Every address lookup of the run, in ``route`` and in the result's
+    ``query``, goes through :meth:`columns`, so the run hashes each distinct
+    item once.  The memo belongs to this program alone: nothing is cached
+    on ``params``, which the sequential reference shares.
+    """
 
     def __init__(self, data, k, workers, params: CmsParams):
         super().__init__(data, k, workers)
         self.params = params
+        self._columns: dict[str, tuple] = {}
+
+    def columns(self, item: str) -> tuple:
+        """``params.columns(item)`` as a tuple, hashed on first use."""
+        cols = self._columns.get(item)
+        if cols is None:
+            cols = self._columns[item] = tuple(self.params.columns(item))
+        return cols
 
     def init_state(self) -> None:
         self.sketches = {wid: SketchMatrix(self.params)
@@ -157,7 +174,7 @@ class Design2Program(_CellProgram):
         """One chunk's h cells per window, as one tuple that every replica
         gets and ``delta`` returns as is (``tuple`` of a tuple is itself)."""
         cells = tuple((i, j, off) for kmer, off in windows
-                      for i, j in enumerate(self.params.columns(kmer)))
+                      for i, j in enumerate(self.columns(kmer)))
         return dict.fromkeys(self.plan.workers, cells)
 
 
@@ -170,7 +187,9 @@ class Design2Result:
         return self.program.sketches[min(self.program.sketches)]
 
     def query(self, item: str) -> int:
-        return self.sketch().query(item)
+        cells = self.sketch().cells
+        return min(len(cells[i][j])
+                   for i, j in enumerate(self.program.columns(item)))
 
     def converged(self) -> bool:
         first = self.sketch()
@@ -214,7 +233,7 @@ class Design1Program(_CellProgram):
         owners = self.column_owners
         batches: dict[int, list] = {}
         for kmer, off in windows:
-            for i, j in enumerate(self.params.columns(kmer)):
+            for i, j in enumerate(self.columns(kmer)):
                 batches.setdefault(owners[j], []).append((i, j, off))
         return batches
 
@@ -233,7 +252,7 @@ class Design1Result:
         """
         prog = self.program
         sizes = []
-        for i, j in enumerate(prog.params.columns(item)):
+        for i, j in enumerate(prog.columns(item)):
             owner = prog.column_owners[j]
             if self.sim.net.partitioned(at_worker, owner):
                 return IDK

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from calmsim import cli, kmer
+from calmsim import cli, errors, kmer
 from calmsim.cli import RunConfig
 
 from conftest import SRC, run_python
@@ -69,6 +69,42 @@ def test_divergence_exits_3(corpus_file, monkeypatch):
     monkeypatch.setattr(kmer, "impl_a_run", stuck_run)
     code, report = cli.run(RunConfig(workload="kmer_a", input=corpus_file))
     assert code == 3 and "error" in report
+
+
+RUN_ERRORS = [
+    (errors.UnknownWorkerError("worker 9 was never registered"), 2),
+    (errors.DivergenceError("tick cap exceeded"), 3),
+    (errors.LatticeTypeError("cannot merge GSet with LMax"), 4),
+    (errors.ThresholdMismatchError("threshold mismatch: 3 != 1"), 4),
+    (errors.LatticeLawError("merge is not idempotent"), 4),
+    (errors.StratificationError(["a", "b", "a"]), 4),
+]
+
+
+def test_run_errors_cover_every_calmsim_error():
+    classes, todo = set(), [errors.CalmsimError]
+    while todo:
+        sub = todo.pop().__subclasses__()
+        classes.update(sub)
+        todo += sub
+    assert {type(e) for e, _code in RUN_ERRORS} == classes == set(
+        cli.EXIT_CODES)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("error, code", RUN_ERRORS,
+                         ids=[type(e).__name__ for e, _code in RUN_ERRORS])
+def test_run_error_exits_with_its_code(corpus_file, monkeypatch, capsys,
+                                       command, error, code):
+    def failing_run(*a, **kw):
+        raise error
+
+    monkeypatch.setattr(kmer, "impl_a_run", failing_run)
+    argv = [command, "--workload", "kmer_a", "--input", corpus_file]
+    if command == "verify":
+        argv += ["--seeds", "1,2"]
+    assert cli.main(argv) == code
+    assert json.loads(capsys.readouterr().out)["error"] == str(error)
 
 
 def test_run_with_every_worker_failed_exits_3_at_once(corpus_file):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calmsim import sketch
 from calmsim.hashing import hash64
@@ -169,9 +170,12 @@ def test_designs_match_sequential_under_faults(cms_corpus):
         assert all(d1.estimate(item) == ref.query(item) for item in items)
 
 
-def test_design2_hashes_each_window_once(cms_corpus, monkeypatch):
-    # The ingesting worker hashes each window into cells; owners and
-    # replicas only apply cells, even when deliveries repeat.
+FAULTS = dict(schedule=DeliverySchedule(seed=4, duplicate_prob=0.3),
+              failures=[(6, 1)], joins=[8])
+
+
+def counted_columns(monkeypatch) -> list:
+    """Patch ``CmsParams.columns`` to record every item it hashes."""
     calls = []
     columns = CmsParams.columns
 
@@ -180,12 +184,72 @@ def test_design2_hashes_each_window_once(cms_corpus, monkeypatch):
         return columns(self, item)
 
     monkeypatch.setattr(CmsParams, "columns", counted)
-    res = design2_run(cms_corpus, 6, params(), workers=3,
-                      schedule=DeliverySchedule(seed=4, duplicate_prob=0.3),
-                      failures=[(6, 1)], joins=[8])
+    return calls
+
+
+def estimates(res, items) -> dict:
+    # Design 1 answers a Tristate from query and an int from estimate.
+    query = getattr(res, "estimate", res.query)
+    return {item: query(item) for item in items}
+
+
+@pytest.mark.parametrize("run", [design1_run, design2_run])
+def test_run_hashes_each_distinct_item_once(cms_corpus, run, monkeypatch):
+    # The ingesting worker hashes a window's item into cells, owners and
+    # replicas only apply cells even when deliveries repeat, and estimates
+    # reuse what ingestion hashed.
+    stream = corpus_stream(cms_corpus, 6)
+    items = sorted({km for km, _ in stream})
+    assert len(items) < len(stream)  # items repeat, so the memo is hit
+    calls = counted_columns(monkeypatch)
+    res = run(cms_corpus, 6, params(), workers=3, **FAULTS)
+    estimates(res, items)
     assert {ev[1] for ev in res.sim.events} >= {"dup", "fail"}
-    assert len(res.sim.workers) == 4 and res.converged()
-    assert len(calls) == len(corpus_stream(cms_corpus, 6))
+    assert len(res.sim.workers) == 4  # the join took effect
+    assert len(calls) == len(set(calls)) == len(items)
+
+
+@pytest.mark.parametrize("run", [design1_run, design2_run])
+def test_no_memo_outlives_a_run(cms_corpus, run, monkeypatch):
+    # A memo shared across runs would let a later run, or the sequential
+    # reference it is timed against, read columns hashed by an earlier one.
+    p = params()
+    fields_before, hash_before = dict(vars(p)), hash(p)
+    items = sorted({km for km, _ in corpus_stream(cms_corpus, 6)})
+    calls = counted_columns(monkeypatch)
+    per_run = []
+    for _ in range(2):
+        estimates(run(cms_corpus, 6, p, workers=3, **FAULTS), items)
+        per_run.append(len(calls))
+        calls.clear()
+    assert per_run[0] == per_run[1] == len(items)
+    assert vars(p) == fields_before and hash(p) == hash_before
+    assert p == CmsParams(**fields_before)
+
+
+# Lines tiled from at most three short motifs, so k-mers repeat often.
+motif_corpora = st.lists(
+    st.text("ACGT", min_size=2, max_size=6), min_size=1, max_size=3
+).flatmap(lambda motifs: st.lists(
+    st.lists(st.sampled_from(motifs), max_size=10).map("".join),
+    min_size=1, max_size=6)).map(lambda lines: "\n".join(lines) + "\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus=motif_corpora, workers=st.integers(1, 4),
+       schedule=st.builds(DeliverySchedule, seed=st.integers(0, 1 << 16),
+                          duplicate_prob=st.floats(0, 0.5),
+                          reorder_window=st.integers(0, 5),
+                          drop_prob=st.floats(0, 0.3)))
+def test_designs_match_sequential_on_repeat_rich_corpora(corpus, workers,
+                                                         schedule):
+    k, p = 4, params(h=3, m=16)
+    stream = corpus_stream(corpus, k)
+    ref = sequential_sketch(stream, p)
+    d1 = design1_run(corpus, k, p, workers, schedule=schedule)
+    d2 = design2_run(corpus, k, p, workers, schedule=schedule)
+    for item in {km for km, _ in stream}:
+        assert d1.estimate(item) == d2.query(item) == ref.query(item)
 
 
 def test_design1_sketches_partition_the_reference(cms_corpus):
