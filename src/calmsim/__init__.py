@@ -12,7 +12,7 @@ from .runtime import (DeliverySchedule, Envelope, NetworkCondition, Program,
                       Rule, Scratch, Simulation, TickRuleEngine,
                       run_to_quiescence)
 from .tables import (DNE, IDK, DataflowGraph, GlobalTable, PartitionPlan,
-                     QueryPlan, RuleSpec, Tristate, Value, detect_cycles,
+                     QueryPlan, Tristate, Value, compile_rules, detect_cycles,
                      detect_skew, evaluate_stratified, lookup, one_shot_eval,
                      parse_rules, plan_query, rewrite_one_shot,
                      switch_partitioning)

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
 
 from . import kmer, sketch
 from .errors import (CalmsimError, DivergenceError, LatticeLawError,
@@ -77,6 +78,9 @@ class RunConfig:
             raise ValueError(f"{self.workload} takes no {', '.join(unread)}")
         if "input" in reads and not self.input:
             raise ValueError("--input is required for this workload")
+        for path in map(Path, filter(None, (self.report, self.emit_events))):
+            if path.is_dir() or not path.parent.is_dir():
+                raise ValueError(f"cannot write output file {str(path)!r}")
         if self.k < 1 or self.workers < 1 or self.threshold < 1:
             raise ValueError("k, workers, and threshold must be >= 1")
         _schedule(self)  # raises ValueError on a bad delivery schedule

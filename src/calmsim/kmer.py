@@ -26,9 +26,10 @@ from typing import Mapping
 
 from .dispenser import Chunk, WorkPool
 from .lattice import GSet, LMap, ThresholdLSet
-from .runtime import (DeliverySchedule, Envelope, Program, Rule, Scratch,
-                      Simulation, TickRuleEngine, run_to_quiescence)
-from .tables import GlobalTable, PartitionPlan, hash_owner, plan_query
+from .runtime import (DeliverySchedule, Envelope, Program, Simulation,
+                      TickRuleEngine, run_to_quiescence)
+from .tables import (GlobalTable, PartitionPlan, compile_rules, hash_owner,
+                     plan_query)
 
 BASES = frozenset("ACGT")
 _NOT_BASE = re.compile(rb"[^ACGT]")
@@ -354,13 +355,13 @@ def table_kmer_run(corpus, k: int, workers: int,
 
 def threshold_rule_run(corpus, k: int, threshold: int,
                        deferred: bool = True, batch: int = 64) -> dict[str, int]:
-    """Threshold k-mer counting written as tick rules over plain lattices.
+    """Threshold k-mer counting written as Bloom rule text over lattice maps.
 
     Arrivals feed an ``incoming`` map guarded by the threshold read from
     ``local``; ``local`` absorbs ``incoming``.  With the local-merge rule
-    instantaneous the two rules feed each other within one tick and engine
-    construction raises :class:`StratificationError`; deferring the merge to
-    the next tick makes the program run.
+    instantaneous (``<=``) the two rules feed each other within one tick
+    and engine construction raises :class:`StratificationError`; deferring
+    the merge to the next tick (``<+``) makes the program run.
 
     Both rules read full tables.  ``arrivals`` and ``incoming`` are
     scratch tables: each holds one tick's ids and is emptied after it, so
@@ -370,24 +371,13 @@ def threshold_rule_run(corpus, k: int, threshold: int,
     if threshold < 1 or batch < 1:
         raise ValueError("threshold and batch must be >= 1")
     windows = corpus_stream(corpus, k)
-
-    empty = GSet.bottom()
-
-    def admit(tabs):
-        local = tabs["local"]
-        return LMap({kmer: ids
-                     for kmer, ids in tabs["arrivals"].entries.items()
-                     if len(local.get(kmer, empty)) < threshold})
-
-    engine = TickRuleEngine(
-        tables={"arrivals": Scratch(LMap.bottom()),
-                "incoming": Scratch(LMap.bottom()), "local": LMap.bottom()},
-        rules=[
-            Rule("incoming", admit, sources=("arrivals", "local")),
-            Rule("local", lambda t: t["incoming"], sources=("incoming",),
-                 deferred=deferred),
-        ],
-    )
+    engine = TickRuleEngine(*compile_rules(f"""
+        table local
+        scratch arrivals
+        scratch incoming
+        incoming <= arrivals below local {threshold}
+        local {"<+" if deferred else "<="} incoming
+    """))
     for i in range(0, len(windows), batch):
         chunk = windows[i:i + batch]
         engine.inject("arrivals", _batch_lmap(chunk, GSet))

@@ -17,8 +17,9 @@ modes: instantaneous rules (``<=``) apply within the current tick and are
 visible to later rules in the same tick; deferred rules (``<+``) buffer
 their merge until the next tick.  An instantaneous cycle is a static
 stratification error.  Its tables are Bloom ``table`` collections, which
-persist, or ``scratch`` collections, which are emptied after every tick.
-Rules read full tables; a rule that should see only one tick's input reads
+persist, or ``scratch`` collections, which are emptied after every tick;
+``tables.compile_rules`` builds both and the rules from rule text.  Rules
+read full tables; a rule that should see only one tick's input reads
 a scratch.  A run is at its fixpoint after a tick that gains no persistent
 table anything and leaves pending exactly the ``<+`` output it applied.
 """
@@ -304,6 +305,14 @@ def run_to_quiescence(sim: Simulation, program: Program,
 # Dependency graphs
 
 
+def _reads(rules: Iterable) -> dict:
+    """``{target: tables its rules read}``, in rule order."""
+    deps: dict = {}
+    for r in rules:
+        deps.setdefault(r.target, []).extend(r.sources)
+    return deps
+
+
 def _components(deps: Mapping[Any, Sequence]) -> list[tuple]:
     """Strongly connected components of ``{node: nodes it reads}``.
 
@@ -351,9 +360,14 @@ def _components(deps: Mapping[Any, Sequence]) -> list[tuple]:
     return out
 
 
-def _cyclic(comp: tuple, deps: Mapping[Any, Sequence]) -> bool:
-    """True when a component holds a cycle: two or more nodes, or a self-loop."""
-    return len(comp) > 1 or comp[0] in deps.get(comp[0], ())
+def _ordered(rules: Sequence) -> tuple[list, list[tuple]]:
+    """``rules`` sorted producers first, and the components of their
+    dependency map with two or more nodes or a node that reads itself."""
+    deps = _reads(rules)
+    comps = _components(deps)
+    rank = {n: i for i, n in enumerate(n for comp in comps for n in comp)}
+    return (sorted(rules, key=lambda r: rank[r.target]),
+            [c for c in comps if len(c) > 1 or c[0] in deps.get(c[0], ())])
 
 
 def _cycle_through(start, deps: Mapping[Any, Sequence]) -> tuple:
@@ -379,12 +393,12 @@ def _cycle_through(start, deps: Mapping[Any, Sequence]) -> tuple:
 
 @dataclass(frozen=True)
 class Rule:
-    """A merge rule over named lattice tables.
+    """A rule merging ``expr(tables)`` into table ``target``.
 
-    ``expr`` maps the engine's table mapping to a lattice value merged into
-    ``target``.  ``sources`` names the tables the expression reads (used for
-    the static stratification check).  Deferred rules apply their output at
-    the start of the next tick.
+    ``sources`` names the tables ``expr`` reads, the edges of the
+    dependency map (``_reads``).  Deferred rules apply their output at the
+    start of the next tick.  ``op`` names the operator of a rule parsed
+    from text (``tables._parse``); a hand-written ``expr`` has none.
 
     Rules read full tables and are correct for any expression.  To see
     only new input, read a scratch table (see :class:`Scratch`): it starts
@@ -395,6 +409,7 @@ class Rule:
     expr: Callable[[Mapping[str, Any]], Any]
     sources: tuple
     deferred: bool = False
+    op: str | None = None
 
 
 @dataclass(frozen=True)
@@ -466,17 +481,11 @@ class TickRuleEngine:
         one of the rules to the next tick breaks the cycle.
         """
         instant = [r for r in self.rules if not r.deferred]
-        targets = {r.target for r in instant}
-        deps: dict = {}
-        for r in instant:
-            deps.setdefault(r.target, []).extend(
-                s for s in r.sources if s in targets)
-        rank = {}
-        for i, comp in enumerate(_components(deps)):
-            if _cyclic(comp, deps):
-                raise StratificationError(_cycle_through(comp[0], deps))
-            rank[comp[0]] = i
-        return sorted(instant, key=lambda r: rank[r.target])
+        ordered, cycles = _ordered(instant)
+        if cycles:
+            raise StratificationError(
+                _cycle_through(cycles[0][0], _reads(instant)))
+        return ordered
 
     def inject(self, name: str, delta) -> None:
         """Merge external input into a table before the next tick runs."""

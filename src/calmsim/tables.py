@@ -1,6 +1,7 @@
 """Global tables over CRDTs, partition planning, tri-state lookups, and
-dataflow cycle analysis with the one-shot rewrite of self-recursive
-difference rules.
+rule text: one line parser behind ``parse_rules`` (set-valued dataflow
+graphs: cycle analysis, the one-shot rewrite of self-recursive difference
+rules, fixpoints) and ``compile_rules`` (``TickRuleEngine`` programs).
 
 A global table is a named collection of tuples whose logical contents are
 the merge of all per-worker shards.  The partition plan decides which worker
@@ -15,12 +16,14 @@ import re
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import partial, reduce
+from itertools import groupby
 from typing import Any, Mapping
 
 from . import lattice
 from .errors import DivergenceError
-from .lattice import GSet
-from .runtime import _FIXPOINT_CAP, _components, _cyclic
+from .lattice import GSet, LMap
+from .runtime import _FIXPOINT_CAP, Rule, Scratch, _ordered
 
 
 # ---------------------------------------------------------------------------
@@ -249,21 +252,7 @@ def lookup(table: GlobalTable, key, at_worker: int, net=None) -> Tristate:
 
 
 # ---------------------------------------------------------------------------
-# Dataflow graphs, cycle detection, one-shot rewrite
-
-
-@dataclass(frozen=True)
-class RuleSpec:
-    """One dataflow rule: target receives op(sources).
-
-    op is ``copy`` (one source), ``union`` (two sources), or ``difference``
-    (two sources, the second negated).  Several rules may share a target;
-    the target then receives the union of their results.
-    """
-
-    target: str
-    op: str
-    sources: tuple
+# Rule text: set-valued dataflow graphs and tick-rule programs
 
 
 @dataclass
@@ -273,59 +262,88 @@ class DataflowGraph:
     needs_stratification: list = field(default_factory=list)
 
     def nodes(self) -> set:
-        out = set()
-        for r in self.rules:
-            out.add(r.target)
-            out.update(r.sources)
-        return out
+        return {n for r in self.rules for n in (r.target, *r.sources)}
 
 
-def _reads(g: DataflowGraph) -> dict:
-    """``{target: nodes its rules read}``, in rule order."""
-    deps: dict = {}
-    for r in g.rules:
-        deps.setdefault(r.target, []).extend(r.sources)
-    return deps
+def _below(a: LMap, b: LMap, limit: int) -> LMap:
+    """The entries of ``a`` whose key has under ``limit`` elements in ``b``."""
+    return LMap({key: value for key, value in a.entries.items()
+                 if len(b.get(key, ())) < limit})
 
 
-_OPERATOR = re.compile(r"(?<!\S)(-|\+|minus)(?!\S)")
-_OPS = {"-": "difference", "minus": "difference", "+": "union"}
-_NAME = re.compile(r"\w+")
+#: Each binary operator over sets and over lattices.
+_SET_OPS = {"union": set.union, "difference": set.difference}
+_LATTICE_OPS = {"union": lattice.merge, "below": _below}
+_OPS = {"+": "union", "-": "difference", "minus": "difference",
+        "below": "below"}
+_LINE = re.compile(r"(table|scratch)\s+(\w+)|(\w+)\s*(<=|<\+)\s*(\w+)"
+                   r"(?:\s+(\+|-|minus|below)\s+(\w+))?(?:\s+([1-9]\d*))?")
 
 
-def parse_rules(text: str) -> DataflowGraph:
-    """Parse the one-rule-per-line text form.
+def _rule(target: str, op: str, sources: tuple, fn, deferred=False) -> Rule:
+    """A rule folding ``fn`` over its sources' values; a copy has no ``fn``."""
+    return Rule(target, lambda env: reduce(fn, [env[s] for s in sources]),
+                sources, deferred, op)
 
-    Grammar (see README): ``target <= a``, ``target <= a + b``,
-    ``target <= a - b`` (or ``a minus b``), with at most one operator per
-    line; write a wider union as several rules with the same target.
-    ``#`` starts a comment.  Raises ``ValueError`` naming the line for a
-    missing ``<=``, for ``<+`` (set-valued graphs have no ticks to defer
-    to; see ``runtime.Rule(deferred=True)``), for more than one operator,
-    and for a node name that is not a single word of letters, digits or
-    ``_``.
-    """
-    rules = []
+
+def _parse(text: str, lattices: bool) -> tuple[dict, list]:
+    """The declared tables and the rules of rule text, a line at a time;
+    ``lattices`` picks the forms and operators of ``compile_rules``."""
+    tables, rules = {}, []
+    ops = _LATTICE_OPS if lattices else _SET_OPS
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "<+" in line:
-            raise ValueError(f"line {lineno}: deferred rule (<+) in {raw!r}; "
-                             "set-valued graphs have no ticks")
-        target, arrow, rhs = line.partition("<=")
-        if not arrow:
-            raise ValueError(f"line {lineno}: missing <= in {raw!r}")
-        pieces = [p.strip() for p in _OPERATOR.split(rhs)]
-        if len(pieces) > 3:
-            raise ValueError(f"line {lineno}: more than one operator in {raw!r}")
-        target, names = target.strip(), pieces[0::2]
-        if not all(_NAME.fullmatch(n) for n in (target, *names)):
-            raise ValueError(f"line {lineno}: node names must be single "
-                             f"words in {raw!r}")
-        op = _OPS[pieces[1]] if len(pieces) == 3 else "copy"
-        rules.append(RuleSpec(target, op, tuple(names)))
-    return DataflowGraph(rules)
+        m = _LINE.fullmatch(line)
+        kind, name, target, arrow, a, symbol, b, limit = (
+            m.groups() if m else (None,) * 8)
+        op = _OPS.get(symbol, "copy")
+        if not m:
+            why = "not a declaration or a one-operator rule of single words"
+        elif not lattices and (kind or arrow == "<+"):
+            why = "a tick-rule form; set-valued graphs take no tables or <+"
+        elif symbol and op not in ops:
+            why = f"no {symbol!r} over {'lattices' if lattices else 'sets'}"
+        elif (op == "below") != (limit is not None):
+            why = "below, and only below, takes a positive integer limit"
+        elif name in tables:
+            why = f"{name!r} is declared twice"
+        elif kind:
+            tables[name] = Scratch(LMap()) if kind == "scratch" else LMap()
+            continue
+        else:
+            fn = partial(_below, limit=int(limit)) if limit else ops.get(op)
+            rules.append(_rule(target, op, (a, b) if b else (a,), fn,
+                               arrow == "<+"))
+            continue
+        raise ValueError(f"line {lineno}: {why} in {raw!r}")
+    return tables, rules
+
+
+def parse_rules(text: str) -> DataflowGraph:
+    """The set-valued dataflow graph of rule text: one ``target <= a``,
+    ``target <= a + b`` (union) or ``target <= a - b`` (difference; also
+    ``minus``) per line, ``#`` comments (README "Dataflow rule grammar").
+
+    Raises ``ValueError`` naming the line for any other line, such as the
+    tick-rule forms of ``compile_rules``: ``<+``, ``below`` and tables.
+    """
+    return DataflowGraph(_parse(text, lattices=False)[1])
+
+
+def compile_rules(text: str) -> tuple[dict, list]:
+    """The ``(tables, rules)`` of a tick-rule program over ``LMap`` tables,
+    for ``TickRuleEngine(*compile_rules(text))``.
+
+    Lines are ``table NAME`` (a persistent ``LMap``), ``scratch NAME``
+    (``Scratch(LMap())``), or a rule ``target <= ...`` or ``target <+ ...``
+    (deferred) over a copy, ``a + b`` (merge) or the guard ``a below b N``:
+    the entries of ``a`` whose key holds fewer than ``N`` elements in
+    ``b``.  Raises ``ValueError`` naming the line for any other line,
+    ``-`` (not monotone) and a name declared twice.
+    """
+    return _parse(text, lattices=True)
 
 
 def detect_cycles(g: DataflowGraph) -> list:
@@ -337,8 +355,7 @@ def detect_cycles(g: DataflowGraph) -> list:
     holding many cycles is reported once.  An empty result means the whole
     graph can be evaluated in a single pass.
     """
-    deps = _reads(g)
-    return [c for c in _components(deps) if _cyclic(c, deps)]
+    return _ordered(g.rules)[1]
 
 
 def rewrite_one_shot(g: DataflowGraph) -> DataflowGraph:
@@ -352,8 +369,7 @@ def rewrite_one_shot(g: DataflowGraph) -> DataflowGraph:
     ``needs_stratification``.
     """
     taken = g.nodes()
-    rules = []
-    rewrite_map = {}
+    rules, rewrite_map = [], {}
     for r in g.rules:
         if r.op == "difference" and r.sources[0] == r.target:
             pos = f"{r.target}_adds"
@@ -361,7 +377,8 @@ def rewrite_one_shot(g: DataflowGraph) -> DataflowGraph:
                 pos += "_"
             taken.add(pos)
             rewrite_map[r.target] = (pos, r.sources[1])
-            rules.append(RuleSpec(r.target, "difference", (pos, r.sources[1])))
+            rules.append(_rule(r.target, "difference", (pos, r.sources[1]),
+                               set.difference))
         else:
             rules.append(r)
     out = DataflowGraph(rules, rewrite_map=rewrite_map)
@@ -369,20 +386,9 @@ def rewrite_one_shot(g: DataflowGraph) -> DataflowGraph:
     return out
 
 
-def _eval_rule(rule: RuleSpec, env: Mapping[str, set]) -> set:
-    vals = [env.get(s, set()) for s in rule.sources]
-    if rule.op == "difference":
-        return vals[0] - vals[1]
-    out: set = set()
-    for v in vals:
-        out |= v
-    return out
-
-
 def _seed_env(g: DataflowGraph, inputs: Mapping[str, set]) -> dict:
     env = {n: set() for n in g.nodes()}
-    for name, v in inputs.items():
-        env[name] = set(v)
+    env.update((name, set(v)) for name, v in inputs.items())
     # A rewritten target's accumulated inserts start as the target's input.
     for target, (pos, _neg) in g.rewrite_map.items():
         if not env.get(pos):
@@ -390,24 +396,15 @@ def _seed_env(g: DataflowGraph, inputs: Mapping[str, set]) -> dict:
     return env
 
 
-def _strata(g: DataflowGraph) -> list:
-    """``(target, rules)`` pairs with producers before consumers."""
-    by_target: dict = {}
-    for r in g.rules:
-        by_target.setdefault(r.target, []).append(r)
-    return [(n, by_target[n]) for comp in _components(_reads(g))
-            for n in comp if n in by_target]
-
-
-def _pass(strata: list, env: dict) -> bool:
+def _pass(rules: list, env: dict) -> bool:
     """Evaluate every target once, in order; True when any node changed.
 
     A target's rules all read the same environment and their results are
     unioned.
     """
     changed = False
-    for target, rules in strata:
-        value = set().union(*(_eval_rule(r, env) for r in rules))
+    for target, group in groupby(rules, lambda r: r.target):
+        value = set().union(*(r.expr(env) for r in group))
         if value != env[target]:
             env[target] = value
             changed = True
@@ -418,7 +415,7 @@ def one_shot_eval(g: DataflowGraph, inputs: Mapping[str, set]) -> dict:
     """Single pass in dependency order, exact when ``detect_cycles(g)`` is
     empty."""
     env = _seed_env(g, inputs)
-    _pass(_strata(g), env)
+    _pass(_ordered(g.rules)[0], env)
     return env
 
 
@@ -426,8 +423,8 @@ def evaluate_stratified(g: DataflowGraph, inputs: Mapping[str, set]) -> dict:
     """Repeat the dependency-ordered pass until no node changes; raises
     ``DivergenceError`` after ``_FIXPOINT_CAP`` passes."""
     env = _seed_env(g, inputs)
-    strata = _strata(g)
+    rules = _ordered(g.rules)[0]
     for _ in range(_FIXPOINT_CAP):
-        if not _pass(strata, env):
+        if not _pass(rules, env):
             return env
     raise DivergenceError(f"no fixed point after {_FIXPOINT_CAP} passes")

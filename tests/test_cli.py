@@ -62,6 +62,23 @@ def test_unreadable_input_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("path", ["missing/out", "."],
+                         ids=["missing-dir", "is-a-dir"])
+@pytest.mark.parametrize("flag", ["--report", "--emit-events"])
+def test_unwritable_output_path_exits_2_before_the_run(
+        corpus_file, flag, path, tmp_path, capsys, monkeypatch):
+    def no_run(*a, **kw):
+        raise AssertionError("the workload ran")
+
+    monkeypatch.setattr(kmer, "impl_a_run", no_run)
+    code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
+                     flag, str(tmp_path / path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert "calmsim: error: cannot write output file " in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_divergence_exits_3(corpus_file, monkeypatch):
     def stuck_run(*a, **kw):
         raise cli.DivergenceError("tick cap exceeded")

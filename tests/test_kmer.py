@@ -223,8 +223,9 @@ def test_table_kmer_failure_recovery(small_corpus):
 
 
 def test_instantaneous_merge_is_stratification_error():
-    with pytest.raises(StratificationError):
+    with pytest.raises(StratificationError) as err:
         kmer.threshold_rule_run(THRESH_CORPUS, 4, 3, deferred=False)
+    assert err.value.cycle == ("incoming", "local", "incoming")
 
 
 @pytest.mark.parametrize("threshold, batch", [(0, 64), (3, 0), (3, -1)])

@@ -5,13 +5,13 @@ import pytest
 from conftest import run_python
 
 from calmsim.errors import DivergenceError
-from calmsim.lattice import GSet
-from calmsim.runtime import NetworkCondition
+from calmsim.lattice import GSet, LMap
+from calmsim.runtime import NetworkCondition, Scratch
 from calmsim.tables import (DNE, IDK, GlobalTable, PartitionPlan, Value,
-                            detect_cycles, detect_skew, evaluate_stratified,
-                            lookup, one_shot_eval, parse_rules, plan_query,
-                            hash_owner, rewrite_one_shot,
-                            switch_partitioning)
+                            compile_rules, detect_cycles, detect_skew,
+                            evaluate_stratified, lookup, one_shot_eval,
+                            parse_rules, plan_query, hash_owner,
+                            rewrite_one_shot, switch_partitioning)
 
 
 def kmer_table(workers=(0, 1, 2, 3), strategy="hash", **kw):
@@ -276,10 +276,52 @@ def test_detect_cycles_independent_of_hash_seed():
     "x <= a b",
     "x y <= a",
     "x <= -a",
+    "x <= a below b 3",  # a guard over lattices: compile_rules only
+    "table x",           # declarations: compile_rules only
 ])
 def test_parse_rules_rejects_unrepresentable_lines(bad):
     with pytest.raises(ValueError, match="^line 2: "):
         parse_rules(ONE_SHOT + bad)
+
+
+def test_compile_rules_builds_tables_and_rules():
+    tables, rules = compile_rules("table local  # persists\n"
+                                  "scratch arrivals\n\n"
+                                  "local <+ arrivals below local 2\n"
+                                  "local <= arrivals + arrivals\n"
+                                  "local<=arrivals\n")
+    assert tables == {"local": LMap(), "arrivals": Scratch(LMap())}
+    assert [(r.target, r.op, r.sources, r.deferred) for r in rules] == [
+        ("local", "below", ("arrivals", "local"), True),
+        ("local", "union", ("arrivals", "arrivals"), False),
+        ("local", "copy", ("arrivals",), False)]
+    arrivals = LMap({"x": GSet.of([1]), "y": GSet.of([2])})
+    env = {"arrivals": arrivals, "local": LMap({"x": GSet.of([7, 8])})}
+    assert rules[0].expr(env) == LMap({"y": GSet.of([2])})
+    assert rules[1].expr(env) == rules[2].expr(env) == arrivals
+
+
+PROGRAM = "table a\nscratch b\ntable c\n"
+
+
+@pytest.mark.parametrize("bad", [
+    "c <= a - b",        # a difference is not monotone
+    "c <= a minus b",
+    "c <= a below b",    # below needs a positive integer limit
+    "c <= a below b 0",
+    "c <= a below b -1",
+    "c <= a below b x",
+    "c <= a + b 3",      # and no other rule takes one
+    "table a",           # a name declared twice
+    "scratch a",
+    "table",             # a declaration names one table
+    "scratch",
+    "table a b",
+    "c <+ a <= b",       # one arrow
+])
+def test_compile_rules_rejects_bad_lines(bad):
+    with pytest.raises(ValueError, match="^line 4: "):
+        compile_rules(PROGRAM + bad)
 
 
 def test_rewrite_one_shot_removes_self_difference():
