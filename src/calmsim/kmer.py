@@ -210,7 +210,7 @@ def _batch_lmap(pairs, value_of) -> LMap:
     grouped: dict[str, list] = {}
     for kmer, off in pairs:
         grouped.setdefault(kmer, []).append(off)
-    return LMap({km: value_of(frozenset(ids)) for km, ids in grouped.items()})
+    return LMap({km: value_of(ids) for km, ids in grouped.items()})
 
 
 class ImplAProgram(KmerIngestProgram):
@@ -249,7 +249,7 @@ class ImplBProgram(ImplAProgram):
 
     def delta(self, pairs) -> LMap:
         return _batch_lmap(
-            pairs, lambda offs: ThresholdLSet(offs, self.threshold))
+            pairs, lambda offs: ThresholdLSet(frozenset(offs), self.threshold))
 
 
 class TableKmerProgram(KmerIngestProgram):

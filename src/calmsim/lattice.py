@@ -7,9 +7,10 @@ they return new values and never mutate their operands, so values are safe
 to copy between workers and to re-deliver arbitrarily often.
 
 The one in-place exception is :meth:`LMap.merge_in`, which merges a delta
-into the receiving map's own entries.  It is safe only on a map that its
-owner never sends or shares, such as a worker's local shard; every
-value that travels or is compared across workers uses the pure merge.
+into the receiving map's own entries, all or nothing.  It is safe only on
+a map that its owner never sends or shares, such as a worker's local
+shard; every value that travels or is compared across workers uses the
+pure merge.
 
 The one deliberate exception to the laws is :class:`ThresholdLSet`, whose
 merge stops growing once the receiving operand reaches its threshold.  That
@@ -19,7 +20,7 @@ order-invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping
 
@@ -103,26 +104,31 @@ class LMap(LatticeValue):
         """Merge ``delta`` into this map in place; True if the map changed.
 
         Touches only the delta's keys, so it costs O(delta) rather than the
-        O(state) copy of :meth:`merge`.  Each value merges as
-        ``merge(current, value)``, so a receiver-side guard such as
-        :class:`ThresholdLSet`'s still reads this map's value.  The delta is
-        never mutated, and the values stored from it are shared, not copied.
+        O(state) copy of :meth:`merge`.  New keys are adopted in bulk, in
+        delta order; a shared key merges as ``merge(current, value)``, so a
+        receiver-side guard such as :class:`ThresholdLSet`'s still reads this
+        map's value, and keeps its stored object if that changes nothing.
+        Every merge runs before the map is touched, so one that raises
+        leaves the map as it was.  The delta is never mutated, and the
+        values stored from it are shared, not copied.
         """
         if type(delta) is not LMap:
             raise LatticeTypeError(
                 f"cannot merge {type(delta).__name__} into LMap")
         entries = self.entries
+        kept = {}  # each shared key's merged value
         changed = False
-        for key, value in delta.entries.items():
-            cur = entries.get(key)
-            if cur is value:  # a redelivered value; merge is idempotent
-                continue
-            new = value if cur is None else merge(cur, value)
-            if cur is not None and new == cur:
-                continue
-            entries[key] = new
-            changed = True
-        return changed
+        for key in entries.keys() & delta.entries.keys():
+            cur, value = entries[key], delta.entries[key]
+            if cur is not value:  # merge is idempotent: skip a redelivery
+                new = merge(cur, value)
+                if new != cur:
+                    cur, changed = new, True
+            kept[key] = cur
+        size = len(entries)
+        entries.update(delta.entries)
+        entries.update(kept)
+        return changed or len(entries) > size
 
     def get(self, key, default=None):
         return self.entries.get(key, default)
@@ -171,11 +177,14 @@ class ThresholdLSet(LatticeValue):
 # CRDT sets
 
 
-@dataclass(frozen=True, slots=True)
-class GSet(LatticeValue):
-    """Grow-only set of opaque elements: insertion only, merge is union."""
+class GSet(frozenset, LatticeValue):
+    """Grow-only set of opaque elements: insertion only, merge is union.
 
-    elems: frozenset = frozenset()
+    A ``frozenset`` subclass built in one allocation from any iterable.  It
+    equals a frozenset of the same elements; :func:`merge` rejects mixing.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def bottom(cls) -> "GSet":
@@ -183,19 +192,20 @@ class GSet(LatticeValue):
 
     @classmethod
     def of(cls, elems: Iterable) -> "GSet":
-        return cls(frozenset(elems))
+        return cls(elems)
+
+    @property
+    def elems(self) -> frozenset:
+        return self
 
     def add(self, elem) -> "GSet":
-        return GSet(self.elems | {elem})
+        return GSet(self | {elem})
 
     def merge(self, other: "GSet") -> "GSet":
-        return GSet(self.elems | other.elems)
+        return GSet(self | other)
 
-    def __contains__(self, elem) -> bool:
-        return elem in self.elems
-
-    def __len__(self) -> int:
-        return len(self.elems)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 @dataclass(frozen=True, order=True)

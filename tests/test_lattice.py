@@ -32,6 +32,23 @@ def test_merge_rejects_mixed_types():
         merge(GSet.of([1]), ThresholdLSet(frozenset([1]), 3))
 
 
+def test_gset_builds_and_returns_gsets():
+    one = GSet.of([1])
+    for value in (one.merge(GSet([2])), one.add(2), GSet.of(iter([1, 2])),
+                  GSet.bottom()):
+        assert type(value) is GSet
+    made = [GSet([2, 1]), GSet(iter([1, 2])), GSet(frozenset([1, 2]))]
+    assert made[0] == made[1] == made[2]
+    assert len({hash(g) for g in made}) == 1
+    assert made[0].elems == {1, 2} and 1 in made[0] and len(made[0]) == 2
+    # Equal to a frozenset of the same elements, yet merge rejects mixing.
+    assert GSet([1]) == frozenset([1])
+    for other in (ThresholdLSet(frozenset([1]), 3), LMax(1), frozenset([1])):
+        for a, b in ((GSet([1]), other), (other, GSet([1]))):
+            with pytest.raises(LatticeTypeError):
+                merge(a, b)
+
+
 @pytest.mark.parametrize("kind", LAW_TYPES, ids=lambda t: t.__name__)
 def test_merge_idempotent_on_random_values(kind):
     rng = random.Random(hash(kind.__name__) & 0xFFFF)
@@ -266,6 +283,8 @@ def test_lmap_merge_in_equals_pure_merge(value_kind):
 
         assert state.merge_in(delta) == (expected != LMap(before))
         assert state == expected
+        assert list(state.entries) == (
+            list(before) + [k for k in delta.entries if k not in before])
         assert delta.entries == delta_before
         assert all(delta.entries[k] is v for k, v in delta_before.items())
         for key in before.keys() - delta.entries.keys():
@@ -282,6 +301,26 @@ def test_lmap_merge_in_keeps_threshold_guard():
     state = LMap({"k": full})
     assert not state.merge_in(LMap({"k": ThresholdLSet(frozenset("d"), 3)}))
     assert state.entries["k"] is full
+
+
+def _t3(elems, threshold=3):
+    return ThresholdLSet(frozenset(elems), threshold)
+
+
+@pytest.mark.parametrize("held, delta, error", [
+    ({"b": GSet("b"), "c": GSet("c")},
+     {"a": GSet("a"), "b": GSet("x"), "c": _t3("z")}, LatticeTypeError),
+    ({"b": _t3("b"), "c": _t3("c", 2)},
+     {"a": _t3("a"), "b": _t3("x"), "c": _t3("z")}, ThresholdMismatchError)],
+    ids=["LatticeTypeError", "ThresholdMismatchError"])
+def test_lmap_merge_in_is_all_or_nothing(held, delta, error):
+    # The delta's "a" is new and its "b" would change the map, but its "c"
+    # cannot merge: the map must keep its entries, objects and key order.
+    state = LMap(dict(held))
+    with pytest.raises(error):
+        state.merge_in(LMap(delta))
+    assert list(state.entries) == list(held)
+    assert all(state.entries[k] is v for k, v in held.items())
 
 
 def test_lmap_merge_in_rejects_other_types():
