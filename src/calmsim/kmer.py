@@ -3,8 +3,8 @@
 Three variants over the same chunk-ingestion pipeline:
 
 - ``impl_a_run``: each k-mer instance carries a unique identifier (its byte
-  offset in the input); owner shards map k-mer -> set of instance ids, so
-  the count is the set cardinality and re-delivery cannot double count.
+  offset in the input); an owner holds one set of (k-mer, id) pairs, so a
+  count is the k-mer's number of pairs and re-delivery cannot double count.
 - ``impl_b_run``: owner shards use :class:`ThresholdLSet`, which stops
   storing identifiers once a k-mer reaches the caller's threshold; counts
   are exact below the threshold and the predicate ``count >= threshold``
@@ -21,7 +21,9 @@ resent envelope reuses it.  All variants are verified against
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 from .dispenser import Chunk, WorkPool
@@ -213,33 +215,42 @@ def _batch_lmap(pairs, value_of) -> LMap:
     return LMap({km: value_of(ids) for km, ids in grouped.items()})
 
 
+def _owner_counts(shards) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for local in shards:
+        size = len(counts)
+        counts.update(local)
+        assert len(counts) == size + len(local), "k-mer key on two owner shards"
+    return counts
+
+
 class ImplAProgram(KmerIngestProgram):
-    """Owner shards: map from k-mer to grow-only set of instance ids."""
+    """Owner shards: one set of ``(k-mer, id)`` pairs each, grown by set union
+    so a re-delivery adds nothing; ``shards`` is its sorted k-mer map view."""
 
     def init_state(self) -> None:
-        self.shards = {wid: LMap.bottom() for wid in self.plan.workers}
+        self.rows = {wid: set() for wid in self.plan.workers}
 
-    def delta(self, pairs) -> LMap:
-        return _batch_lmap(pairs, GSet)
+    def delta(self, pairs) -> GSet:
+        return GSet(pairs)
 
-    def absorb(self, wid, delta: LMap) -> None:
-        self.shards[wid].merge_in(delta)
+    def absorb(self, wid, delta: GSet) -> None:
+        self.rows[wid].update(delta)
+
+    @property
+    def shards(self) -> dict[int, LMap]:
+        return {w: _batch_lmap(sorted(r), GSet) for w, r in self.rows.items()}
 
     def state_size(self) -> int:
-        return sum(len(v) for m in self.shards.values()
-                   for v in m.entries.values())
+        return sum(map(len, self.rows.values()))
 
     def histogram(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for wid in sorted(self.shards):
-            for kmer, ids in self.shards[wid].entries.items():
-                assert kmer not in counts, "k-mer key on two owner shards"
-                counts[kmer] = len(ids.elems)
-        return counts
+        return _owner_counts(Counter(map(itemgetter(0), self.rows[wid]))
+                             for wid in sorted(self.rows))
 
 
-class ImplBProgram(ImplAProgram):
-    """Like implementation A but identifier sets stop growing at a threshold."""
+class ImplBProgram(KmerIngestProgram):
+    """Owner shards: map from k-mer to a threshold-capped set of ids."""
 
     def __init__(self, data, k, workers, threshold: int):
         super().__init__(data, k, workers)
@@ -247,9 +258,22 @@ class ImplBProgram(ImplAProgram):
             raise ValueError("threshold must be >= 1")
         self.threshold = threshold
 
+    def init_state(self) -> None:
+        self.shards = {wid: LMap.bottom() for wid in self.plan.workers}
+
     def delta(self, pairs) -> LMap:
         return _batch_lmap(
             pairs, lambda offs: ThresholdLSet(frozenset(offs), self.threshold))
+
+    def absorb(self, wid, delta: LMap) -> None:
+        self.shards[wid].merge_in(delta)
+
+    def state_size(self) -> int:
+        return sum(self.histogram().values())
+
+    def histogram(self) -> dict[str, int]:
+        return _owner_counts({km: len(ids) for km, ids in m.entries.items()}
+                             for _, m in sorted(self.shards.items()))
 
 
 class TableKmerProgram(KmerIngestProgram):
@@ -272,16 +296,11 @@ class TableKmerProgram(KmerIngestProgram):
     def aggregate(self, sim: Simulation):
         """Per-worker GROUP BY counts, concatenated; no messages needed."""
         query = plan_query(self.table, "seq")
-        counts: dict[str, int] = {}
-        for wid in sorted(self.table.shards):
+        shards = sorted(self.table.shards.items())
+        for wid, _ in shards:
             sim.log("aggregate", dst=wid)
-            local: dict[str, int] = {}
-            for seq, _token in self.table.shards[wid].elems:
-                local[seq] = local.get(seq, 0) + 1
-            for kmer, n in local.items():
-                assert kmer not in counts, "k-mer key on two owner shards"
-                counts[kmer] = n
-        return counts, query
+        return _owner_counts(Counter(map(itemgetter(0), shard.elems))
+                             for _, shard in shards), query
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ induced partial order ``a leq b  iff  merge(a, b) == b``.  Merges are pure:
 they return new values and never mutate their operands, so values are safe
 to copy between workers and to re-deliver arbitrarily often.
 
-The one in-place exception is :meth:`LMap.merge_in`, which merges a delta
-into the receiving map's own entries, all or nothing.  It is safe only on
-a map that its owner never sends or shares, such as a worker's local
-shard; every value that travels or is compared across workers uses the
-pure merge.
+Owner state that its program never sends or shares may grow in place:
+:meth:`LMap.merge_in` merges a delta into a map's own entries, all or
+nothing, and programs keep mutable sets, such as the k-mer pair sets of
+implementation A and the ``SketchMatrix`` cells, that grow by set union.
+Every value that travels or is compared across workers is a pure value.
 
 The one deliberate exception to the laws is :class:`ThresholdLSet`, whose
 merge stops growing once the receiving operand reaches its threshold.  That

@@ -157,6 +157,38 @@ def test_impl_a_confluent_across_schedules(small_corpus):
     assert len(results) == 1
 
 
+def test_impl_a_shards_view_and_redelivery(small_corpus, monkeypatch):
+    absorb, delivered = kmer.ImplAProgram.absorb, []
+
+    def spy_absorb(self, wid, delta):
+        delivered.append((wid, delta))
+        absorb(self, wid, delta)
+
+    monkeypatch.setattr(kmer.ImplAProgram, "absorb", spy_absorb)
+    res = faulty_run("impl_a", small_corpus, 0)
+    assert {"dup", "drop", "fail"} <= {ev[1] for ev in res.sim.events}
+    prog, truth = res.program, kmer.oracle_count(small_corpus, 4)
+    shards = prog.shards
+    assert sorted(shards) == sorted(prog.rows)
+    for wid, rows in prog.rows.items():
+        offsets: dict = {}
+        for km, off in rows:
+            offsets.setdefault(km, set()).add(off)
+        assert list(shards[wid].entries) == sorted(offsets)
+        assert {km: ids.elems
+                for km, ids in shards[wid].entries.items()} == offsets
+    assert (prog.state_size() == sum(map(len, prog.rows.values()))
+            == sum(truth.values()))
+    with pytest.raises(AttributeError):
+        prog.shards = {}
+    # Absorbing a delivered delta again changes neither side.
+    wid, delta = delivered[len(delivered) // 2]
+    rows, pairs = set(prog.rows[wid]), frozenset(delta)
+    absorb(prog, wid, delta)
+    assert prog.rows[wid] == rows and delta == pairs
+    assert prog.histogram() == truth
+
+
 # -- implementation B -------------------------------------------------------
 
 
@@ -364,6 +396,16 @@ def agrees_with_oracle(name, corpus, res) -> bool:
     return all(res.estimate(km) == ref.query(km) for km in truth)
 
 
+@pytest.mark.parametrize("name", ["impl_a", "impl_b", "table_kmer"])
+def test_a_kmer_on_two_owner_shards_is_rejected(name, small_corpus):
+    res = faulty_run(name, small_corpus, 0)
+    prog = res.program
+    for wid in prog.plan.workers:
+        prog.absorb(wid, prog.delta([("ACGT", 10**6)]))
+    with pytest.raises(AssertionError, match="two owner shards"):
+        prog.aggregate(res.sim) if name == "table_kmer" else prog.histogram()
+
+
 @pytest.mark.parametrize("name", RUNNERS)
 def test_run_ends_on_its_last_active_tick(name, small_corpus):
     for seed in range(5):
@@ -379,7 +421,7 @@ def test_runs_never_rescan_state(name, small_corpus, monkeypatch):
     def rescan(program):
         raise AssertionError("state_size() called during the run")
 
-    for cls in (kmer.ImplAProgram, kmer.TableKmerProgram,
+    for cls in (kmer.ImplAProgram, kmer.ImplBProgram, kmer.TableKmerProgram,
                 sketch.Design1Program, sketch.Design2Program):
         monkeypatch.setattr(cls, "state_size", rescan)
     res = faulty_run(name, small_corpus, 0)
