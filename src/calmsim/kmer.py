@@ -225,8 +225,7 @@ def _owner_counts(shards) -> dict[str, int]:
 
 
 class ImplAProgram(KmerIngestProgram):
-    """Owner shards: one set of ``(k-mer, id)`` pairs each, grown by set union
-    so a re-delivery adds nothing; ``shards`` is its sorted k-mer map view."""
+    """Owners hold sets of ``(k-mer, id)`` pairs; ``shards`` is a k-mer view."""
 
     def init_state(self) -> None:
         self.rows = {wid: set() for wid in self.plan.workers}
@@ -269,7 +268,8 @@ class ImplBProgram(KmerIngestProgram):
         self.shards[wid].merge_in(delta)
 
     def state_size(self) -> int:
-        return sum(self.histogram().values())
+        return sum(len(v) for m in self.shards.values()
+                   for v in m.entries.values())
 
     def histogram(self) -> dict[str, int]:
         return _owner_counts({km: len(ids) for km, ids in m.entries.items()}
