@@ -3,7 +3,7 @@
 Python's builtin ``hash`` is randomized per process, so anything that must
 be reproducible across runs (chunk tokens, sketch rows) goes through these
 helpers instead.  Owner routing needs no seed and uses an unkeyed crc32
-(``tables.hash_owner``).
+(``tables.hash_owners``).
 """
 
 from __future__ import annotations

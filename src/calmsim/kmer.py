@@ -3,8 +3,10 @@
 Three variants over the same chunk-ingestion pipeline:
 
 - ``impl_a_run``: each k-mer instance carries a unique identifier (its byte
-  offset in the input); an owner holds one set of (k-mer, id) pairs, so a
-  count is the k-mer's number of pairs and re-delivery cannot double count.
+  offset in the input); an owner maps each id to its k-mer, so a count is
+  the k-mer's number of ids and re-delivery cannot double count.  Its
+  histogram lists k-mers owner by owner in delivery order, the same under
+  every hash seed; the key order of ``table_kmer_run``'s is unspecified.
 - ``impl_b_run``: owner shards use :class:`ThresholdLSet`, which stops
   storing identifiers once a k-mer reaches the caller's threshold; counts
   are exact below the threshold and the predicate ``count >= threshold``
@@ -30,7 +32,7 @@ from .dispenser import Chunk, WorkPool
 from .lattice import GSet, LMap, ThresholdLSet
 from .runtime import (DeliverySchedule, Envelope, Program, Simulation,
                       TickRuleEngine, run_to_quiescence)
-from .tables import (GlobalTable, PartitionPlan, compile_rules, hash_owner,
+from .tables import (GlobalTable, PartitionPlan, compile_rules, hash_owners,
                      plan_query)
 
 BASES = frozenset("ACGT")
@@ -158,11 +160,11 @@ class KmerIngestProgram(Program):
 
     def route(self, windows: list[tuple[str, int]]) -> dict[int, list]:
         """Group one chunk's windows into a batch per receiving worker."""
-        workers = self.plan.workers
-        batches: dict[int, list] = {}
-        for pair in windows:
-            batches.setdefault(hash_owner(workers, pair[0]), []).append(pair)
-        return batches
+        owners = hash_owners(self.plan.workers, map(itemgetter(0), windows))
+        batches = {wid: [] for wid in self.plan.workers}
+        for owner, pair in zip(owners, windows):
+            batches[owner].append(pair)
+        return {wid: batch for wid, batch in batches.items() if batch}
 
     def worker_step(self, sim: Simulation, wid: int) -> None:
         if not self.pool.assigned.get(wid):
@@ -225,26 +227,27 @@ def _owner_counts(shards) -> dict[str, int]:
 
 
 class ImplAProgram(KmerIngestProgram):
-    """Owners hold sets of ``(k-mer, id)`` pairs; ``shards`` is a k-mer view."""
+    """Owners map each id to its k-mer; ``shards`` is a k-mer view."""
 
     def init_state(self) -> None:
-        self.rows = {wid: set() for wid in self.plan.workers}
+        self.rows = {wid: {} for wid in self.plan.workers}
 
-    def delta(self, pairs) -> GSet:
-        return GSet(pairs)
+    def delta(self, pairs) -> dict:
+        return {off: km for km, off in pairs}
 
-    def absorb(self, wid, delta: GSet) -> None:
+    def absorb(self, wid, delta: dict) -> None:
         self.rows[wid].update(delta)
 
     @property
     def shards(self) -> dict[int, LMap]:
-        return {w: _batch_lmap(sorted(r), GSet) for w, r in self.rows.items()}
+        return {w: _batch_lmap(sorted((km, off) for off, km in r.items()),
+                               GSet) for w, r in self.rows.items()}
 
     def state_size(self) -> int:
         return sum(map(len, self.rows.values()))
 
     def histogram(self) -> dict[str, int]:
-        return _owner_counts(Counter(map(itemgetter(0), self.rows[wid]))
+        return _owner_counts(Counter(self.rows[wid].values())
                              for wid in sorted(self.rows))
 
 

@@ -30,13 +30,20 @@ from .runtime import _FIXPOINT_CAP, Rule, Scratch, _ordered
 # Partitioning
 
 
-def hash_owner(workers: tuple, key: str) -> int:
-    """Where a hash plan over ``workers`` puts ``key``; hash routes use it.
+def hash_owners(workers: tuple, keys) -> list:
+    """Where a hash plan over ``workers`` puts each of ``keys``, in order;
+    hash routes use it.
 
     The hash is an unkeyed crc32 of the UTF-8 key: stable across processes
     and runs, balanced, and for placement only, never for anything seeded.
     """
-    return workers[zlib.crc32(key.encode()) % len(workers)]
+    n = len(workers)
+    return [workers[zlib.crc32(key.encode()) % n] for key in keys]
+
+
+def hash_owner(workers: tuple, key: str) -> int:
+    """``hash_owners`` for one key."""
+    return hash_owners(workers, (key,))[0]
 
 
 @dataclass(frozen=True)

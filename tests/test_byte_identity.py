@@ -1,6 +1,7 @@
 """Pinned event-log and answer digests of the five simulated runners, the
-pinned owner placement of the k-mer runners, and the pinned histogram
-digest of ``threshold_rule_run``.
+pinned owner placement of the k-mer runners, the pinned histogram key
+order of ``impl_a_run``, and the pinned histogram digest of
+``threshold_rule_run``.
 
 One small corpus and one fault schedule (duplication, reordering, loss, a
 worker failure, a join and a partition that heals) fix every simulated
@@ -105,6 +106,13 @@ def _placement(program):
 def test_owner_placement_digests_are_pinned(runner):
     res = getattr(kmer, runner)(CORPUS, 5, 3, **FAULTS)
     assert _digest(repr(_placement(res.program))) == PLACEMENT[runner]
+
+
+def test_impl_a_histogram_key_order_is_pinned():
+    # Owners count their ids in delivery order, so the order holds under
+    # every hash seed; table_kmer_run's order is unspecified.
+    res = kmer.impl_a_run(CORPUS, 5, 3, **FAULTS)
+    assert _digest(repr(list(res.histogram))) == "c26143342bd836e7"
 
 
 def _repeat_rich_corpus(rng: random.Random) -> str:

@@ -172,7 +172,7 @@ def test_impl_a_shards_view_and_redelivery(small_corpus, monkeypatch):
     assert sorted(shards) == sorted(prog.rows)
     for wid, rows in prog.rows.items():
         offsets: dict = {}
-        for km, off in rows:
+        for off, km in rows.items():
             offsets.setdefault(km, set()).add(off)
         assert list(shards[wid].entries) == sorted(offsets)
         assert {km: ids.elems
@@ -183,7 +183,7 @@ def test_impl_a_shards_view_and_redelivery(small_corpus, monkeypatch):
         prog.shards = {}
     # Absorbing a delivered delta again changes neither side.
     wid, delta = delivered[len(delivered) // 2]
-    rows, pairs = set(prog.rows[wid]), frozenset(delta)
+    rows, pairs = dict(prog.rows[wid]), dict(delta)
     absorb(prog, wid, delta)
     assert prog.rows[wid] == rows and delta == pairs
     assert prog.histogram() == truth

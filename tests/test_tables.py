@@ -11,7 +11,8 @@ from calmsim.tables import (DNE, IDK, GlobalTable, PartitionPlan, Value,
                             compile_rules, detect_cycles, detect_skew,
                             evaluate_stratified, lookup, one_shot_eval,
                             parse_rules, plan_query, hash_owner,
-                            rewrite_one_shot, switch_partitioning)
+                            hash_owners, rewrite_one_shot,
+                            switch_partitioning)
 
 
 def kmer_table(workers=(0, 1, 2, 3), strategy="hash", **kw):
@@ -76,13 +77,28 @@ def test_range_plan_routes_each_worker_its_range():
     assert owners == {"A": 4, "C": 5, "G": 6, "T": 6}
 
 
-@pytest.mark.parametrize("key, owner", [
+KNOWN_OWNERS = [
     ("ACGTACGTACGT", 3), ("AAAAAAAAAAAA", 2), ("TTTTTTTTTTTT", 0),
-    ("GATTACAGATTA", 2), ("CGCGC", 1), ("GGCAT", 0)])
+    ("GATTACAGATTA", 2), ("CGCGC", 1), ("GGCAT", 0)]
+
+
+@pytest.mark.parametrize("key, owner", KNOWN_OWNERS)
 def test_hash_owner_known_answers(key, owner):
     # crc32 of the UTF-8 key: the same owner in every process and release
     assert hash_owner((0, 1, 2, 3), key) == owner
     assert kmer_table().plan.owner_of_key(key) == owner
+
+
+def test_hash_owners_places_a_batch_as_hash_owner_does():
+    keys, owners = zip(*KNOWN_OWNERS)
+    assert hash_owners((0, 1, 2, 3), iter(keys)) == list(owners)
+    assert hash_owners((0, 1, 2, 3), []) == []
+    rng = random.Random(7)
+    keys = ["".join(rng.choices("ACGT", k=rng.randint(1, 16)))
+            for _ in range(500)]
+    for workers in ((5,), (0, 2), (3, 1, 4, 7, 9)):
+        assert hash_owners(workers, keys) == [hash_owner(workers, key)
+                                              for key in keys]
 
 
 def test_hash_owner_balances_uniform_windows():
