@@ -6,14 +6,16 @@ Three variants over the same chunk-ingestion pipeline:
   offset in the input); an owner maps each id to its k-mer, so a count is
   the k-mer's number of ids and re-delivery cannot double count.  Its
   histogram lists k-mers owner by owner in delivery order, the same under
-  every hash seed; the key order of ``table_kmer_run``'s is unspecified.
+  every hash seed.
 - ``impl_b_run``: owner shards use :class:`ThresholdLSet`, which stops
   storing identifiers once a k-mer reaches the caller's threshold; counts
   are exact below the threshold and the predicate ``count >= threshold``
   is exact everywhere.
-- ``table_kmer_run``: ingestion into a G-Set global table hash-partitioned
-  on the k-mer column; grouping is then coordination-free and the per-worker
-  aggregates concatenate into the full histogram.
+- ``table_kmer_run``: implementation A's run read through its ``table``
+  view, a G-Set global table hash-partitioned on the k-mer column; grouping
+  is then coordination-free, each worker aggregates its own rows, and
+  ``table_kmer_run`` returns implementation A's histogram, in the same
+  pinned order.
 
 A chunk ships each owner one lattice delta, built once; a duplicated or
 resent envelope reuses it.  All variants are verified against
@@ -227,7 +229,7 @@ def _owner_counts(shards) -> dict[str, int]:
 
 
 class ImplAProgram(KmerIngestProgram):
-    """Owners map each id to its k-mer; ``shards`` is a k-mer view."""
+    """Owners map each id to its k-mer; ``shards`` and ``table`` are views."""
 
     def init_state(self) -> None:
         self.rows = {wid: {} for wid in self.plan.workers}
@@ -242,6 +244,13 @@ class ImplAProgram(KmerIngestProgram):
     def shards(self) -> dict[int, LMap]:
         return {w: _batch_lmap(sorted((km, off) for off, km in r.items()),
                                GSet) for w, r in self.rows.items()}
+
+    @property
+    def table(self) -> GlobalTable:
+        """The rows as a ``(seq, token)`` table; a copy, like ``shards``."""
+        return GlobalTable("kmers", GSet, ("seq", "token"), self.plan,
+                           {w: GSet(zip(r.values(), r.keys()))
+                            for w, r in self.rows.items()})
 
     def state_size(self) -> int:
         return sum(map(len, self.rows.values()))
@@ -277,33 +286,6 @@ class ImplBProgram(KmerIngestProgram):
     def histogram(self) -> dict[str, int]:
         return _owner_counts({km: len(ids) for km, ids in m.entries.items()}
                              for _, m in sorted(self.shards.items()))
-
-
-class TableKmerProgram(KmerIngestProgram):
-    """Ingestion into a G-Set global table hash-partitioned on the k-mer."""
-
-    def init_state(self) -> None:
-        self.table = GlobalTable(
-            name="kmers", crdt_kind=GSet, schema=("seq", "token"),
-            plan=self.plan)
-
-    def delta(self, pairs) -> GSet:
-        return GSet.of(pairs)
-
-    def absorb(self, wid, delta: GSet) -> None:
-        self.table.merge_shard(wid, delta)
-
-    def state_size(self) -> int:
-        return sum(len(s) for s in self.table.shards.values())
-
-    def aggregate(self, sim: Simulation):
-        """Per-worker GROUP BY counts, concatenated; no messages needed."""
-        query = plan_query(self.table, "seq")
-        shards = sorted(self.table.shards.items())
-        for wid, _ in shards:
-            sim.log("aggregate", dst=wid)
-        return _owner_counts(Counter(map(itemgetter(0), shard.elems))
-                             for _, shard in shards), query
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +345,14 @@ def impl_b_run(corpus, k: int, workers: int, threshold: int,
 def table_kmer_run(corpus, k: int, workers: int,
                    schedule: DeliverySchedule | None = None,
                    failures=(), joins=(), partitions=()) -> KmerRunResult:
-    data = normalize_corpus(corpus)
-    sim, prog = _run(TableKmerProgram(data, k, workers),
-                     schedule, failures, joins, partitions)
-    counts, query = prog.aggregate(sim)
-    return KmerRunResult(counts, sim, prog,
-                         coordination_free=query.coordination_free)
+    """``impl_a_run``, then a GROUP BY on ``seq`` over its ``table`` view:
+    each worker counts its own rows, so no message is needed."""
+    res = impl_a_run(corpus, k, workers, schedule, failures, joins, partitions)
+    res.coordination_free = plan_query(res.program.table,
+                                       "seq").coordination_free
+    for wid in sorted(res.program.rows):
+        res.sim.log("aggregate", dst=wid)
+    return res
 
 
 # ---------------------------------------------------------------------------

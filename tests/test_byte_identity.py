@@ -1,7 +1,7 @@
 """Pinned event-log and answer digests of the five simulated runners, the
 pinned owner placement of the k-mer runners, the pinned histogram key
-order of ``impl_a_run``, and the pinned histogram digest of
-``threshold_rule_run``.
+order of ``impl_a_run`` and ``table_kmer_run``, and the pinned histogram
+digest of ``threshold_rule_run``.
 
 One small corpus and one fault schedule (duplication, reordering, loss, a
 worker failure, a join and a partition that heals) fix every simulated
@@ -94,11 +94,7 @@ PLACEMENT = {
 
 def _placement(program):
     """Each owner shard's sorted k-mers: what the owner function decided."""
-    if isinstance(program, kmer.TableKmerProgram):
-        shards = {wid: {seq for seq, _token in shard.elems}
-                  for wid, shard in program.table.shards.items()}
-    else:
-        shards = {wid: shard.entries for wid, shard in program.shards.items()}
+    shards = {wid: shard.entries for wid, shard in program.shards.items()}
     return [(wid, sorted(shards[wid])) for wid in sorted(shards)]
 
 
@@ -108,10 +104,11 @@ def test_owner_placement_digests_are_pinned(runner):
     assert _digest(repr(_placement(res.program))) == PLACEMENT[runner]
 
 
-def test_impl_a_histogram_key_order_is_pinned():
+@pytest.mark.parametrize("runner", ["impl_a_run", "table_kmer_run"])
+def test_impl_a_histogram_key_order_is_pinned(runner):
     # Owners count their ids in delivery order, so the order holds under
-    # every hash seed; table_kmer_run's order is unspecified.
-    res = kmer.impl_a_run(CORPUS, 5, 3, **FAULTS)
+    # every hash seed; table_kmer_run returns implementation A's histogram.
+    res = getattr(kmer, runner)(CORPUS, 5, 3, **FAULTS)
     assert _digest(repr(list(res.histogram))) == "c26143342bd836e7"
 
 

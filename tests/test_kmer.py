@@ -10,6 +10,7 @@ from calmsim.errors import StratificationError
 from calmsim.lattice import GSet, LMap
 from calmsim.runtime import (DeliverySchedule, Rule, Simulation,
                              TickRuleEngine)
+from calmsim.tables import DNE, Value, lookup
 
 THRESH_CORPUS = ("AAAA\n" + "CCCC\n" * 2 + "GGGG\n" * 3
                  + "TTTT\n" * 10 + "ACGT\n" * 100)
@@ -251,6 +252,24 @@ def test_table_kmer_failure_recovery(small_corpus):
         assert res.histogram == truth
 
 
+def test_table_view_is_a_copy_of_the_rows_on_their_owners(small_corpus):
+    res = kmer.table_kmer_run(small_corpus, 4, 3, schedule=adversarial(5),
+                              failures=[(4, 1)], joins=[6])
+    table, stream = res.program.table, kmer.corpus_stream(small_corpus, 4)
+    assert table.merged().elems == set(stream)
+    for wid, shard in table.shards.items():
+        assert all(table.plan.owner_of_key(seq) == wid
+                   for seq, _token in shard.elems)
+    for seq in res.histogram:
+        rows = frozenset(row for row in stream if row[0] == seq)
+        assert lookup(table, seq, table.plan.owner_of_key(seq)) == Value(rows)
+    absent = "NNNN"  # no window holds a base outside ACGT
+    assert lookup(table, absent, table.plan.owner_of_key(absent)) is DNE
+    before = list(res.program.histogram().items())
+    table.insert(("ACGT", 10**6))
+    assert list(res.program.histogram().items()) == before
+
+
 # -- tick-rule variant (instantaneous vs deferred merge) --------------------
 
 
@@ -403,7 +422,7 @@ def test_a_kmer_on_two_owner_shards_is_rejected(name, small_corpus):
     for wid in prog.plan.workers:
         prog.absorb(wid, prog.delta([("ACGT", 10**6)]))
     with pytest.raises(AssertionError, match="two owner shards"):
-        prog.aggregate(res.sim) if name == "table_kmer" else prog.histogram()
+        prog.histogram()
 
 
 @pytest.mark.parametrize("name", RUNNERS)
@@ -421,7 +440,7 @@ def test_runs_never_rescan_state(name, small_corpus, monkeypatch):
     def rescan(program):
         raise AssertionError("state_size() called during the run")
 
-    for cls in (kmer.ImplAProgram, kmer.ImplBProgram, kmer.TableKmerProgram,
+    for cls in (kmer.ImplAProgram, kmer.ImplBProgram,
                 sketch.Design1Program, sketch.Design2Program):
         monkeypatch.setattr(cls, "state_size", rescan)
     res = faulty_run(name, small_corpus, 0)
@@ -431,7 +450,7 @@ def test_runs_never_rescan_state(name, small_corpus, monkeypatch):
 # -- deltas shipped once, owners routed directly ----------------------------
 
 PROGRAMS = {"impl_a": kmer.ImplAProgram, "impl_b": kmer.ImplBProgram,
-            "table_kmer": kmer.TableKmerProgram,
+            "table_kmer": kmer.ImplAProgram,
             "design1": sketch.Design1Program,
             "design2": sketch.Design2Program}
 
