@@ -3,10 +3,10 @@
 Three variants over the same chunk-ingestion pipeline:
 
 - ``impl_a_run``: each k-mer instance carries a unique identifier (its byte
-  offset in the input); an owner maps each id to its k-mer, so a count is
-  the k-mer's number of ids and re-delivery cannot double count.  Its
-  histogram lists k-mers owner by owner in delivery order, the same under
-  every hash seed.
+  offset in the input); an owner keeps each batch of ``(k-mer, id)`` pairs
+  whole under its first id, so a count is the k-mer's number of ids and
+  re-delivery cannot double count.  Its histogram lists k-mers owner by
+  owner in delivery order, the same under every hash seed.
 - ``impl_b_run``: owner shards use :class:`ThresholdLSet`, which stops
   storing identifiers once a k-mer reaches the caller's threshold; counts
   are exact below the threshold and the predicate ``count >= threshold``
@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Mapping
 
@@ -229,35 +230,41 @@ def _owner_counts(shards) -> dict[str, int]:
 
 
 class ImplAProgram(KmerIngestProgram):
-    """Owners map each id to its k-mer; ``shards`` and ``table`` are views."""
+    """Owners keep each batch whole, as ``(k-mers, ids)`` under its first
+    id; ``shards`` and ``table`` are views."""
 
     def init_state(self) -> None:
         self.rows = {wid: {} for wid in self.plan.workers}
 
-    def delta(self, pairs) -> dict:
-        return {off: km for km, off in pairs}
+    def delta(self, pairs) -> tuple:
+        return tuple(zip(*pairs))
 
-    def absorb(self, wid, delta: dict) -> None:
-        self.rows[wid].update(delta)
+    def absorb(self, wid, delta: tuple) -> None:
+        held = self.rows[wid].setdefault(delta[1][0], delta)
+        assert held is delta or held == delta, "two batches, one first id"
+
+    def pairs(self, wid: int):
+        """The ``(k-mer, id)`` pairs ``wid`` holds, in delivery order."""
+        return chain.from_iterable(zip(*b) for b in self.rows[wid].values())
 
     @property
     def shards(self) -> dict[int, LMap]:
-        return {w: _batch_lmap(sorted((km, off) for off, km in r.items()),
-                               GSet) for w, r in self.rows.items()}
+        return {w: _batch_lmap(sorted(self.pairs(w)), GSet) for w in self.rows}
 
     @property
     def table(self) -> GlobalTable:
-        """The rows as a ``(seq, token)`` table; a copy, like ``shards``."""
+        """The pairs as a ``(seq, token)`` table; a copy, like ``shards``."""
         return GlobalTable("kmers", GSet, ("seq", "token"), self.plan,
-                           {w: GSet(zip(r.values(), r.keys()))
-                            for w, r in self.rows.items()})
+                           {w: GSet(self.pairs(w)) for w in self.rows})
 
     def state_size(self) -> int:
-        return sum(map(len, self.rows.values()))
+        return sum(len(b[1]) for r in self.rows.values() for b in r.values())
 
     def histogram(self) -> dict[str, int]:
-        return _owner_counts(Counter(self.rows[wid].values())
-                             for wid in sorted(self.rows))
+        kmers = itemgetter(0)
+        return _owner_counts(
+            Counter(chain.from_iterable(map(kmers, self.rows[w].values())))
+            for w in sorted(self.rows))
 
 
 class ImplBProgram(KmerIngestProgram):

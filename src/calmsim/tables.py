@@ -110,7 +110,7 @@ class GlobalTable:
     plan: PartitionPlan
     shards: dict = field(default_factory=dict)
     _arrivals: int = 0
-    _displaced: bool = False  # a plan switch left a row off its owner
+    _displaced: bool = False  # some row sits off its plan's owner
 
     def __post_init__(self):
         if self.crdt_kind is not GSet:
@@ -129,19 +129,23 @@ class GlobalTable:
         else:
             wid = plan.workers[self._arrivals % len(plan.workers)]
             self._arrivals += 1
-        self.merge_shard(wid, GSet.of([row]))
+        self.shards[wid] = self.shards.get(wid, GSet.bottom()).add(row)
         return wid
 
     def merge_shard(self, wid: int, delta: GSet) -> None:
-        """Merge ``delta`` into ``wid``'s shard as it stands.
-
-        The plan is not consulted.  Under a keyed plan the caller must merge
-        onto ``wid`` only rows that ``wid`` owns: a row on a non-owner shard
-        does not mark the table displaced, so ``lookup`` may answer a false
-        ``DNE`` and ``plan_query`` may call grouping coordination-free.
-        """
+        """Merge ``delta`` into ``wid``'s shard as it stands; a row the
+        plan puts elsewhere marks the table displaced, as a plan switch
+        does, so ``lookup`` answers ``IDK`` rather than a false ``DNE``."""
+        self._displaced |= self._off_owner(wid, delta)
         cur = self.shards.get(wid, GSet.bottom())
         self.shards[wid] = lattice.merge(cur, delta)
+
+    def _off_owner(self, wid: int, rows) -> bool:
+        """Whether the plan would put any of ``rows`` off ``wid``."""
+        plan = self.plan
+        key = self.schema.index(plan.column) if plan.keyed else None
+        return any(wid not in plan.workers if key is None
+                   else plan.owner_of_key(row[key]) != wid for row in rows)
 
     def merged(self) -> GSet:
         out = GSet.bottom()
@@ -165,7 +169,7 @@ def plan_query(table: GlobalTable, group_by: str) -> QueryPlan:
     Grouping is coordination-free when the plan already partitions tuples on
     the grouping column (hash or range), or trivially when there is a single
     worker: every group then lives wholly on one shard.  Neither holds while
-    a plan switch has left rows where the plan would not put them.
+    a row sits where the plan would not put it.
     """
     if group_by not in table.schema:
         raise ValueError(f"unknown column {group_by!r} in table {table.name!r}")
@@ -194,11 +198,8 @@ def switch_partitioning(table: GlobalTable, new: PartitionPlan) -> GlobalTable:
     """
     # replace runs GlobalTable's checks: a column not in the schema raises
     switched = replace(table, plan=new, shards=dict(table.shards))
-    key = table.schema.index(new.column) if new.keyed else None
-    switched._displaced = any(wid not in new.workers if key is None
-                              else new.owner_of_key(row[key]) != wid
-                              for wid, shard in table.shards.items()
-                              for row in shard.elems)
+    switched._displaced = any(switched._off_owner(wid, shard)
+                              for wid, shard in table.shards.items())
     return switched
 
 
@@ -236,8 +237,8 @@ def lookup(table: GlobalTable, key, at_worker: int, net=None) -> Tristate:
 
     Returns ``Value(rows)`` when matching tuples are locally visible.  On a
     miss, ``DNE`` is only justified when the plan guarantees the key lives on
-    exactly one owner (no plan switch left a row elsewhere) and that owner
-    is reachable; otherwise the honest answer is ``IDK``.
+    exactly one owner (no row sits off its owner) and that owner is
+    reachable; otherwise the honest answer is ``IDK``.
     """
     key_idx = table.schema.index(table.plan.column or table.schema[0])
 
@@ -274,8 +275,9 @@ class DataflowGraph:
 
 def _below(a: LMap, b: LMap, limit: int) -> LMap:
     """The entries of ``a`` whose key has under ``limit`` elements in ``b``."""
+    held = b.entries.get
     return LMap({key: value for key, value in a.entries.items()
-                 if len(b.get(key, ())) < limit})
+                 if len(held(key, ())) < limit})
 
 
 #: Each binary operator over sets and over lattices.

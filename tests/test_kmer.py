@@ -171,23 +171,47 @@ def test_impl_a_shards_view_and_redelivery(small_corpus, monkeypatch):
     prog, truth = res.program, kmer.oracle_count(small_corpus, 4)
     shards = prog.shards
     assert sorted(shards) == sorted(prog.rows)
-    for wid, rows in prog.rows.items():
+    for wid, batches in prog.rows.items():
         offsets: dict = {}
-        for off, km in rows.items():
-            offsets.setdefault(km, set()).add(off)
+        for first, (kms, offs) in batches.items():
+            assert first == offs[0] and len(kms) == len(offs)
+            for km, off in zip(kms, offs):
+                offsets.setdefault(km, set()).add(off)
         assert list(shards[wid].entries) == sorted(offsets)
         assert {km: ids.elems
                 for km, ids in shards[wid].entries.items()} == offsets
-    assert (prog.state_size() == sum(map(len, prog.rows.values()))
+    assert (prog.state_size()
+            == sum(len(offs) for batches in prog.rows.values()
+                   for _, offs in batches.values())
             == sum(truth.values()))
     with pytest.raises(AttributeError):
         prog.shards = {}
     # Absorbing a delivered delta again changes neither side.
     wid, delta = delivered[len(delivered) // 2]
-    rows, pairs = dict(prog.rows[wid]), dict(delta)
+    rows, pairs = dict(prog.rows[wid]), list(zip(*delta))
     absorb(prog, wid, delta)
-    assert prog.rows[wid] == rows and delta == pairs
+    assert prog.rows[wid] == rows and list(zip(*delta)) == pairs
     assert prog.histogram() == truth
+
+
+def test_impl_a_batch_is_held_under_its_first_id(small_corpus):
+    res = faulty_run("impl_a", small_corpus, 0)
+    prog, truth = res.program, kmer.oracle_count(small_corpus, 4)
+    wid = next(w for w, batches in prog.rows.items() if batches)
+    first, held = next(iter(prog.rows[wid].items()))
+    before = dict(prog.rows[wid])
+    # A reprocessed chunk rebuilds an equal batch as a new object.
+    again = prog.delta(list(zip(*held)))
+    assert again == held and again is not held
+    prog.absorb(wid, again)
+    assert prog.rows[wid] == before and prog.rows[wid][first] is held
+    assert prog.histogram() == truth
+    # A different batch under a held first id is a fault, not a merge.
+    other = prog.delta([*zip(*held), ("ACGT", 10**6)])
+    with pytest.raises(AssertionError, match="two batches, one first id"):
+        prog.absorb(wid, other)
+    assert prog.rows[wid] == before and prog.rows[wid][first] is held
+    assert prog.state_size() == sum(truth.values())
 
 
 # -- implementation B -------------------------------------------------------

@@ -166,6 +166,32 @@ def test_switch_leaves_rows_off_their_new_owner():
     assert not plan_query(t2, "seq").coordination_free
 
 
+def test_merging_a_row_off_its_owner_marks_the_table_displaced():
+    t = kmer_table(workers=(0, 1))
+    owner = t.plan.owner_of_key("ACGT")
+    t.merge_shard(owner, GSet.of([("ACGT", 0)]))
+    assert lookup(t, "ACGT", 1 - owner) == Value(frozenset({("ACGT", 0)}))
+    assert plan_query(t, "seq").coordination_free
+    t.merge_shard(1 - owner, GSet.of([("CCCC", 1), ("GGGG", 2)]))
+    off = next(key for key in ("CCCC", "GGGG")
+               if t.plan.owner_of_key(key) == owner)
+    assert lookup(t, off, owner) is IDK  # its row sits off the owner
+    assert not plan_query(t, "seq").coordination_free
+
+
+def test_insert_hashes_its_row_once(monkeypatch):
+    owner_of_key, calls = PartitionPlan.owner_of_key, []
+
+    def spy(plan, key):
+        calls.append(key)
+        return owner_of_key(plan, key)
+
+    monkeypatch.setattr(PartitionPlan, "owner_of_key", spy)
+    t = kmer_table(workers=(0, 1))
+    t.insert(("ACGT", 0))
+    assert calls == ["ACGT"] and plan_query(t, "seq").coordination_free
+
+
 def test_switch_to_the_same_plan_or_of_an_empty_table_keeps_answers():
     t = kmer_table(workers=(0, 1))
     for i, key in enumerate(["ATAG", "CCCC", "GGGG"]):
