@@ -141,10 +141,12 @@ class Simulation:
 
     def set_partition(self, pairs: Iterable) -> None:
         """Replace the partition set; healing releases held envelopes.
-        Every endpoint must be a registered worker."""
+        Each pair must name two registered workers."""
         net = NetworkCondition(pairs)
         for wid in sorted(set().union(*net._cut)):
             self._known(wid)
+            if frozenset((wid,)) in net._cut:
+                raise ValueError(f"worker {wid} cannot be cut off from itself")
         self.net = net
         self.log("partition")
         still_held = []
@@ -269,11 +271,14 @@ def run_to_quiescence(sim: Simulation, program: Program,
     idle, but no worker is alive, no harness event is left to add one and
     nothing is in flight.
 
-    ``events`` maps tick index to harness callables (failure injection,
+    ``events`` maps ticks from 1 on to harness callables (failure injection,
     joins, partitions) invoked at the start of that tick with
-    ``(sim, program)``.
+    ``(sim, program)``; ``ValueError`` for an earlier one, which never runs.
     """
     events = events or {}
+    if min(events, default=1) < 1:
+        raise ValueError(f"harness event at tick {min(events)} never runs: "
+                         "the run starts at tick 1")
     last_event = max(events, default=0)
     program.setup(sim)
     while sim.in_flight or sim.now < last_event or (
@@ -313,61 +318,35 @@ def _reads(rules: Iterable) -> dict:
     return deps
 
 
-def _components(deps: Mapping[Any, Sequence]) -> list[tuple]:
-    """Strongly connected components of ``{node: nodes it reads}``.
+def _ordered(rules: Sequence) -> tuple[list, list[tuple]]:
+    """``rules`` sorted producers first, and the cyclic components of their
+    dependency map (two or more nodes that read each other, or one node
+    reading itself), members in order of first appearance.
 
-    Tarjan's algorithm with an explicit stack, so long rule chains do not
-    hit the recursion limit.  A component comes after every component it
-    reads from (producers first).  Nodes are visited in order of first
-    appearance (each key, then the nodes it reads), and each component
-    lists its members in that order, so the result does not depend on
-    ``PYTHONHASHSEED``.
+    ``below[n]`` is every node ``n`` reads, directly or not.  A node that
+    reads another reads all that one reads, so the rank ``(len(below[n] |
+    {n}), first appearance)`` puts producers first; a stable sort keeps each
+    target's rules together and in input order.  Components come in order
+    of their members' rank, so no ordering depends on ``PYTHONHASHSEED``.
     """
+    deps = _reads(rules)
     order = list(dict.fromkeys(
         n for node, reads in deps.items() for n in (node, *reads)))
-    position = {n: i for i, n in enumerate(order)}
-    low: dict = {}  # visit index, lowered to the least one reachable on stack
-    stack: list = []
-    work: list = []
-    out: list[tuple] = []
-
-    def visit(node):
-        low[node] = len(low)
-        work.append((node, low[node], len(stack), iter(deps.get(node, ()))))
-        stack.append(node)
-
-    for root in order:
-        if root not in low:
-            visit(root)
-        while work:
-            node, index, height, reads = work[-1]
-            for dep in reads:
-                if dep not in low:
-                    visit(dep)
-                    break
-                low[node] = min(low[node], low[dep])
-            else:
-                work.pop()
-                if low[node] == index:
-                    comp = stack[height:]
-                    del stack[height:]
-                    for n in comp:  # placed: no longer lowers anything
-                        low[n] = len(order)
-                    out.append(tuple(sorted(comp, key=position.__getitem__)))
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-    return out
-
-
-def _ordered(rules: Sequence) -> tuple[list, list[tuple]]:
-    """``rules`` sorted producers first, and the components of their
-    dependency map with two or more nodes or a node that reads itself."""
-    deps = _reads(rules)
-    comps = _components(deps)
-    rank = {n: i for i, n in enumerate(n for comp in comps for n in comp)}
+    below = {}
+    for n in order:  # an explicit stack, so no recursion limit
+        seen, todo = set(), list(deps.get(n, ()))
+        while todo:
+            m = todo.pop()
+            if m not in seen:
+                seen.add(m)
+                todo.extend(deps.get(m, ()))
+        below[n] = seen
+    rank = {n: (len(below[n] | {n}), i) for i, n in enumerate(order)}
+    cycles = dict.fromkeys(
+        tuple(m for m in order if m in below[n] and n in below[m])
+        for n in order if n in below[n])
     return (sorted(rules, key=lambda r: rank[r.target]),
-            [c for c in comps if len(c) > 1 or c[0] in deps.get(c[0], ())])
+            sorted(cycles, key=lambda c: rank[c[0]]))
 
 
 def _cycle_through(start, deps: Mapping[Any, Sequence]) -> tuple:

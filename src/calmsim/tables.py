@@ -359,10 +359,10 @@ def detect_cycles(g: DataflowGraph) -> list:
     """One tuple per cyclic strongly connected component of the graph.
 
     A component is cyclic when it has two or more nodes or a node that
-    reads itself.  Components and their members come in order of first
-    appearance.  This is not a list of every elementary cycle: a component
-    holding many cycles is reported once.  An empty result means the whole
-    graph can be evaluated in a single pass.
+    reads itself.  Members come in order of first appearance; components
+    producers first, then by how many nodes they read, then by first
+    appearance.  A component holding many cycles is reported once.  An
+    empty result means the whole graph can be evaluated in a single pass.
     """
     return _ordered(g.rules)[1]
 

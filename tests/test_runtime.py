@@ -72,6 +72,16 @@ def test_unknown_worker_rejected():
         Simulation().fail_worker(9)
 
 
+def test_partition_pair_cutting_a_worker_from_itself_is_rejected():
+    sim = Simulation()
+    sim.register_worker()
+    sim.register_worker()
+    with pytest.raises(ValueError, match="worker 1 cannot be cut off from it"):
+        sim.set_partition([(0, 1), (1, 1)])
+    assert sim.net.partitioned(0, 1) is False
+    assert [ev[1] for ev in sim.events] == ["register", "register"]
+
+
 def test_partition_holds_then_heals():
     class TwoSender(GSetSink):
         def worker_step(self, sim, wid):
@@ -124,6 +134,16 @@ def test_idle_program_stops_on_its_last_harness_tick():
     run_to_quiescence(sim, Program(),
                       {5: [lambda sim, program: ran.append(sim.now)]})
     assert ran == [5] and sim.now == 5
+
+
+@pytest.mark.parametrize("tick", [0, -2])
+def test_harness_event_before_tick_one_is_rejected(tick):
+    ran = []
+    sim = Simulation()
+    events = {tick: [lambda sim, program: ran.append(sim.now)], 3: []}
+    with pytest.raises(ValueError, match=f"harness event at tick {tick} "):
+        run_to_quiescence(sim, GSetSink(["a"]), events)
+    assert not ran and not sim.events
 
 
 def test_divergence_guard(monkeypatch):

@@ -298,11 +298,15 @@ def test_detect_cycles():
 
 
 def test_detect_cycles_independent_of_hash_seed():
+    # Producers first, then by how many nodes a component reads.
     code = ("from calmsim.tables import detect_cycles, parse_rules\n"
-            "print(detect_cycles(parse_rules('a <= b\\nb <= c\\nc <= a')))")
+            "for text in ('a <= b\\nb <= c\\nc <= a', 'a <= a + c\\nc <= c',\n"
+            "             'a <= b\\nb <= a\\nc <= c'):\n"
+            "    print(detect_cycles(parse_rules(text)))")
     for seed in ("0", "1"):
         out = run_python(code, PYTHONHASHSEED=seed)
-        assert out == "[('a', 'b', 'c')]\n"
+        assert out == ("[('a', 'b', 'c')]\n[('c',), ('a',)]\n"
+                       "[('c',), ('a', 'b')]\n")
 
 
 @pytest.mark.parametrize("bad", [
@@ -415,6 +419,38 @@ def test_one_shot_equals_fixpoint_on_random_instances():
         fix = evaluate_stratified(g1, {"cart": set(added), "bad": set(bad)})
         once = one_shot_eval(g2, {"cart": set(added), "bad": set(bad)})
         assert fix["cart"] == once["cart"] == added - bad
+
+
+def test_evaluation_equals_a_recursive_reference_on_random_dags():
+    ops = {"": lambda a: a, "+": set.union, "-": set.difference}
+    rng = random.Random(24)
+    for _ in range(200):
+        nodes = [f"n{i}" for i in range(rng.randint(2, 9))]
+        rng.shuffle(nodes)  # a rule reads only nodes earlier in this list
+        rules = []
+        for _ in range(rng.randint(1, 12)):
+            at = rng.randrange(1, len(nodes))
+            op = rng.choice(list(ops))
+            sources = [rng.choice(nodes[:at]) for _ in range(2 if op else 1)]
+            rules.append((nodes[at], op, sources))
+        text = "".join(f"{t} <= {f' {op} '.join(srcs)}\n"
+                       for t, op, srcs in rules)
+        inputs = {n: {rng.randint(0, 5) for _ in range(3)} for n in nodes}
+        memo = {}
+
+        def value(node):
+            if node not in memo:
+                mine = [(op, srcs) for t, op, srcs in rules if t == node]
+                memo[node] = set().union(*(
+                    ops[op](*map(value, srcs)) for op, srcs in mine
+                )) if mine else inputs[node]
+            return memo[node]
+
+        g = parse_rules(text)
+        assert detect_cycles(g) == []
+        expected = {n: value(n) for n in nodes}
+        assert one_shot_eval(g, inputs) == expected, text
+        assert evaluate_stratified(g, inputs) == expected, text
 
 
 def test_divergent_fixpoint_hits_cap():
