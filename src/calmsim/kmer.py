@@ -19,7 +19,8 @@ Three variants over the same chunk-ingestion pipeline:
 
 A chunk ships each owner one lattice delta, built once; a duplicated or
 resent envelope reuses it.  All variants are verified against
-``oracle_count``, a sequential single-threaded scan.
+``oracle_count``, a sequential single-threaded scan.  Every runner, the
+sketch designs' too, passes :func:`_run`'s fault keywords through to it.
 """
 
 from __future__ import annotations
@@ -137,11 +138,11 @@ class KmerIngestProgram(Program):
     flight or held.
     """
 
-    def __init__(self, data: bytes, k: int, workers: int,
+    def __init__(self, corpus, k: int, workers: int,
                  chunk_len: int | None = None):
         if workers < 1:
             raise ValueError("need at least one worker")
-        self.data = data
+        self.data = normalize_corpus(corpus)
         self.k = k
         self.nworkers = workers
         self.chunk_len = chunk_len
@@ -225,7 +226,8 @@ def _owner_counts(shards) -> dict[str, int]:
     for local in shards:
         size = len(counts)
         counts.update(local)
-        assert len(counts) == size + len(local), "k-mer key on two owner shards"
+        if len(counts) != size + len(local):
+            raise AssertionError("k-mer key on two owner shards")
     return counts
 
 
@@ -240,8 +242,8 @@ class ImplAProgram(KmerIngestProgram):
         return tuple(zip(*pairs))
 
     def absorb(self, wid, delta: tuple) -> None:
-        held = self.rows[wid].setdefault(delta[1][0], delta)
-        assert held is delta or held == delta, "two batches, one first id"
+        if self.rows[wid].setdefault(delta[1][0], delta) != delta:
+            raise AssertionError("two batches, one first id")
 
     def pairs(self, wid: int):
         """The ``(k-mer, id)`` pairs ``wid`` holds, in delivery order."""
@@ -270,8 +272,8 @@ class ImplAProgram(KmerIngestProgram):
 class ImplBProgram(KmerIngestProgram):
     """Owner shards: map from k-mer to a threshold-capped set of ids."""
 
-    def __init__(self, data, k, workers, threshold: int):
-        super().__init__(data, k, workers)
+    def __init__(self, corpus, k, workers, threshold: int):
+        super().__init__(corpus, k, workers)
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         self.threshold = threshold
@@ -307,54 +309,46 @@ class KmerRunResult:
     coordination_free: bool | None = None
 
 
-def _harness_events(failures=(), joins=(), partitions=()):
+def _run(program: KmerIngestProgram, schedule: DeliverySchedule | None = None,
+         failures=(), joins=(), partitions=()):
+    """``(sim, program)`` quiescent under ``schedule`` and the faults;
+    ``ValueError`` first if a worker fails twice or two cuts share a tick."""
+    failures, partitions = list(failures), list(partitions)  # read twice
+    for wid, n in Counter(w for _, w in failures).items():
+        if n > 1:
+            raise ValueError(f"worker {wid} is listed to fail more than once")
+    for tick, n in Counter(t for t, _ in partitions).items():
+        if n > 1:
+            raise ValueError(f"two partitions at tick {tick}")
     events: dict[int, list] = {}
-
-    def at(tick):
-        return events.setdefault(tick, [])
-
-    for tick, wid in failures:
-        at(tick).append(lambda sim, prog, w=wid: prog.handle_fail(sim, w))
-    for tick in joins:
-        at(tick).append(lambda sim, prog: prog.handle_join(sim))
-    for tick, pairs in partitions:
-        at(tick).append(lambda sim, prog, p=pairs: sim.set_partition(p))
-    return events
-
-
-def _run(program: KmerIngestProgram, schedule, failures, joins,
-         partitions) -> tuple[Simulation, KmerIngestProgram]:
-    sim = Simulation(schedule or DeliverySchedule())
-    run_to_quiescence(sim, program,
-                      _harness_events(failures, joins, partitions))
+    for tick, action in chain(
+            ((t, lambda sim, prog, w=w: prog.handle_fail(sim, w))
+             for t, w in failures),
+            ((t, lambda sim, prog: prog.handle_join(sim)) for t in joins),
+            ((t, lambda sim, prog, p=p: sim.set_partition(p))
+             for t, p in partitions)):
+        events.setdefault(tick, []).append(action)
+    sim = Simulation(schedule)
+    run_to_quiescence(sim, program, events)
     return sim, program
 
 
-def impl_a_run(corpus, k: int, workers: int,
-               schedule: DeliverySchedule | None = None,
-               failures=(), joins=(), partitions=(),
-               chunk_len: int | None = None) -> KmerRunResult:
-    data = normalize_corpus(corpus)
-    sim, prog = _run(ImplAProgram(data, k, workers, chunk_len=chunk_len),
-                     schedule, failures, joins, partitions)
+def impl_a_run(corpus, k: int, workers: int, *, chunk_len: int | None = None,
+               **faults) -> KmerRunResult:
+    sim, prog = _run(ImplAProgram(corpus, k, workers, chunk_len), **faults)
     return KmerRunResult(prog.histogram(), sim, prog)
 
 
 def impl_b_run(corpus, k: int, workers: int, threshold: int,
-               schedule: DeliverySchedule | None = None,
-               failures=(), joins=(), partitions=()) -> KmerRunResult:
-    data = normalize_corpus(corpus)
-    sim, prog = _run(ImplBProgram(data, k, workers, threshold),
-                     schedule, failures, joins, partitions)
+               **faults) -> KmerRunResult:
+    sim, prog = _run(ImplBProgram(corpus, k, workers, threshold), **faults)
     return KmerRunResult(prog.histogram(), sim, prog)
 
 
-def table_kmer_run(corpus, k: int, workers: int,
-                   schedule: DeliverySchedule | None = None,
-                   failures=(), joins=(), partitions=()) -> KmerRunResult:
+def table_kmer_run(corpus, k: int, workers: int, **faults) -> KmerRunResult:
     """``impl_a_run``, then a GROUP BY on ``seq`` over its ``table`` view:
     each worker counts its own rows, so no message is needed."""
-    res = impl_a_run(corpus, k, workers, schedule, failures, joins, partitions)
+    res = impl_a_run(corpus, k, workers, **faults)
     res.coordination_free = plan_query(res.program.table,
                                        "seq").coordination_free
     for wid in sorted(res.program.rows):

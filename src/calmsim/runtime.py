@@ -143,6 +143,8 @@ class Simulation:
         """Replace the partition set; healing releases held envelopes.
         Each pair must name two registered workers."""
         net = NetworkCondition(pairs)
+        if any(len(pair) not in (1, 2) for pair in net._cut):
+            raise ValueError("each cut pair must name two workers")
         for wid in sorted(set().union(*net._cut)):
             self._known(wid)
             if frozenset((wid,)) in net._cut:

@@ -29,8 +29,8 @@ from typing import Iterable
 
 from .hashing import hash64
 # corpus_stream is re-exported: the sketch tests and benchmark read it here.
-from .kmer import KmerIngestProgram, _run, corpus_stream, normalize_corpus
-from .runtime import DeliverySchedule, Envelope, Simulation
+from .kmer import KmerIngestProgram, _run, corpus_stream
+from .runtime import Envelope, Simulation
 from .tables import IDK, PartitionPlan, Tristate, Value
 
 
@@ -138,8 +138,8 @@ class _CellProgram(KmerIngestProgram):
     on ``params``, which the sequential reference shares.
     """
 
-    def __init__(self, data, k, workers, params: CmsParams):
-        super().__init__(data, k, workers)
+    def __init__(self, corpus, k, workers, params: CmsParams):
+        super().__init__(corpus, k, workers)
         self.params = params
         self._columns: dict[str, tuple] = {}
 
@@ -197,11 +197,9 @@ class Design2Result:
 
 
 def design2_run(corpus, k: int, params: CmsParams, workers: int,
-                schedule: DeliverySchedule | None = None,
-                failures=(), joins=(), partitions=()) -> Design2Result:
-    return Design2Result(*_run(
-        Design2Program(normalize_corpus(corpus), k, workers, params),
-        schedule, failures, joins, partitions))
+                **faults) -> Design2Result:
+    return Design2Result(*_run(Design2Program(corpus, k, workers, params),
+                               **faults))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +267,6 @@ class Design1Result:
 
 
 def design1_run(corpus, k: int, params: CmsParams, workers: int,
-                schedule: DeliverySchedule | None = None,
-                failures=(), joins=(), partitions=()) -> Design1Result:
-    return Design1Result(*_run(
-        Design1Program(normalize_corpus(corpus), k, workers, params),
-        schedule, failures, joins, partitions))
+                **faults) -> Design1Result:
+    return Design1Result(*_run(Design1Program(corpus, k, workers, params),
+                               **faults))

@@ -471,6 +471,22 @@ def test_runs_never_rescan_state(name, small_corpus, monkeypatch):
     assert agrees_with_oracle(name, small_corpus, res)
 
 
+@pytest.mark.parametrize("faults, error", [
+    (dict(failures=[(3, 1), (5, 1)]), "worker 1 is listed to fail more than"),
+    (dict(partitions=[(3, ((0, 1),)), (3, ((1, 2),)), (9, ())]),
+     "two partitions at tick 3"),
+], ids=["worker-failed-twice", "two-cuts-at-one-tick"])
+def test_fault_schedule_is_checked_before_the_run(faults, error, small_corpus,
+                                                   monkeypatch):
+    logged = []
+    monkeypatch.setattr(Simulation, "log",
+                        lambda sim, *args, **kw: logged.append(args))
+    for name, run in RUNNERS.items():
+        with pytest.raises(ValueError, match=error):
+            run(small_corpus, **faults)
+        assert logged == [], name
+
+
 # -- deltas shipped once, owners routed directly ----------------------------
 
 PROGRAMS = {"impl_a": kmer.ImplAProgram, "impl_b": kmer.ImplBProgram,

@@ -78,6 +78,9 @@ def test_partition_pair_cutting_a_worker_from_itself_is_rejected():
     sim.register_worker()
     with pytest.raises(ValueError, match="worker 1 cannot be cut off from it"):
         sim.set_partition([(0, 1), (1, 1)])
+    for cut in ((0, 1, 2), ()):  # neither names a pair of workers
+        with pytest.raises(ValueError, match="must name two workers"):
+            sim.set_partition([(0, 1), cut])
     assert sim.net.partitioned(0, 1) is False
     assert [ev[1] for ev in sim.events] == ["register", "register"]
 
