@@ -4,33 +4,35 @@ Cells hold sets of instance token ids rather than integer counters, so
 inserts stay idempotent under at-least-once delivery: the estimate for an
 item is the minimum cardinality over its h addressed cells, and it can only
 over-count (never under-count).  Both designs hash where a window is
-ingested and ship its h ``(row, column, token)`` cells, which
-:meth:`SketchMatrix.add` applies on delivery; a chunk's cells for one
-receiver are one tuple, which every redelivery reuses.  A run hashes each
-distinct item once: its program memoizes an item's columns for ingestion
-and estimates alike, and the memo ends with the program.  The sequential
-reference, :func:`sequential_sketch`, is not memoized.
+ingested and send each receiver a chunk's cells as one batch, the flat
+tuples ``(cells, tokens)`` with cell ``i * m + j`` for row i, column j.  An
+owner keeps each batch whole under its first token, so a resent or rebuilt
+batch changes nothing, and a cell's size is a count over its batches.  A
+run memoizes each item's cells, so it hashes each distinct item once.
 
 - Design 1 partitions the m columns into contiguous slabs, one per worker;
   a query must gather its h cells from their owners and reduce by min, which
   is visible as cross-worker coordination in the event log.
 - Design 2 replicates the full h-by-m matrix on every worker; the ingesting
-  worker sends one tuple of a chunk's cells to every replica, replicas never
-  hash or send and converge by cellwise set union, and a query is a purely
-  local read.
+  worker sends one batch of a chunk's cells to every replica, replicas never
+  hash or send and converge by union of batch maps, and a query is a purely
+  local read.  The simulated replicas share that batch's tuples, which real
+  replicas, each with its own memory, could not.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .hashing import hash64
 # corpus_stream is re-exported: the sketch tests and benchmark read it here.
 from .kmer import KmerIngestProgram, _run, corpus_stream
-from .runtime import Envelope, Simulation
+from .runtime import Simulation
 from .tables import IDK, PartitionPlan, Tristate, Value
 
 
@@ -129,37 +131,57 @@ def sequential_sketch(stream: Iterable[tuple[str, int]],
 
 
 class _CellProgram(KmerIngestProgram):
-    """Ingestion whose batches are ``(row, column, token)`` cells; every
-    owner applies what it receives to its own :class:`SketchMatrix`.
+    """Owner ``w`` keeps ``batches[w]``, each batch under its first token,
+    and ignores the ``()`` batch of a chunk with no window.
 
-    Every address lookup of the run, in ``route`` and in the result's
-    ``query``, goes through :meth:`columns`, so the run hashes each distinct
-    item once.  The memo belongs to this program alone: nothing is cached
-    on ``params``, which the sequential reference shares.
+    ``counts(w)``, cell -> size, is built on first read and dropped when
+    ``w`` absorbs; ``sketches`` are :class:`SketchMatrix` copies.  The
+    :meth:`cells` memo is this program's alone: nothing is cached on
+    ``params``, which the sequential reference shares.
     """
 
     def __init__(self, corpus, k, workers, params: CmsParams):
         super().__init__(corpus, k, workers)
         self.params = params
-        self._columns: dict[str, tuple] = {}
+        self._cells: dict[str, tuple] = {}
 
-    def columns(self, item: str) -> tuple:
-        """``params.columns(item)`` as a tuple, hashed on first use."""
-        cols = self._columns.get(item)
-        if cols is None:
-            cols = self._columns[item] = tuple(self.params.columns(item))
-        return cols
+    def cells(self, item: str) -> tuple:
+        """``item``'s cell ``i * m + j`` in each row i, hashed on first use."""
+        cells = self._cells.get(item)
+        if cells is None:
+            m = self.params.m
+            cells = self._cells[item] = tuple(
+                i * m + j for i, j in enumerate(self.params.columns(item)))
+        return cells
 
     def init_state(self) -> None:
-        self.sketches = {wid: SketchMatrix(self.params)
-                         for wid in self.plan.workers}
+        self.batches = {wid: {} for wid in self.plan.workers}
+        self._counts: dict[int, Counter] = {}
 
-    def on_deliver(self, sim: Simulation, env: Envelope) -> None:
-        self.sketches[env.dst].add(env.payload)
+    def absorb(self, wid, delta: tuple) -> None:
+        if delta and self.batches[wid].setdefault(delta[1][0], delta) != delta:
+            raise AssertionError("two batches, one first token")
+        self._counts.pop(wid, None)
+
+    def counts(self, wid: int) -> Counter:
+        """Cell -> its size at ``wid``: a token is in one batch per owner."""
+        if wid not in self._counts:
+            self._counts[wid] = Counter(chain.from_iterable(
+                cells for cells, _ in self.batches[wid].values()))
+        return self._counts[wid]
+
+    def matrix(self, wid: int, columns=None) -> SketchMatrix:
+        sk, m = SketchMatrix(self.params, columns), self.params.m
+        sk.add((*divmod(c, m), token) for cells, tokens
+               in self.batches[wid].values() for c, token in zip(cells, tokens))
+        return sk
+
+    @property
+    def sketches(self) -> dict[int, SketchMatrix]:
+        return {wid: self.matrix(wid) for wid in self.batches}
 
     def state_size(self) -> int:
-        return sum(len(c) for sk in self.sketches.values()
-                   for row in sk.cells for c in row)
+        return sum(len(b[0]) for r in self.batches.values() for b in r.values())
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +193,12 @@ class Design2Program(_CellProgram):
     chunk's cells to every replica, and a replica only merges them."""
 
     def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
-        """One chunk's h cells per window, as one tuple that every replica
-        gets and ``delta`` returns as is (``tuple`` of a tuple is itself)."""
-        cells = tuple((i, j, off) for kmer, off in windows
-                      for i, j in enumerate(self.columns(kmer)))
-        return dict.fromkeys(self.plan.workers, cells)
+        """One ``(cells, tokens)`` batch, ``()`` with no window, for every
+        replica; ``delta`` returns it as is (``tuple`` of a tuple is itself)."""
+        h, cells = self.params.h, self.cells
+        batch = (tuple(chain.from_iterable([cells(km) for km, _ in windows])),
+                 tuple(chain.from_iterable([(o,) * h for _, o in windows])))
+        return dict.fromkeys(self.plan.workers, batch if windows else ())
 
 
 @dataclass
@@ -184,16 +207,15 @@ class Design2Result:
     program: Design2Program
 
     def sketch(self) -> SketchMatrix:
-        return self.program.sketches[min(self.program.sketches)]
+        return self.program.matrix(min(self.program.batches))
 
     def query(self, item: str) -> int:
-        cells = self.sketch().cells
-        return min(len(cells[i][j])
-                   for i, j in enumerate(self.program.columns(item)))
+        counts = self.program.counts(min(self.program.batches))
+        return min(counts[c] for c in self.program.cells(item))
 
     def converged(self) -> bool:
-        first = self.sketch()
-        return all(r == first for r in self.program.sketches.values())
+        first, *rest = self.program.batches.values()
+        return all(r == first for r in rest)
 
 
 def design2_run(corpus, k: int, params: CmsParams, workers: int,
@@ -209,31 +231,36 @@ def design2_run(corpus, k: int, params: CmsParams, workers: int,
 class Design1Program(_CellProgram):
     """Columns range-partitioned into one slab per worker.
 
-    Inserting an item routes each of its h cell updates to the worker owning
-    that column; a query gathers the h addressed cells from their owners and
+    Inserting an item routes each of its h cells to the worker owning that
+    column; a query gathers the h addressed cells from their owners and
     reduces by min.
     """
 
     def init_state(self) -> None:
+        super().init_state()
         owners = self.plan.workers
         slab = -(-self.params.m // len(owners))
         boundaries = tuple(slab * i for i in range(1, len(owners)))
         plan = PartitionPlan("range", owners, column="column",
                              boundaries=boundaries)
         self.column_owners = [plan.owner_of_key(j) for j in range(self.params.m)]
-        self.sketches = {wid: SketchMatrix(self.params, [
-            j for j, o in enumerate(self.column_owners) if o == wid])
-            for wid in owners}
+        self.cell_owners = self.column_owners * self.params.h  # by i * m + j
 
-    def route(self, windows: list[tuple[str, int]]) -> dict[int, list]:
-        """Each window becomes h ``(row, column, token)`` cell updates,
-        batched by the worker owning the column."""
-        owners = self.column_owners
-        batches: dict[int, list] = {}
+    def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
+        """A ``(cells, tokens)`` batch per worker owning a cell's column."""
+        owners = self.cell_owners
+        batches = {wid: ([], []) for wid in self.plan.workers}
         for kmer, off in windows:
-            for i, j in enumerate(self.columns(kmer)):
-                batches.setdefault(owners[j], []).append((i, j, off))
-        return batches
+            for c in self.cells(kmer):
+                cells, tokens = batches[owners[c]]
+                cells.append(c)
+                tokens.append(off)
+        return {w: tuple(map(tuple, b)) for w, b in batches.items() if b[0]}
+
+    @property
+    def sketches(self) -> dict[int, SketchMatrix]:
+        return {wid: self.matrix(wid, [j for j, o in enumerate(
+                    self.column_owners) if o == wid]) for wid in self.batches}
 
 
 @dataclass
@@ -250,13 +277,13 @@ class Design1Result:
         """
         prog = self.program
         sizes = []
-        for i, j in enumerate(prog.columns(item)):
-            owner = prog.column_owners[j]
+        for c in prog.cells(item):
+            owner = prog.cell_owners[c]
             if self.sim.net.partitioned(at_worker, owner):
                 return IDK
             if owner != at_worker:
                 self.sim.log("gather", src=at_worker, dst=owner)
-            sizes.append(len(prog.sketches[owner].cells[i][j]))
+            sizes.append(prog.counts(owner)[c])
         return Value(min(sizes))
 
     def estimate(self, item: str, at_worker: int = 0) -> int:

@@ -471,6 +471,21 @@ def test_runs_never_rescan_state(name, small_corpus, monkeypatch):
     assert agrees_with_oracle(name, small_corpus, res)
 
 
+@pytest.mark.parametrize("name", ["design1", "design2"])
+def test_sketch_runs_never_build_cells_or_counts(name, small_corpus,
+                                                 monkeypatch):
+    # Delivery keeps batches whole: no per-cell set and no cell count is
+    # built until the run has ended.
+    def build(*args):
+        raise AssertionError("cell sets or counts built during the run")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sketch.SketchMatrix, "add", build)
+        patched.setattr(PROGRAMS[name], "counts", build)
+        res = faulty_run(name, small_corpus, 0)
+    assert agrees_with_oracle(name, small_corpus, res)
+
+
 @pytest.mark.parametrize("faults, error", [
     (dict(failures=[(3, 1), (5, 1)]), "worker 1 is listed to fail more than"),
     (dict(partitions=[(3, ((0, 1),)), (3, ((1, 2),)), (9, ())]),

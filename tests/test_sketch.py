@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from calmsim import sketch
+from calmsim import kmer, sketch
 from calmsim.hashing import hash64
-from calmsim.runtime import DeliverySchedule, NetworkCondition
+from calmsim.runtime import DeliverySchedule, NetworkCondition, Simulation
 from calmsim.sketch import (CmsParams, SketchMatrix, choose_params,
                             corpus_stream, design1_run, design2_run,
                             row_seeds, sequential_sketch)
@@ -288,3 +288,110 @@ def test_design1_partitioned_owner_means_idk(cms_corpus):
         assert out is IDK
     res.sim.heal()
     assert isinstance(res.query(item, at_worker=0), Value)
+
+
+# -- owners keep delivered batches whole ------------------------------------
+
+
+def rebuilt_deltas(prog):
+    """Each completed chunk's deltas built again from its windows, as for a
+    reissued chunk: ``(receiver, delta)`` pairs."""
+    for chunk in sorted(prog.pool.completed):
+        windows = kmer.chunk_windows(prog.data, chunk, prog.k)
+        for wid, batch in prog.route(windows).items():
+            yield wid, prog.delta(batch)
+
+
+def cell_set_size(prog) -> int:
+    """``state_size`` as it was defined over per-cell sets."""
+    return sum(len(c) for sk in prog.sketches.values()
+               for row in sk.cells for c in row)
+
+
+@pytest.mark.parametrize("run", [design1_run, design2_run])
+def test_rebuilt_batch_is_absorbed_again_with_no_effect(cms_corpus, run):
+    res = run(cms_corpus, 6, params(), workers=3, **FAULTS)
+    prog = res.program
+    before = {w: dict(held) for w, held in prog.batches.items()}
+    sizes, answers = cell_set_size(prog), estimates(res, ["ACGTAC"])
+    rebuilt = 0
+    for wid, delta in rebuilt_deltas(prog):
+        if delta:
+            held = prog.batches[wid][delta[1][0]]
+            assert delta == held and delta is not held
+            rebuilt += 1
+        prog.absorb(wid, delta)
+    assert rebuilt == sum(map(len, before.values()))
+    assert all(prog.batches[w][t] is b
+               for w, held in before.items() for t, b in held.items())
+    assert prog.batches == before
+    assert cell_set_size(prog) == sizes == prog.state_size()
+    assert estimates(res, ["ACGTAC"]) == answers
+
+
+@pytest.mark.parametrize("run", [design1_run, design2_run])
+def test_a_different_batch_under_a_held_first_token_is_rejected(cms_corpus,
+                                                                run):
+    prog = run(cms_corpus, 6, params(), workers=3, **FAULTS).program
+    wid, held = next((w, b) for w, bs in prog.batches.items()
+                     for b in bs.values() if len(b[0]) > 1)
+    cells, tokens = held
+    for other in ((cells[:-1], tokens[:-1]), (cells[::-1], tokens)):
+        with pytest.raises(AssertionError, match="two batches, one first"):
+            prog.absorb(wid, other)
+        assert prog.batches[wid][tokens[0]] is held
+
+
+@pytest.mark.parametrize("run", [design1_run, design2_run])
+def test_chunks_without_windows_change_nothing(run, monkeypatch):
+    # Every line is shorter than k: design 2 still sends each replica one
+    # empty batch per chunk, and design 1 has no cell to send.
+    corpus = "ACGTA\nCG\nTTGCA\n" * 30
+    sent = []
+    send = Simulation.send
+
+    def spy_send(sim, src, dst, payload, token_id=None):
+        sent.append(payload)
+        return send(sim, src, dst, payload, token_id)
+
+    monkeypatch.setattr(Simulation, "send", spy_send)
+    res = run(corpus, 6, params(), workers=3, **FAULTS)
+    prog = res.program
+    chunks = len(prog.pool.completed)
+    assert chunks > 1
+    assert sent == ([()] * chunks * 3 if run is design2_run else [])
+    assert any(ev[1] == "deliver" for ev in res.sim.events) == bool(sent)
+    assert all(held == {} for held in prog.batches.values())
+    assert prog.state_size() == cell_set_size(prog) == 0
+    assert estimates(res, ["ACGTAC"]) == {"ACGTAC": 0}
+    if run is design2_run:
+        assert res.converged() and res.sketch() == SketchMatrix(params())
+
+
+@pytest.mark.parametrize("run", [design1_run, design2_run])
+def test_a_query_after_a_new_batch_counts_it(cms_corpus, run):
+    res = run(cms_corpus, 6, params(), workers=3, **FAULTS)
+    prog = res.program
+    item = corpus_stream(cms_corpus, 6)[0][0]
+    before = estimates(res, [item])[item]
+    for wid, batch in prog.route([(item, 10**6)]).items():
+        prog.absorb(wid, prog.delta(batch))
+    assert estimates(res, [item])[item] == before + 1
+
+
+@pytest.mark.parametrize("run", [design1_run, design2_run])
+def test_state_size_counts_the_cell_sets(cms_corpus, run):
+    res = run(cms_corpus, 6, params(), workers=3, **FAULTS)
+    size = res.program.state_size()
+    assert size == cell_set_size(res.program) > 0
+    ref = sequential_sketch(corpus_stream(cms_corpus, 6), params())
+    replicas = len(res.program.batches) if run is design2_run else 1
+    assert size == replicas * sum(len(c) for row in ref.cells for c in row)
+
+
+def test_design2_replica_missing_a_batch_has_not_converged(cms_corpus):
+    res = design2_run(cms_corpus, 6, params(), workers=3, **FAULTS)
+    assert res.converged()
+    held = res.program.batches[max(res.program.batches)]
+    held.pop(next(iter(held)))
+    assert not res.converged()
