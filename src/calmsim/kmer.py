@@ -3,10 +3,10 @@
 Three variants over the same chunk-ingestion pipeline:
 
 - ``impl_a_run``: each k-mer instance carries a unique identifier (its byte
-  offset in the input); an owner keeps each batch of ``(k-mer, id)`` pairs
-  whole under its first id, so a count is the k-mer's number of ids and
-  re-delivery cannot double count.  Its histogram lists k-mers owner by
-  owner in delivery order, the same under every hash seed.
+  offset in the input); an owner keeps each batch whole under its first
+  id, k-mers as a tuple and ids as a typed ``array``, so re-delivery cannot
+  double count.  The histogram is one ``Counter``, built owner by owner in
+  delivery order, the same under every hash seed.
 - ``impl_b_run``: owner shards use :class:`ThresholdLSet`, which stops
   storing identifiers once a k-mer reaches the caller's threshold; counts
   are exact below the threshold and the predicate ``count >= threshold``
@@ -26,6 +26,7 @@ sketch designs' too, passes :func:`_run`'s fault keywords through to it.
 from __future__ import annotations
 
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -232,14 +233,16 @@ def _owner_counts(shards) -> dict[str, int]:
 
 
 class ImplAProgram(KmerIngestProgram):
-    """Owners keep each batch whole, as ``(k-mers, ids)`` under its first
-    id; ``shards`` and ``table`` are views."""
+    """Owners keep each batch whole under its first id, as a tuple of
+    k-mers and an ``array("q")`` of ids; ``shards`` and ``table`` are views.
+    The histogram is one ``Counter``, built owner by owner."""
 
     def init_state(self) -> None:
         self.rows = {wid: {} for wid in self.plan.workers}
 
     def delta(self, pairs) -> tuple:
-        return tuple(zip(*pairs))
+        kmers, ids = zip(*pairs)
+        return kmers, array("q", ids)
 
     def absorb(self, wid, delta: tuple) -> None:
         if self.rows[wid].setdefault(delta[1][0], delta) != delta:
@@ -262,11 +265,14 @@ class ImplAProgram(KmerIngestProgram):
     def state_size(self) -> int:
         return sum(len(b[1]) for r in self.rows.values() for b in r.values())
 
-    def histogram(self) -> dict[str, int]:
-        kmers = itemgetter(0)
-        return _owner_counts(
-            Counter(chain.from_iterable(map(kmers, self.rows[w].values())))
-            for w in sorted(self.rows))
+    def histogram(self) -> Counter:
+        counts = Counter()
+        for w in sorted(self.rows):
+            kmers = [b[0] for b in self.rows[w].values()]
+            if not counts.keys().isdisjoint(chain.from_iterable(kmers)):
+                raise AssertionError("k-mer key on two owner shards")
+            counts.update(chain.from_iterable(kmers))
+        return counts
 
 
 class ImplBProgram(KmerIngestProgram):

@@ -116,6 +116,9 @@ class LMap(LatticeValue):
             raise LatticeTypeError(
                 f"cannot merge {type(delta).__name__} into LMap")
         entries = self.entries
+        if not entries:  # a scratch table at every inject and rule merge
+            entries.update(delta.entries)
+            return bool(delta.entries)
         kept = {}  # each shared key's merged value
         changed = False
         for key in entries.keys() & delta.entries.keys():

@@ -80,7 +80,7 @@ class NetworkCondition:
         self._cut = frozenset(frozenset(pair) for pair in cut)
 
     def partitioned(self, a: int, b: int) -> bool:
-        return a != b and frozenset((a, b)) in self._cut
+        return bool(self._cut) and a != b and frozenset((a, b)) in self._cut
 
 
 _BACKOFF_CAP = 32

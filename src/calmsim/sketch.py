@@ -275,15 +275,16 @@ class Design1Result:
         worker is unreachable from the querying worker, the honest answer
         is IDK.
         """
-        prog = self.program
+        prog, log, net = self.program, self.sim.log, self.sim.net
+        owners, counts = prog.cell_owners, prog.counts
         sizes = []
         for c in prog.cells(item):
-            owner = prog.cell_owners[c]
-            if self.sim.net.partitioned(at_worker, owner):
-                return IDK
-            if owner != at_worker:
-                self.sim.log("gather", src=at_worker, dst=owner)
-            sizes.append(prog.counts(owner)[c])
+            owner = owners[c]
+            if owner != at_worker:  # a worker always reaches itself
+                if net.partitioned(at_worker, owner):
+                    return IDK
+                log("gather", src=at_worker, dst=owner)
+            sizes.append(counts(owner)[c])
         return Value(min(sizes))
 
     def estimate(self, item: str, at_worker: int = 0) -> int:

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +214,24 @@ def test_impl_a_batch_is_held_under_its_first_id(small_corpus):
         prog.absorb(wid, other)
     assert prog.rows[wid] == before and prog.rows[wid][first] is held
     assert prog.state_size() == sum(truth.values())
+
+
+def test_impl_a_holds_at_most_90_bytes_per_window():
+    rng = random.Random(1)  # 20 KB of 100-base lines, as the benchmark draws
+    corpus = "".join("".join(rng.choices("ACGT", k=100)) + "\n"
+                     for _ in range(20_000 // 101))
+    truth = kmer.oracle_count(corpus, 12)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        # sim stays alive, so its event log counts as held too.
+        sim, prog = kmer._run(kmer.ImplAProgram(corpus, 12, 4))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert prog.histogram() == truth
+    assert held <= 90 * sum(truth.values())
 
 
 # -- implementation B -------------------------------------------------------
@@ -447,6 +467,25 @@ def test_a_kmer_on_two_owner_shards_is_rejected(name, small_corpus):
         prog.absorb(wid, prog.delta([("ACGT", 10**6)]))
     with pytest.raises(AssertionError, match="two owner shards"):
         prog.histogram()
+
+
+@pytest.mark.parametrize("owners", [(0, 1), (0, 2), (1, 2)])
+def test_impl_a_kmer_on_exactly_two_owner_shards_is_rejected(owners,
+                                                            small_corpus):
+    prog = faulty_run("impl_a", small_corpus, 0).program
+    for wid in owners:
+        prog.absorb(wid, prog.delta([("ACGTA", 10**6)]))
+    with pytest.raises(AssertionError, match="two owner shards"):
+        prog.histogram()
+
+
+def test_impl_a_kmer_only_on_the_last_owner_is_counted(small_corpus):
+    prog = faulty_run("impl_a", small_corpus, 0).program
+    prog.absorb(max(prog.rows), prog.delta([("ACGTA", 10**6),
+                                            ("ACGTA", 10**6 + 1)]))
+    hist = prog.histogram()
+    assert hist == {**kmer.oracle_count(small_corpus, 4), "ACGTA": 2}
+    assert list(hist)[-1] == "ACGTA"
 
 
 @pytest.mark.parametrize("name", RUNNERS)
