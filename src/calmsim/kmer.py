@@ -77,31 +77,30 @@ def histogram_report(k: int, counts: Mapping[str, int]) -> dict:
     }
 
 
-def chunk_windows(data: bytes, chunk: Chunk, k: int) -> list[tuple[str, int]]:
-    """Windows whose start offset falls inside the chunk.
-
-    The read overlaps the next chunk by k-1 bytes so straddling windows are
-    attributed to the earlier chunk exactly once.  Windows containing a
-    newline are skipped (sequences never span lines).  Each line of the
-    read is validated and decoded once; a byte outside ACGT raises at the
-    offset of the first window that holds it, and a line shorter than k
-    holds no window, so it is not checked.
-    """
+def _lines(read: bytes, off: int, k: int):
+    """``(text, first offset, window count)`` of each line of ``read`` (at
+    byte ``off``) that holds a window; a byte outside ACGT on one raises at
+    its first window's offset.  Only such lines are checked, each once."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    end = min(chunk.start + chunk.length, len(data))
-    out = []
-    off = chunk.start
-    for line in data[off:end + k - 1].split(b"\n"):
+    for line in read.split(b"\n"):
         starts = len(line) - k + 1
         if starts > 0:
-            bad = _NOT_BASE.search(line)
-            if bad:
+            if bad := _NOT_BASE.search(line):
                 raise ValueError(
                     f"invalid base at offset {off + max(0, bad.start() - k + 1)}")
-            text = line.decode("ascii")
-            out.extend((text[i:i + k], off + i) for i in range(starts))
+            yield line.decode("ascii"), off, starts
         off += len(line) + 1
+
+
+def chunk_windows(data: bytes, chunk: Chunk, k: int) -> list[tuple[str, int]]:
+    """Windows starting inside the chunk, read by ``_lines``; the read
+    overlaps the next chunk by k-1 bytes, so the earlier chunk alone holds
+    a straddling window.  No window spans a newline."""
+    end = min(chunk.start + chunk.length, len(data))
+    out = []
+    for text, off, n in _lines(data[chunk.start:end + k - 1], chunk.start, k):
+        out.extend((text[i:i + k], off + i) for i in range(n))
     return out
 
 
@@ -366,24 +365,34 @@ def table_kmer_run(corpus, k: int, workers: int, **faults) -> KmerRunResult:
 # Threshold counting via tick rules (instantaneous vs deferred merge)
 
 
+def _window_batches(data: bytes, k: int, batch: int):
+    """Each run of ``batch`` windows as ``{k-mer: [ids]}``, from ``_lines``."""
+    grouped, room = {}, batch
+    for text, off, n in _lines(data, 0, k):
+        for i in range(n):
+            grouped.setdefault(text[i:i + k], []).append(off + i)
+            room -= 1
+            if not room:
+                yield grouped
+                grouped, room = {}, batch
+    if grouped:
+        yield grouped
+
+
 def threshold_rule_run(corpus, k: int, threshold: int,
                        deferred: bool = True, batch: int = 64) -> dict[str, int]:
     """Threshold k-mer counting written as Bloom rule text over lattice maps.
 
-    Arrivals feed an ``incoming`` map guarded by the threshold read from
-    ``local``; ``local`` absorbs ``incoming``.  With the local-merge rule
-    instantaneous (``<=``) the two rules feed each other within one tick
-    and engine construction raises :class:`StratificationError`; deferring
-    the merge to the next tick (``<+``) makes the program run.
-
-    Both rules read full tables.  ``arrivals`` and ``incoming`` are
-    scratch tables: each holds one tick's ids and is emptied after it, so
-    each rule sees an id in the tick it arrives, the engine keeps no id
-    outside ``local`` and an inject costs only its batch.
+    The corpus is read a line at a time; each run of ``batch`` windows,
+    grouped by k-mer, goes to the scratch ``arrivals``.  The scratch
+    ``incoming`` admits those whose k-mer ``local`` holds under
+    ``threshold`` times, and ``local`` absorbs it: instantaneous (``<=``),
+    the two rules feed each other within one tick and engine construction
+    raises :class:`StratificationError`; deferred (``<+``), the program
+    runs.  The run holds one batch of windows and no id outside ``local``.
     """
     if threshold < 1 or batch < 1:
         raise ValueError("threshold and batch must be >= 1")
-    windows = corpus_stream(corpus, k)
     engine = TickRuleEngine(*compile_rules(f"""
         table local
         scratch arrivals
@@ -391,9 +400,9 @@ def threshold_rule_run(corpus, k: int, threshold: int,
         incoming <= arrivals below local {threshold}
         local {"<+" if deferred else "<="} incoming
     """))
-    for i in range(0, len(windows), batch):
-        chunk = windows[i:i + batch]
-        engine.inject("arrivals", _batch_lmap(chunk, GSet))
+    for grouped in _window_batches(normalize_corpus(corpus), k, batch):
+        engine.inject("arrivals",
+                      LMap({km: GSet(ids) for km, ids in grouped.items()}))
         engine.tick()
     engine.run_to_fixpoint()
     return {kmer: len(ids)

@@ -103,14 +103,13 @@ class LMap(LatticeValue):
     def merge_in(self, delta: "LMap") -> bool:
         """Merge ``delta`` into this map in place; True if the map changed.
 
-        Touches only the delta's keys, so it costs O(delta) rather than the
-        O(state) copy of :meth:`merge`.  New keys are adopted in bulk, in
-        delta order; a shared key merges as ``merge(current, value)``, so a
-        receiver-side guard such as :class:`ThresholdLSet`'s still reads this
-        map's value, and keeps its stored object if that changes nothing.
-        Every merge runs before the map is touched, so one that raises
-        leaves the map as it was.  The delta is never mutated, and the
-        values stored from it are shared, not copied.
+        One pass over the delta, O(delta), looks each key up once.  A shared
+        key merges as ``merge(current, value)``, so a receiver-side guard
+        such as :class:`ThresholdLSet`'s reads this map's value.  New and
+        changed values are staged, then applied by one ``dict.update``: new
+        keys go last in delta order, an unchanged key keeps its stored
+        object, and a merge that raises leaves the map as it was.  The delta
+        is never mutated; values stored from it are shared, not copied.
         """
         if type(delta) is not LMap:
             raise LatticeTypeError(
@@ -119,19 +118,18 @@ class LMap(LatticeValue):
         if not entries:  # a scratch table at every inject and rule merge
             entries.update(delta.entries)
             return bool(delta.entries)
-        kept = {}  # each shared key's merged value
-        changed = False
-        for key in entries.keys() & delta.entries.keys():
-            cur, value = entries[key], delta.entries[key]
-            if cur is not value:  # merge is idempotent: skip a redelivery
-                new = merge(cur, value)
-                if new != cur:
-                    cur, changed = new, True
-            kept[key] = cur
-        size = len(entries)
-        entries.update(delta.entries)
-        entries.update(kept)
-        return changed or len(entries) > size
+        staged = {}  # each new key's value and each changed key's merge
+        for key, value in delta.entries.items():
+            if (cur := entries.get(key)) is None:
+                staged[key] = value
+            elif cur is not value:  # merge is idempotent: skip a redelivery
+                if type(cur) is not type(value):
+                    raise LatticeTypeError(f"cannot merge {type(cur).__name__}"
+                                           f" with {type(value).__name__}")
+                if (new := cur.merge(value)) != cur:
+                    staged[key] = new
+        entries.update(staged)
+        return bool(staged)
 
     def get(self, key, default=None):
         return self.entries.get(key, default)

@@ -16,8 +16,9 @@ import re
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import partial
 from itertools import groupby
+from operator import itemgetter
 from typing import Any, Mapping
 
 from . import lattice
@@ -290,9 +291,11 @@ _LINE = re.compile(r"(table|scratch)\s+(\w+)|(\w+)\s*(<=|<\+)\s*(\w+)"
 
 
 def _rule(target: str, op: str, sources: tuple, fn, deferred=False) -> Rule:
-    """A rule folding ``fn`` over its sources' values; a copy has no ``fn``."""
-    return Rule(target, lambda env: reduce(fn, [env[s] for s in sources]),
-                sources, deferred, op)
+    """A rule applying ``fn`` to its two sources; a copy has no ``fn``."""
+    if fn is None:
+        return Rule(target, itemgetter(*sources), sources, deferred, op)
+    a, b = sources
+    return Rule(target, lambda env: fn(env[a], env[b]), sources, deferred, op)
 
 
 def _parse(text: str, lattices: bool) -> tuple[dict, list]:

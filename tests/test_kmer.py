@@ -109,8 +109,16 @@ def test_chunk_windows_skips_invalid_bytes_on_short_lines():
     data = b"ACGTA\nXX\nAXGTT"
     assert kmer.chunk_windows(data, Chunk(0, 9, 0), 4) == [
         ("ACGT", 0), ("CGTA", 1)]
-    with pytest.raises(ValueError, match="invalid base at offset 9"):
-        kmer.chunk_windows(data, Chunk(0, len(data), 0), 4)
+    # threshold_rule_run reads lines as chunk_windows does, so it raises
+    # at the same offset: the line's start, or the first window with the
+    # bad byte when that starts later.
+    for corpus, offset in ((data, 9), (b"ACGTA\nXX\nACGTAXG", 11)):
+        for read in (lambda: kmer.chunk_windows(
+                         corpus, Chunk(0, len(corpus), 0), 4),
+                     lambda: kmer.threshold_rule_run(corpus, 4, 3)):
+            with pytest.raises(ValueError,
+                               match=f"invalid base at offset {offset}$"):
+                read()
 
 
 @pytest.mark.parametrize("corpus", ["ACGT\r\nACGT\r\n", "AN\nACGT\n",
@@ -400,6 +408,21 @@ def test_scratch_tables_match_persistent_tables(lines, k, threshold, batch):
     assert got.keys() == truth.keys()
     assert all(c <= truth[km] and min(c, threshold) == min(truth[km], threshold)
                for km, c in got.items())
+
+
+def test_threshold_rule_run_holds_one_batch_of_windows():
+    # A run that listed every window first would peak at over 100 bytes a
+    # window; reading a line at a time keeps the peak near the corpus copy.
+    corpus = ("A" * 100 + "\n") * 800
+    gc.collect()
+    tracemalloc.start()
+    try:
+        counts = kmer.threshold_rule_run(corpus, 4, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.keys() == {"AAAA"} and counts["AAAA"] >= 16
+    assert peak < 4 * len(corpus)
 
 
 def test_engine_keeps_one_batch_of_arrivals(monkeypatch):
