@@ -7,9 +7,9 @@ Three variants over the same chunk-ingestion pipeline:
   id, k-mers as a tuple and ids as a typed ``array``, so re-delivery cannot
   double count.  The histogram is one ``Counter``, built owner by owner in
   delivery order, the same under every hash seed.
-- ``impl_b_run``: owner shards use :class:`ThresholdLSet`, which stops
-  storing identifiers once a k-mer reaches the caller's threshold; counts
-  are exact below the threshold and the predicate ``count >= threshold``
+- ``impl_b_run``: owners apply :class:`ThresholdLSet`'s merge in place to
+  a set of ids per k-mer, which stops growing at the caller's threshold;
+  counts are exact below the threshold and the predicate ``count >= threshold``
   is exact everywhere.
 - ``table_kmer_run``: implementation A's run read through its ``table``
   view, a G-Set global table hash-partitioned on the k-mer column; grouping
@@ -133,9 +133,9 @@ class KmerIngestProgram(Program):
     The pool is the one record of the chunk each worker holds, and one
     hash plan on the k-mer, fixed over the workers present at setup, says
     which worker owns a k-mer; later joiners only ingest.  Owner state only
-    grows, by merge on delivery.  The program is idle once the pool is
-    done, so the run is at its fixpoint when, in addition, nothing is in
-    flight or held.
+    grows: by default ``batches[w]`` keeps each batch whole under its first
+    id.  The program is idle once the pool is done, so the run is at its
+    fixpoint when, in addition, nothing is in flight or held.
     """
 
     def __init__(self, corpus, k: int, workers: int,
@@ -160,7 +160,7 @@ class KmerIngestProgram(Program):
         self.init_state()
 
     def init_state(self) -> None:
-        raise NotImplementedError
+        self.batches = {wid: {} for wid in self.plan.workers}
 
     def route(self, windows: list[tuple[str, int]]) -> dict[int, list]:
         """Group one chunk's windows into a batch per receiving worker."""
@@ -187,20 +187,22 @@ class KmerIngestProgram(Program):
     def on_deliver(self, sim: Simulation, env: Envelope) -> None:
         self.absorb(env.dst, env.payload)
 
-    def delta(self, pairs: list):
-        """What one batch adds to its owner; by default, the batch's tuple."""
-        return tuple(pairs)
+    def delta(self, pairs: list) -> tuple:
+        """A batch as flat tuples: its k-mers and an ``array("q")`` of ids."""
+        kmers, ids = zip(*pairs)
+        return kmers, array("q", ids)
 
-    def absorb(self, wid: int, delta) -> None:
-        """Merge ``delta`` into ``wid``'s state; it may arrive again."""
-        raise NotImplementedError
+    def absorb(self, wid: int, delta: tuple) -> None:
+        """Keep ``delta`` whole under its first id; ignore the ``()`` batch."""
+        if delta and self.batches[wid].setdefault(delta[1][0], delta) != delta:
+            raise AssertionError("two batches, one first id")
 
     def idle(self, sim: Simulation) -> bool:
         return self.pool.done
 
     def state_size(self) -> int:
-        """Elements held in owner state; an O(state) end-of-run report."""
-        raise NotImplementedError
+        """Ids in the owners' batches; an O(state) end-of-run report."""
+        return sum(len(b[1]) for r in self.batches.values() for b in r.values())
 
     # -- harness hooks ------------------------------------------------------
 
@@ -214,60 +216,38 @@ class KmerIngestProgram(Program):
         return wid
 
 
-def _batch_lmap(pairs, value_of) -> LMap:
+def _grouped(pairs) -> dict[str, list]:
+    """Each k-mer's ids, k-mers in first-occurrence order."""
     grouped: dict[str, list] = {}
     for kmer, off in pairs:
         grouped.setdefault(kmer, []).append(off)
-    return LMap({km: value_of(ids) for km, ids in grouped.items()})
-
-
-def _owner_counts(shards) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for local in shards:
-        size = len(counts)
-        counts.update(local)
-        if len(counts) != size + len(local):
-            raise AssertionError("k-mer key on two owner shards")
-    return counts
+    return grouped
 
 
 class ImplAProgram(KmerIngestProgram):
-    """Owners keep each batch whole under its first id, as a tuple of
-    k-mers and an ``array("q")`` of ids; ``shards`` and ``table`` are views.
-    The histogram is one ``Counter``, built owner by owner."""
-
-    def init_state(self) -> None:
-        self.rows = {wid: {} for wid in self.plan.workers}
-
-    def delta(self, pairs) -> tuple:
-        kmers, ids = zip(*pairs)
-        return kmers, array("q", ids)
-
-    def absorb(self, wid, delta: tuple) -> None:
-        if self.rows[wid].setdefault(delta[1][0], delta) != delta:
-            raise AssertionError("two batches, one first id")
+    """Owners keep the batches as delivered; ``shards`` and ``table`` are
+    views.  The histogram is one ``Counter``, built owner by owner."""
 
     def pairs(self, wid: int):
         """The ``(k-mer, id)`` pairs ``wid`` holds, in delivery order."""
-        return chain.from_iterable(zip(*b) for b in self.rows[wid].values())
+        return chain.from_iterable(zip(*b) for b in self.batches[wid].values())
 
     @property
     def shards(self) -> dict[int, LMap]:
-        return {w: _batch_lmap(sorted(self.pairs(w)), GSet) for w in self.rows}
+        return {w: LMap({km: GSet(ids) for km, ids
+                         in _grouped(sorted(self.pairs(w))).items()})
+                for w in self.batches}
 
     @property
     def table(self) -> GlobalTable:
         """The pairs as a ``(seq, token)`` table; a copy, like ``shards``."""
         return GlobalTable("kmers", GSet, ("seq", "token"), self.plan,
-                           {w: GSet(self.pairs(w)) for w in self.rows})
-
-    def state_size(self) -> int:
-        return sum(len(b[1]) for r in self.rows.values() for b in r.values())
+                           {w: GSet(self.pairs(w)) for w in self.batches})
 
     def histogram(self) -> Counter:
         counts = Counter()
-        for w in sorted(self.rows):
-            kmers = [b[0] for b in self.rows[w].values()]
+        for w in sorted(self.batches):
+            kmers = [b[0] for b in self.batches[w].values()]
             if not counts.keys().isdisjoint(chain.from_iterable(kmers)):
                 raise AssertionError("k-mer key on two owner shards")
             counts.update(chain.from_iterable(kmers))
@@ -275,7 +255,8 @@ class ImplAProgram(KmerIngestProgram):
 
 
 class ImplBProgram(KmerIngestProgram):
-    """Owner shards: map from k-mer to a threshold-capped set of ids."""
+    """Owner ``w`` keeps ``ids[w]``, k-mer -> set of ids, capped as
+    :class:`ThresholdLSet` caps; ``shards`` is a view of it."""
 
     def __init__(self, corpus, k, workers, threshold: int):
         super().__init__(corpus, k, workers)
@@ -284,22 +265,35 @@ class ImplBProgram(KmerIngestProgram):
         self.threshold = threshold
 
     def init_state(self) -> None:
-        self.shards = {wid: LMap.bottom() for wid in self.plan.workers}
+        self.ids = {wid: {} for wid in self.plan.workers}
 
-    def delta(self, pairs) -> LMap:
-        return _batch_lmap(
-            pairs, lambda offs: ThresholdLSet(frozenset(offs), self.threshold))
+    def absorb(self, wid, delta: tuple) -> None:
+        """``ThresholdLSet.merge`` in place, as only the owner reads its sets:
+        a k-mer's ids join its set whole while it holds under ``threshold``."""
+        held, cap = self.ids[wid], self.threshold
+        for kmer, offs in _grouped(zip(*delta)).items():
+            if (ids := held.get(kmer)) is None:
+                held[kmer] = set(offs)
+            elif len(ids) < cap:
+                ids.update(offs)
 
-    def absorb(self, wid, delta: LMap) -> None:
-        self.shards[wid].merge_in(delta)
+    @property
+    def shards(self) -> dict[int, LMap]:
+        return {w: LMap({km: ThresholdLSet(frozenset(ids), self.threshold)
+                         for km, ids in held.items()})
+                for w, held in self.ids.items()}
 
     def state_size(self) -> int:
-        return sum(len(v) for m in self.shards.values()
-                   for v in m.entries.values())
+        return sum(len(ids) for held in self.ids.values()
+                   for ids in held.values())
 
     def histogram(self) -> dict[str, int]:
-        return _owner_counts({km: len(ids) for km, ids in m.entries.items()}
-                             for _, m in sorted(self.shards.items()))
+        counts: dict[str, int] = {}
+        for _, held in sorted(self.ids.items()):
+            if not counts.keys().isdisjoint(held):
+                raise AssertionError("k-mer key on two owner shards")
+            counts.update((km, len(ids)) for km, ids in held.items())
+        return counts
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +350,7 @@ def table_kmer_run(corpus, k: int, workers: int, **faults) -> KmerRunResult:
     res = impl_a_run(corpus, k, workers, **faults)
     res.coordination_free = plan_query(res.program.table,
                                        "seq").coordination_free
-    for wid in sorted(res.program.rows):
+    for wid in sorted(res.program.batches):
         res.sim.log("aggregate", dst=wid)
     return res
 

@@ -8,8 +8,8 @@ to copy between workers and to re-deliver arbitrarily often.
 
 Owner state that its program never sends or shares may grow in place:
 :meth:`LMap.merge_in` merges a delta into a map's own entries, all or
-nothing, and programs keep mutable state, such as implementation A's batch
-maps (first id to batch) and the ``SketchMatrix`` cells, that grows by union.
+nothing, and programs keep mutable state that grows by union: the owners'
+batch maps (first id to batch) and implementation B's capped id sets.
 Every value that travels or is compared across workers is a pure value.
 
 The one deliberate exception to the laws is :class:`ThresholdLSet`, whose

@@ -131,8 +131,8 @@ def sequential_sketch(stream: Iterable[tuple[str, int]],
 
 
 class _CellProgram(KmerIngestProgram):
-    """Owner ``w`` keeps ``batches[w]``, each batch under its first token,
-    and ignores the ``()`` batch of a chunk with no window.
+    """Owner ``w`` keeps ``batches[w]`` as the base class does, a batch's
+    first id being its first token.
 
     ``counts(w)``, cell -> size, is built on first read and dropped when
     ``w`` absorbs; ``sketches`` are :class:`SketchMatrix` copies.  The
@@ -155,12 +155,15 @@ class _CellProgram(KmerIngestProgram):
         return cells
 
     def init_state(self) -> None:
-        self.batches = {wid: {} for wid in self.plan.workers}
+        super().init_state()
         self._counts: dict[int, Counter] = {}
 
+    def delta(self, batch: tuple) -> tuple:
+        """``route`` builds each batch whole; ``tuple`` of it is itself."""
+        return tuple(batch)
+
     def absorb(self, wid, delta: tuple) -> None:
-        if delta and self.batches[wid].setdefault(delta[1][0], delta) != delta:
-            raise AssertionError("two batches, one first token")
+        super().absorb(wid, delta)
         self._counts.pop(wid, None)
 
     def counts(self, wid: int) -> Counter:
@@ -180,9 +183,6 @@ class _CellProgram(KmerIngestProgram):
     def sketches(self) -> dict[int, SketchMatrix]:
         return {wid: self.matrix(wid) for wid in self.batches}
 
-    def state_size(self) -> int:
-        return sum(len(b[0]) for r in self.batches.values() for b in r.values())
-
 
 # ---------------------------------------------------------------------------
 # Design 2: fully replicated matrix
@@ -194,7 +194,7 @@ class Design2Program(_CellProgram):
 
     def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
         """One ``(cells, tokens)`` batch, ``()`` with no window, for every
-        replica; ``delta`` returns it as is (``tuple`` of a tuple is itself)."""
+        replica."""
         h, cells = self.params.h, self.cells
         batch = (tuple(chain.from_iterable([cells(km) for km, _ in windows])),
                  tuple(chain.from_iterable([(o,) * h for _, o in windows])))

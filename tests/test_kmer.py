@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from calmsim import kmer, runtime, sketch
 from calmsim.dispenser import Chunk
 from calmsim.errors import StratificationError
-from calmsim.lattice import GSet, LMap
+from calmsim.lattice import GSet, LMap, ThresholdLSet
 from calmsim.runtime import (DeliverySchedule, Rule, Simulation,
                              TickRuleEngine)
 from calmsim.tables import DNE, Value, lookup
@@ -180,8 +180,8 @@ def test_impl_a_shards_view_and_redelivery(small_corpus, monkeypatch):
     assert {"dup", "drop", "fail"} <= {ev[1] for ev in res.sim.events}
     prog, truth = res.program, kmer.oracle_count(small_corpus, 4)
     shards = prog.shards
-    assert sorted(shards) == sorted(prog.rows)
-    for wid, batches in prog.rows.items():
+    assert sorted(shards) == sorted(prog.batches)
+    for wid, batches in prog.batches.items():
         offsets: dict = {}
         for first, (kms, offs) in batches.items():
             assert first == offs[0] and len(kms) == len(offs)
@@ -191,36 +191,36 @@ def test_impl_a_shards_view_and_redelivery(small_corpus, monkeypatch):
         assert {km: ids.elems
                 for km, ids in shards[wid].entries.items()} == offsets
     assert (prog.state_size()
-            == sum(len(offs) for batches in prog.rows.values()
+            == sum(len(offs) for batches in prog.batches.values()
                    for _, offs in batches.values())
             == sum(truth.values()))
     with pytest.raises(AttributeError):
         prog.shards = {}
     # Absorbing a delivered delta again changes neither side.
     wid, delta = delivered[len(delivered) // 2]
-    rows, pairs = dict(prog.rows[wid]), list(zip(*delta))
+    held, pairs = dict(prog.batches[wid]), list(zip(*delta))
     absorb(prog, wid, delta)
-    assert prog.rows[wid] == rows and list(zip(*delta)) == pairs
+    assert prog.batches[wid] == held and list(zip(*delta)) == pairs
     assert prog.histogram() == truth
 
 
 def test_impl_a_batch_is_held_under_its_first_id(small_corpus):
     res = faulty_run("impl_a", small_corpus, 0)
     prog, truth = res.program, kmer.oracle_count(small_corpus, 4)
-    wid = next(w for w, batches in prog.rows.items() if batches)
-    first, held = next(iter(prog.rows[wid].items()))
-    before = dict(prog.rows[wid])
+    wid = next(w for w, batches in prog.batches.items() if batches)
+    first, held = next(iter(prog.batches[wid].items()))
+    before = dict(prog.batches[wid])
     # A reprocessed chunk rebuilds an equal batch as a new object.
     again = prog.delta(list(zip(*held)))
     assert again == held and again is not held
     prog.absorb(wid, again)
-    assert prog.rows[wid] == before and prog.rows[wid][first] is held
+    assert prog.batches[wid] == before and prog.batches[wid][first] is held
     assert prog.histogram() == truth
     # A different batch under a held first id is a fault, not a merge.
     other = prog.delta([*zip(*held), ("ACGT", 10**6)])
     with pytest.raises(AssertionError, match="two batches, one first id"):
         prog.absorb(wid, other)
-    assert prog.rows[wid] == before and prog.rows[wid][first] is held
+    assert prog.batches[wid] == before and prog.batches[wid][first] is held
     assert prog.state_size() == sum(truth.values())
 
 
@@ -277,6 +277,55 @@ def test_impl_b_memory_bound():
             assert len(ids) <= true
             if true < 3:
                 assert len(ids) == true
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 3, 5])
+def test_impl_b_absorb_matches_the_threshold_lattice_fold(threshold):
+    # Each owner draws from three k-mers of its own and few ids, so groups
+    # repeat and overlap; a third of the deliveries are an earlier batch
+    # again, at the same owner.
+    for seed in range(10):
+        rng = random.Random(seed)
+        _, prog = kmer._run(kmer.ImplBProgram("ACGT", 2, 3, threshold))
+        prog.init_state()  # the run set the plan up; owners start empty
+        ref = {wid: LMap.bottom() for wid in prog.ids}
+        delivered = []
+        for _ in range(40):
+            if delivered and rng.random() < 0.3:
+                wid, pairs = rng.choice(delivered)
+            else:
+                wid = rng.choice(sorted(prog.ids))
+                pairs = [(f"{wid}{rng.randrange(3)}", rng.randrange(30))
+                         for _ in range(rng.randint(1, 8))]
+                delivered.append((wid, pairs))
+            prog.absorb(wid, prog.delta(pairs))
+            grouped = {}
+            for km, off in pairs:
+                grouped.setdefault(km, []).append(off)
+            ref[wid] = ref[wid].merge(LMap({
+                km: ThresholdLSet(frozenset(ids), threshold)
+                for km, ids in grouped.items()}))
+        shards = prog.shards
+        assert shards == ref
+        assert all(list(shards[w].entries) == list(ref[w].entries)
+                   for w in ref)
+        assert list(prog.histogram().items()) == [
+            (km, len(ids)) for w in sorted(ref)
+            for km, ids in ref[w].entries.items()]
+
+
+def test_impl_b_run_builds_no_threshold_set_and_merges_no_map(small_corpus,
+                                                              monkeypatch):
+    # Owners apply the threshold merge in place to sets only they hold.
+    def refuse(*args):
+        raise AssertionError("ThresholdLSet or LMap.merge_in used in the run")
+
+    for seed in range(3):
+        with monkeypatch.context() as patched:
+            patched.setattr(ThresholdLSet, "__post_init__", refuse)
+            patched.setattr(LMap, "merge_in", refuse)
+            res = faulty_run("impl_b", small_corpus, seed)
+        assert agrees_with_oracle("impl_b", small_corpus, res)
 
 
 # -- global-table variant ---------------------------------------------------
@@ -504,8 +553,8 @@ def test_impl_a_kmer_on_exactly_two_owner_shards_is_rejected(owners,
 
 def test_impl_a_kmer_only_on_the_last_owner_is_counted(small_corpus):
     prog = faulty_run("impl_a", small_corpus, 0).program
-    prog.absorb(max(prog.rows), prog.delta([("ACGTA", 10**6),
-                                            ("ACGTA", 10**6 + 1)]))
+    prog.absorb(max(prog.batches),
+                prog.delta([("ACGTA", 10**6), ("ACGTA", 10**6 + 1)]))
     hist = prog.histogram()
     assert hist == {**kmer.oracle_count(small_corpus, 4), "ACGTA": 2}
     assert list(hist)[-1] == "ACGTA"
