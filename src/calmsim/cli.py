@@ -35,13 +35,8 @@ def _parse_fail(spec: str):
 
 def _parse_partition(spec: str):
     tick, _, pairs = spec.partition(":")
-    cut = []
-    for pair in filter(None, pairs.split(",")):
-        a, b = map(int, pair.split("-"))
-        if a == b:
-            raise ValueError(f"worker {a} cannot be cut off from itself")
-        cut.append((a, b))
-    return (int(tick), tuple(cut))
+    return (int(tick), tuple(tuple(map(int, pair.split("-")))
+                             for pair in filter(None, pairs.split(","))))
 
 
 @dataclass
@@ -84,19 +79,7 @@ class RunConfig:
         if self.k < 1 or self.workers < 1 or self.threshold < 1:
             raise ValueError("k, workers, and threshold must be >= 1")
         _schedule(self)  # raises ValueError on a bad delivery schedule
-        cut_ticks = [t for t, _p in self.partition]
-        ticks = [t for t, _wid in self.fail] + cut_ticks + self.join
-        if any(t < 1 for t in ticks):
-            raise ValueError("fault ticks must be >= 1 (the run starts at 1)")
-        failed = [wid for _tick, wid in self.fail]
-        for wid in failed:
-            if failed.count(wid) > 1:
-                raise ValueError(
-                    f"worker {wid} is listed to fail more than once")
-        for tick in cut_ticks:
-            if cut_ticks.count(tick) > 1:
-                raise ValueError(f"two --partition cuts at tick {tick}: list "
-                                 "every pair of that tick in one --partition")
+        kmer.check_faults(self.fail, self.join, self.partition)
 
     def echo(self) -> dict:
         out = asdict(self)

@@ -35,8 +35,8 @@ from typing import Mapping
 
 from .dispenser import Chunk, WorkPool
 from .lattice import GSet, LMap, ThresholdLSet
-from .runtime import (DeliverySchedule, Envelope, Program, Simulation,
-                      TickRuleEngine, run_to_quiescence)
+from .runtime import (DeliverySchedule, Envelope, NetworkCondition, Program,
+                      Simulation, TickRuleEngine, run_to_quiescence)
 from .tables import (GlobalTable, PartitionPlan, compile_rules, hash_owners,
                      plan_query)
 
@@ -308,17 +308,31 @@ class KmerRunResult:
     coordination_free: bool | None = None
 
 
-def _run(program: KmerIngestProgram, schedule: DeliverySchedule | None = None,
-         failures=(), joins=(), partitions=()):
-    """``(sim, program)`` quiescent under ``schedule`` and the faults;
-    ``ValueError`` first if a worker fails twice or two cuts share a tick."""
-    failures, partitions = list(failures), list(partitions)  # read twice
+def check_faults(failures, joins, partitions) -> None:
+    """``ValueError`` for a fault schedule no run can follow: a fault tick
+    below 1, a worker listed to fail twice, two cuts at one tick (the second
+    would replace the first), or a cut entry that is not two distinct
+    workers, which :class:`NetworkCondition` rejects."""
+    cut_ticks = [t for t, _ in partitions]
+    if any(t < 1 for t in chain((t for t, _ in failures), joins, cut_ticks)):
+        raise ValueError("fault ticks must be >= 1 (the run starts at 1)")
     for wid, n in Counter(w for _, w in failures).items():
         if n > 1:
             raise ValueError(f"worker {wid} is listed to fail more than once")
-    for tick, n in Counter(t for t, _ in partitions).items():
+    for tick, n in Counter(cut_ticks).items():
         if n > 1:
-            raise ValueError(f"two partitions at tick {tick}")
+            raise ValueError(f"two partitions at tick {tick}: list every "
+                             "pair of a tick in one partition")
+    for _, cut in partitions:
+        NetworkCondition(cut)
+
+
+def _run(program: KmerIngestProgram, schedule: DeliverySchedule | None = None,
+         failures=(), joins=(), partitions=()):
+    """``(sim, program)`` quiescent under ``schedule`` and the faults;
+    :func:`check_faults` runs first, so a bad schedule logs nothing."""
+    failures, joins, partitions = list(failures), list(joins), list(partitions)
+    check_faults(failures, joins, partitions)
     events: dict[int, list] = {}
     for tick, action in chain(
             ((t, lambda sim, prog, w=w: prog.handle_fail(sim, w))

@@ -74,10 +74,18 @@ class Envelope:
 
 
 class NetworkCondition:
-    """Healthy, or partitioned across a symmetric set of worker pairs."""
+    """Healthy, or partitioned across a symmetric set of worker pairs.
+
+    ``ValueError`` unless each pair names two distinct workers."""
 
     def __init__(self, cut: Iterable = ()):
-        self._cut = frozenset(frozenset(pair) for pair in cut)
+        cut = [tuple(pair) for pair in cut]
+        if any(len(pair) != 2 for pair in cut):
+            raise ValueError("each cut pair must name two workers")
+        for a, b in cut:
+            if a == b:
+                raise ValueError(f"worker {a} cannot be cut off from itself")
+        self._cut = frozenset(map(frozenset, cut))
 
     def partitioned(self, a: int, b: int) -> bool:
         return bool(self._cut) and a != b and frozenset((a, b)) in self._cut
@@ -141,14 +149,10 @@ class Simulation:
 
     def set_partition(self, pairs: Iterable) -> None:
         """Replace the partition set; healing releases held envelopes.
-        Each pair must name two registered workers."""
+        Each pair must name two distinct registered workers."""
         net = NetworkCondition(pairs)
-        if any(len(pair) not in (1, 2) for pair in net._cut):
-            raise ValueError("each cut pair must name two workers")
         for wid in sorted(set().union(*net._cut)):
             self._known(wid)
-            if frozenset((wid,)) in net._cut:
-                raise ValueError(f"worker {wid} cannot be cut off from itself")
         self.net = net
         self.log("partition")
         still_held = []

@@ -76,22 +76,13 @@ def row_seeds(h: int, seed: int = 0) -> tuple:
     return tuple(seeds)
 
 
-_NO_CELL = frozenset()
-
-
 class SketchMatrix:
-    """h-by-m grid of token-id sets; cells only ever grow.
+    """h-by-m grid of token-id sets; cells only ever grow."""
 
-    ``columns`` limits storage to the columns an owner fills.  Every other
-    cell is one shared empty frozenset: it reads as an empty cell and
-    rejects writes.
-    """
-
-    def __init__(self, params: CmsParams, columns: Iterable[int] | None = None):
+    def __init__(self, params: CmsParams):
         self.params = params
-        owned = set(range(params.m) if columns is None else columns)
-        self.cells = [[set() if j in owned else _NO_CELL
-                       for j in range(params.m)] for _ in range(params.h)]
+        self.cells = [[set() for _ in range(params.m)]
+                      for _ in range(params.h)]
 
     def insert(self, item: str, token: int) -> None:
         for i, j in enumerate(self.params.columns(item)):
@@ -173,8 +164,8 @@ class _CellProgram(KmerIngestProgram):
                 cells for cells, _ in self.batches[wid].values()))
         return self._counts[wid]
 
-    def matrix(self, wid: int, columns=None) -> SketchMatrix:
-        sk, m = SketchMatrix(self.params, columns), self.params.m
+    def matrix(self, wid: int) -> SketchMatrix:
+        sk, m = SketchMatrix(self.params), self.params.m
         sk.add((*divmod(c, m), token) for cells, tokens
                in self.batches[wid].values() for c, token in zip(cells, tokens))
         return sk
@@ -256,11 +247,6 @@ class Design1Program(_CellProgram):
                 cells.append(c)
                 tokens.append(off)
         return {w: tuple(map(tuple, b)) for w, b in batches.items() if b[0]}
-
-    @property
-    def sketches(self) -> dict[int, SketchMatrix]:
-        return {wid: self.matrix(wid, [j for j, o in enumerate(
-                    self.column_owners) if o == wid]) for wid in self.batches}
 
 
 @dataclass

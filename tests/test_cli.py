@@ -251,13 +251,15 @@ def test_lattice_demo_rejects_options_it_does_not_read(tmp_path, capsys):
     assert json.loads(report.read_text())["match"]
 
 
-@pytest.mark.parametrize("option, flag, config_line", [
-    ("fail", ["--fail", "notanumber"], None),
-    ("workers", ["--workers", "x"], None),
-    ("workers", [], "workers = x"),
-    ("partition", ["--partition", "3:1-1"], None),
-], ids=["fail", "workers", "workers-in-config", "partition-self-pair"])
-def test_main_malformed_flag_exits_2(corpus_file, option, flag, config_line,
+@pytest.mark.parametrize("error, flag, config_line", [
+    ("fail: ", ["--fail", "notanumber"], None),
+    ("workers: ", ["--workers", "x"], None),
+    ("workers: ", [], "workers = x"),
+    ("worker 1 cannot be cut off from itself", ["--partition", "3:1-1"], None),
+    ("each cut pair must name two workers", ["--partition", "3:0-1-2"], None),
+], ids=["fail", "workers", "workers-in-config", "partition-self-pair",
+        "partition-three-workers"])
+def test_main_malformed_flag_exits_2(corpus_file, error, flag, config_line,
                                      tmp_path, capsys):
     if config_line:
         cfg = tmp_path / "run.cfg"
@@ -266,7 +268,8 @@ def test_main_malformed_flag_exits_2(corpus_file, option, flag, config_line,
     code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
                      *flag])
     assert code == 2
-    assert f"calmsim: error: {option}: " in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert f"calmsim: error: {error}" in err and not out
 
 
 @pytest.mark.parametrize("seeds", ["1,x", "1,1", "1,,2"],
@@ -304,7 +307,7 @@ def test_two_cuts_at_one_tick_exit_2(corpus_file, capsys):
                      "--partition", "1:1-2", "--partition", "6:"])
     assert code == 2
     out, err = capsys.readouterr()
-    assert "two --partition cuts at tick 1" in err and not out
+    assert "two partitions at tick 1" in err and not out
     code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
                      "--workers", "3", "--partition", "1:0-1,1-2",
                      "--partition", "6:"])

@@ -601,7 +601,13 @@ def test_sketch_runs_never_build_cells_or_counts(name, small_corpus,
     (dict(failures=[(3, 1), (5, 1)]), "worker 1 is listed to fail more than"),
     (dict(partitions=[(3, ((0, 1),)), (3, ((1, 2),)), (9, ())]),
      "two partitions at tick 3"),
-], ids=["worker-failed-twice", "two-cuts-at-one-tick"])
+    (dict(partitions=[(3, ((1, 1),)), (6, ())]),
+     "worker 1 cannot be cut off from itself"),
+    (dict(partitions=[(3, ((0, 1, 2),)), (6, ())]),
+     "each cut pair must name two workers"),
+    (dict(failures=[(0, 1)]), "fault ticks must be >= 1"),
+], ids=["worker-failed-twice", "two-cuts-at-one-tick", "self-cut",
+        "three-worker-cut", "fault-at-tick-0"])
 def test_fault_schedule_is_checked_before_the_run(faults, error, small_corpus,
                                                    monkeypatch):
     logged = []
