@@ -79,7 +79,8 @@ class RunConfig:
         if self.k < 1 or self.workers < 1 or self.threshold < 1:
             raise ValueError("k, workers, and threshold must be >= 1")
         _schedule(self)  # raises ValueError on a bad delivery schedule
-        kmer.check_faults(self.fail, self.join, self.partition)
+        kmer.check_faults(self.workers, self.fail, self.join,
+                          self.partition)
 
     def echo(self) -> dict:
         out = asdict(self)
@@ -199,11 +200,12 @@ def _kmer(runner: str, answer=lambda config, counts: counts, reads=()):
                     lambda config, result: answer(config, result["counts"]))
 
 
-def _cms(runner: str, read):
-    """A count-min workload: ``read(res, items)`` of the result of
-    ``sketch.<runner>`` gives (estimates, converged, its sketch or None to
-    report the reference).  The row seeds keep their default, so every
-    ``--seed`` builds the same sketch."""
+def _cms(runner: str):
+    """A count-min workload: ``sketch.<runner>``'s holders must converge,
+    and its estimates at worker 0 must equal the reference's and never
+    undercount.  An estimate is IDK, reported as null, where a cell's
+    holder is still cut off from worker 0 when the run ends.  The row seeds
+    keep their default, so every ``--seed`` builds the same sketch."""
     def run_cms(config):
         corpus = _load_corpus(config)
         params = sketch.choose_params(config.eps, config.delta)
@@ -212,30 +214,20 @@ def _cms(runner: str, read):
         truth = kmer.oracle_count(corpus, config.k)
         res = getattr(sketch, runner)(corpus, config.k, params,
                                       config.workers, **_run_kwargs(config))
-        estimates, converged, sk = read(res, sorted(truth))
+        answers = {x: sketch.SketchResult.query(res, x) for x in sorted(truth)}
+        estimates = {x: a.payload if isinstance(a, Value) else None
+                     for x, a in answers.items()}
+        converged = res.converged()
         match = converged and all(
             estimates[x] == reference.query(x) and estimates[x] >= truth[x]
             for x in truth)
-        result = dict((reference if sk is None else sk).dump(),
-                      estimates=estimates)
+        result = dict(res.sketch().dump(), estimates=estimates)
         gather = sum(1 for ev in res.sim.events if ev[1] == "gather")
         coordination = {"gather_messages": gather,
                         "replicas_converged": converged}
         return res.sim, result, match, coordination
     return Workload(_SIMULATED + ("eps", "delta"), run_cms,
                     lambda config, result: result["estimates"])
-
-
-def _read_design1(res, items):
-    # Worker 0 answers IDK (reported as null) for an item whose cell owner is
-    # still cut off from it when the run ends.
-    answers = {x: res.query(x) for x in items}
-    return ({x: a.payload if isinstance(a, Value) else None
-             for x, a in answers.items()}, True, None)
-
-
-def _read_design2(res, items):
-    return {x: res.query(x) for x in items}, res.converged(), res.sketch()
 
 
 def _run_lattice_demo(config: RunConfig):
@@ -267,8 +259,8 @@ WORKLOADS = {
     "kmer_a": _kmer("impl_a_run"),
     "kmer_b": _kmer("impl_b_run", _at_threshold, ("threshold",)),
     "kmer_table": _kmer("table_kmer_run"),
-    "cms_design1": _cms("design1_run", _read_design1),
-    "cms_design2": _cms("design2_run", _read_design2),
+    "cms_design1": _cms("design1_run"),
+    "cms_design2": _cms("design2_run"),
     "lattice_demo": Workload((), _run_lattice_demo,
                              lambda config, result: result),
 }

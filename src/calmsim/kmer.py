@@ -308,11 +308,13 @@ class KmerRunResult:
     coordination_free: bool | None = None
 
 
-def check_faults(failures, joins, partitions) -> None:
+def check_faults(workers, failures, joins, partitions) -> None:
     """``ValueError`` for a fault schedule no run can follow: a fault tick
     below 1, a worker listed to fail twice, two cuts at one tick (the second
-    would replace the first), or a cut entry that is not two distinct
-    workers, which :class:`NetworkCondition` rejects."""
+    would replace the first), a cut entry that is not two distinct
+    workers, which :class:`NetworkCondition` rejects, or a worker not yet
+    registered.  Setup registers ``workers`` and each join one more; within
+    a tick, failures come before joins and joins before cuts."""
     cut_ticks = [t for t, _ in partitions]
     if any(t < 1 for t in chain((t for t, _ in failures), joins, cut_ticks)):
         raise ValueError("fault ticks must be >= 1 (the run starts at 1)")
@@ -325,6 +327,14 @@ def check_faults(failures, joins, partitions) -> None:
                              "pair of a tick in one partition")
     for _, cut in partitions:
         NetworkCondition(cut)
+    for tick, wids, joined in chain(
+            ((t, (w,), t - 1) for t, w in failures),
+            ((t, chain.from_iterable(cut), t) for t, cut in partitions)):
+        known = workers + sum(j <= joined for j in joins)
+        for wid in wids:
+            if not 0 <= wid < known:
+                raise ValueError(f"worker {wid} is not registered by its "
+                                 f"fault at tick {tick}")
 
 
 def _run(program: KmerIngestProgram, schedule: DeliverySchedule | None = None,
@@ -332,7 +342,7 @@ def _run(program: KmerIngestProgram, schedule: DeliverySchedule | None = None,
     """``(sim, program)`` quiescent under ``schedule`` and the faults;
     :func:`check_faults` runs first, so a bad schedule logs nothing."""
     failures, joins, partitions = list(failures), list(joins), list(partitions)
-    check_faults(failures, joins, partitions)
+    check_faults(program.nworkers, failures, joins, partitions)
     events: dict[int, list] = {}
     for tick, action in chain(
             ((t, lambda sim, prog, w=w: prog.handle_fail(sim, w))

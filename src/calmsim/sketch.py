@@ -1,23 +1,23 @@
-"""Count-min sketch over lattice-valued cells, under two distributions.
+"""Count-min sketch over lattice-valued cells, held as replicated slabs.
 
 Cells hold sets of instance token ids rather than integer counters, so
 inserts stay idempotent under at-least-once delivery: the estimate for an
 item is the minimum cardinality over its h addressed cells, and it can only
-over-count (never under-count).  Both designs hash where a window is
-ingested and send each receiver a chunk's cells as one batch, the flat
-tuples ``(cells, tokens)`` with cell ``i * m + j`` for row i, column j.  An
-owner keeps each batch whole under its first token, so a resent or rebuilt
-batch changes nothing, and a cell's size is a count over its batches.  A
-run memoizes each item's cells, so it hashes each distinct item once.
+over-count (never under-count).  Cell ``i * m + j`` is row i, column j.
 
-- Design 1 partitions the m columns into contiguous slabs, one per worker;
-  a query must gather its h cells from their owners and reduce by min, which
-  is visible as cross-worker coordination in the event log.
-- Design 2 replicates the full h-by-m matrix on every worker; the ingesting
-  worker sends one batch of a chunk's cells to every replica, replicas never
-  hash or send and converge by union of batch maps, and a query is a purely
-  local read.  The simulated replicas share that batch's tuples, which real
-  replicas, each with its own memory, could not.
+The m columns split into ceil(n / r) contiguous slabs over n workers, each
+held by r consecutive workers.  The ingesting worker hashes each window
+and sends each slab's holders one shared batch of the chunk's cells, flat
+tuples ``(cells, tokens)``.  A holder keeps each batch whole under its
+first token, so a resent or rebuilt batch changes nothing, and a cell's
+size is a count over its batches.  A run hashes each distinct item once.
+
+- Design 1 (r = 1) partitions the columns, a slab per worker: a query
+  gathers cells from their holders, visible as gather events in the log.
+- Design 2 (r = n) replicates the full matrix on every worker: replicas
+  converge by union of batch maps, and a query is a local read.  The
+  simulated replicas share each batch's tuples, which real replicas,
+  each with its own memory, could not.
 """
 
 from __future__ import annotations
@@ -104,12 +104,9 @@ class SketchMatrix:
 
     def dump(self) -> dict:
         """JSON-friendly dump; token sets elided, cardinalities only."""
-        return {
-            "h": self.params.h,
-            "m": self.params.m,
-            "seeds": list(self.params.seeds),
-            "cells": [len(c) for row in self.cells for c in row],
-        }
+        return {"h": self.params.h, "m": self.params.m,
+                "seeds": list(self.params.seeds),
+                "cells": [len(c) for row in self.cells for c in row]}
 
 
 def sequential_sketch(stream: Iterable[tuple[str, int]],
@@ -123,17 +120,17 @@ def sequential_sketch(stream: Iterable[tuple[str, int]],
 
 class _CellProgram(KmerIngestProgram):
     """Owner ``w`` keeps ``batches[w]`` as the base class does, a batch's
-    first id being its first token.
+    first id being its first token.  ``slabs`` lists each slab's
+    ``replicas`` holders and ``holders[c]`` cell c's, both set at setup.
 
     ``counts(w)``, cell -> size, is built on first read and dropped when
-    ``w`` absorbs; ``sketches`` are :class:`SketchMatrix` copies.  The
-    :meth:`cells` memo is this program's alone: nothing is cached on
-    ``params``, which the sequential reference shares.
+    ``w`` absorbs.  The :meth:`cells` memo is this program's alone:
+    nothing is cached on ``params``, which the sequential reference shares.
     """
 
-    def __init__(self, corpus, k, workers, params: CmsParams):
+    def __init__(self, corpus, k, workers, params: CmsParams, replicas: int):
         super().__init__(corpus, k, workers)
-        self.params = params
+        self.params, self.replicas = params, replicas
         self._cells: dict[str, tuple] = {}
 
     def cells(self, item: str) -> tuple:
@@ -148,6 +145,33 @@ class _CellProgram(KmerIngestProgram):
     def init_state(self) -> None:
         super().init_state()
         self._counts: dict[int, Counter] = {}
+        workers, r, m = self.plan.workers, self.replicas, self.params.m
+        self.slabs = [workers[i:i + r] for i in range(0, len(workers), r)]
+        n = len(self.slabs)
+        width = -(-m // n)
+        plan = PartitionPlan("range", tuple(range(n)), column="column",
+                             boundaries=tuple(range(width, width * n, width)))
+        self.holders = [self.slabs[plan.owner_of_key(j)]
+                        for j in range(m)] * self.params.h
+
+    def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
+        """One ``(cells, tokens)`` batch per slab with cells, the same
+        object for each holder; a slab every worker holds gets ``()`` for
+        a chunk with no window."""
+        holders, cells = self.holders, self.cells
+        grouped = {held[0]: ([], []) for held in self.slabs}
+        for kmer, off in windows:
+            for c in cells(kmer):
+                slab_cells, tokens = grouped[holders[c][0]]
+                slab_cells.append(c)
+                tokens.append(off)
+        out = {}
+        for held in self.slabs:
+            slab_cells, tokens = grouped[held[0]]
+            if slab_cells or held == self.plan.workers:
+                batch = (tuple(slab_cells), tuple(tokens)) if slab_cells else ()
+                out.update(dict.fromkeys(held, batch))
+        return out
 
     def delta(self, batch: tuple) -> tuple:
         """``route`` builds each batch whole; ``tuple`` of it is itself."""
@@ -164,123 +188,77 @@ class _CellProgram(KmerIngestProgram):
                 cells for cells, _ in self.batches[wid].values()))
         return self._counts[wid]
 
-    def matrix(self, wid: int) -> SketchMatrix:
+    def matrix(self, *wids: int) -> SketchMatrix:
+        """The cells the workers ``wids`` hold, as one grid."""
         sk, m = SketchMatrix(self.params), self.params.m
-        sk.add((*divmod(c, m), token) for cells, tokens
+        sk.add((*divmod(c, m), token) for wid in wids for cells, tokens
                in self.batches[wid].values() for c, token in zip(cells, tokens))
         return sk
 
-    @property
-    def sketches(self) -> dict[int, SketchMatrix]:
-        return {wid: self.matrix(wid) for wid in self.batches}
 
-
-# ---------------------------------------------------------------------------
-# Design 2: fully replicated matrix
+# One name per design, because the benchmark tracer and the tests patch each.
+class Design1Program(_CellProgram):
+    """Column-partitioned: ``design1_run`` gives each slab one holder."""
 
 
 class Design2Program(_CellProgram):
-    """Every worker holds a full replica; the ingesting worker sends each
-    chunk's cells to every replica, and a replica only merges them."""
-
-    def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
-        """One ``(cells, tokens)`` batch, ``()`` with no window, for every
-        replica."""
-        h, cells = self.params.h, self.cells
-        batch = (tuple(chain.from_iterable([cells(km) for km, _ in windows])),
-                 tuple(chain.from_iterable([(o,) * h for _, o in windows])))
-        return dict.fromkeys(self.plan.workers, batch if windows else ())
+    """Fully replicated: ``design2_run`` has every worker hold one slab."""
 
 
 @dataclass
-class Design2Result:
+class SketchResult:
     sim: Simulation
-    program: Design2Program
-
-    def sketch(self) -> SketchMatrix:
-        return self.program.matrix(min(self.program.batches))
-
-    def query(self, item: str) -> int:
-        counts = self.program.counts(min(self.program.batches))
-        return min(counts[c] for c in self.program.cells(item))
-
-    def converged(self) -> bool:
-        first, *rest = self.program.batches.values()
-        return all(r == first for r in rest)
-
-
-def design2_run(corpus, k: int, params: CmsParams, workers: int,
-                **faults) -> Design2Result:
-    return Design2Result(*_run(Design2Program(corpus, k, workers, params),
-                               **faults))
-
-
-# ---------------------------------------------------------------------------
-# Design 1: column-partitioned matrix
-
-
-class Design1Program(_CellProgram):
-    """Columns range-partitioned into one slab per worker.
-
-    Inserting an item routes each of its h cells to the worker owning that
-    column; a query gathers the h addressed cells from their owners and
-    reduces by min.
-    """
-
-    def init_state(self) -> None:
-        super().init_state()
-        owners = self.plan.workers
-        slab = -(-self.params.m // len(owners))
-        boundaries = tuple(slab * i for i in range(1, len(owners)))
-        plan = PartitionPlan("range", owners, column="column",
-                             boundaries=boundaries)
-        self.column_owners = [plan.owner_of_key(j) for j in range(self.params.m)]
-        self.cell_owners = self.column_owners * self.params.h  # by i * m + j
-
-    def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
-        """A ``(cells, tokens)`` batch per worker owning a cell's column."""
-        owners = self.cell_owners
-        batches = {wid: ([], []) for wid in self.plan.workers}
-        for kmer, off in windows:
-            for c in self.cells(kmer):
-                cells, tokens = batches[owners[c]]
-                cells.append(c)
-                tokens.append(off)
-        return {w: tuple(map(tuple, b)) for w, b in batches.items() if b[0]}
-
-
-@dataclass
-class Design1Result:
-    sim: Simulation
-    program: Design1Program
+    program: _CellProgram
 
     def query(self, item: str, at_worker: int = 0) -> Tristate:
-        """Gather-then-min across the owning workers of the h cells.
-
-        Each remote cell read is logged as a gather event.  If any owning
-        worker is unreachable from the querying worker, the honest answer
-        is IDK.
-        """
+        """Min over the item's h cells, each read at ``at_worker`` if it
+        holds the cell, else gathered (and logged) from the slab's first
+        holder; IDK, the honest answer, if that holder is cut off."""
         prog, log, net = self.program, self.sim.log, self.sim.net
-        owners, counts = prog.cell_owners, prog.counts
+        holders, counts = prog.holders, prog.counts
         sizes = []
         for c in prog.cells(item):
-            owner = owners[c]
-            if owner != at_worker:  # a worker always reaches itself
-                if net.partitioned(at_worker, owner):
+            held, wid = holders[c], at_worker
+            if wid not in held:  # a worker always reaches itself
+                wid = held[0]
+                if net.partitioned(at_worker, wid):
                     return IDK
-                log("gather", src=at_worker, dst=owner)
-            sizes.append(counts(owner)[c])
+                log("gather", src=at_worker, dst=wid)
+            sizes.append(counts(wid)[c])
         return Value(min(sizes))
 
     def estimate(self, item: str, at_worker: int = 0) -> int:
-        out = self.query(item, at_worker)
+        # SketchResult's query: Design2Result.query is this method.
+        out = SketchResult.query(self, item, at_worker)
         if not isinstance(out, Value):
             raise RuntimeError(f"query returned {out!r}")
         return out.payload
 
+    def converged(self) -> bool:
+        """True when every holder of a slab has the same batches."""
+        batches = self.program.batches
+        return all(batches[wid] == batches[held[0]]
+                   for held in self.program.slabs for wid in held)
+
+    def sketch(self) -> SketchMatrix:
+        """The full matrix, read from each slab's first holder."""
+        return self.program.matrix(*(held[0] for held in self.program.slabs))
+
+
+Design1Result = SketchResult
+
+
+class Design2Result(SketchResult):
+    query = SketchResult.estimate  # a replica holds every cell: a count
+
 
 def design1_run(corpus, k: int, params: CmsParams, workers: int,
                 **faults) -> Design1Result:
-    return Design1Result(*_run(Design1Program(corpus, k, workers, params),
+    return Design1Result(*_run(Design1Program(corpus, k, workers, params, 1),
                                **faults))
+
+
+def design2_run(corpus, k: int, params: CmsParams, workers: int,
+                **faults) -> Design2Result:
+    return Design2Result(*_run(
+        Design2Program(corpus, k, workers, params, workers), **faults))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sysconfig
 from dataclasses import fields, replace
 
@@ -150,14 +151,17 @@ def test_dropped_windows_exit_1(corpus_file, monkeypatch):
 
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_fail_unregistered_worker_exits_2(corpus_file, command, capsys):
-    # A partition endpoint must be registered too.
+    # A partition endpoint must be registered too; both are config errors,
+    # found before the run.
     for flag in (["--fail", "3:9"], ["--partition", "3:0-9"]):
         argv = [command, "--workload", "kmer_a", "--input", corpus_file,
                 "--workers", "2", *flag]
         if command == "verify":
             argv += ["--seeds", "1,2"]
         assert cli.main(argv) == 2
-        assert "worker 9" in json.loads(capsys.readouterr().out)["error"]
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.search(r"calmsim: error: .*worker 9", err)
 
 
 def test_cms_design1_reports_idk_behind_unhealed_partition(corpus_file):
@@ -427,8 +431,10 @@ SET_FIELDS = dict(input="corpus.txt", k=5, threshold=7, workers=2, seed=5,
 def test_workload_rejects_options_it_does_not_read(workload):
     assert {"workload", *SET_FIELDS} == {f.name for f in fields(RunConfig)}
     reads = {"seed", "report", *cli.WORKLOADS[workload].reads}
+    # Two workers where they are read, so the faults name known workers.
     base = RunConfig(workload=workload,
-                     input="corpus.txt" if "input" in reads else None)
+                     input="corpus.txt" if "input" in reads else None,
+                     workers=2 if "workers" in reads else 1)
     for name, value in SET_FIELDS.items():
         config = replace(base, **{name: value})
         if name in reads:

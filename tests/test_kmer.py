@@ -606,8 +606,13 @@ def test_sketch_runs_never_build_cells_or_counts(name, small_corpus,
     (dict(partitions=[(3, ((0, 1, 2),)), (6, ())]),
      "each cut pair must name two workers"),
     (dict(failures=[(0, 1)]), "fault ticks must be >= 1"),
+    # Worker 3 joins at tick 5, after that tick's failures.
+    (dict(failures=[(5, 3)], joins=[5]), "worker 3 is not registered"),
+    (dict(joins=[5], partitions=[(4, ((0, 3),)), (9, ())]),
+     "worker 3 is not registered"),
 ], ids=["worker-failed-twice", "two-cuts-at-one-tick", "self-cut",
-        "three-worker-cut", "fault-at-tick-0"])
+        "three-worker-cut", "fault-at-tick-0", "unknown-failed-worker",
+        "unknown-cut-worker"])
 def test_fault_schedule_is_checked_before_the_run(faults, error, small_corpus,
                                                    monkeypatch):
     logged = []
@@ -617,6 +622,16 @@ def test_fault_schedule_is_checked_before_the_run(faults, error, small_corpus,
         with pytest.raises(ValueError, match=error):
             run(small_corpus, **faults)
         assert logged == [], name
+
+
+@pytest.mark.parametrize("name", RUNNERS)
+def test_a_cut_may_name_the_worker_joining_at_its_tick(name, small_corpus):
+    # Within a tick, joins come before cuts.
+    res = RUNNERS[name](small_corpus, schedule=DeliverySchedule(seed=2),
+                        joins=[5], partitions=[(5, ((0, 3),)), (9, ())])
+    assert len(res.sim.workers) == 4
+    assert sum(ev[1] == "partition" for ev in res.sim.events) == 2
+    assert agrees_with_oracle(name, small_corpus, res)
 
 
 # -- deltas shipped once, owners routed directly ----------------------------

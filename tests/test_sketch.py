@@ -9,7 +9,7 @@ from calmsim.runtime import DeliverySchedule, NetworkCondition, Simulation
 from calmsim.sketch import (CmsParams, SketchMatrix, choose_params,
                             corpus_stream, design1_run, design2_run,
                             row_seeds, sequential_sketch)
-from calmsim.tables import IDK, Value
+from calmsim.tables import IDK, PartitionPlan, Value
 
 from conftest import make_corpus
 
@@ -252,24 +252,51 @@ def test_designs_match_sequential_on_repeat_rich_corpora(corpus, workers,
         assert d1.estimate(item) == d2.query(item) == ref.query(item)
 
 
+def range_plan_owners(m, workers) -> list:
+    """Each column's owner under a range plan of one contiguous slab of
+    ceil(m / workers) columns per worker."""
+    slab = -(-m // workers)
+    plan = PartitionPlan("range", tuple(range(workers)), column="column",
+                         boundaries=tuple(slab * i for i in range(1, workers)))
+    return [plan.owner_of_key(j) for j in range(m)]
+
+
 def test_design1_sketches_partition_the_reference(cms_corpus):
-    p = params(h=3, m=90)
-    ref = sequential_sketch(corpus_stream(cms_corpus, 6), p)
-    res = design1_run(cms_corpus, 6, p, workers=4, schedule=adversarial(5))
-    prog = res.program
-    assert sorted(prog.sketches) == [0, 1, 2, 3]
-    for wid, sk in prog.sketches.items():
-        for i in range(p.h):
-            for j in range(p.m):
-                want = ref.cells[i][j] if prog.column_owners[j] == wid else set()
-                assert sk.cells[i][j] == want
+    # Design 1's one holder per slab is the range plan's column owner,
+    # also when there are fewer columns than workers.
+    for m, workers in ((90, 4), (7, 3), (12, 4), (3, 5), (1, 2)):
+        p = params(h=3, m=m)
+        ref = sequential_sketch(corpus_stream(cms_corpus, 6), p)
+        res = design1_run(cms_corpus, 6, p, workers=workers,
+                          schedule=adversarial(5))
+        prog = res.program
+        owners = range_plan_owners(m, workers)
+        assert prog.holders == [(w,) for w in owners] * p.h
+        assert sorted(prog.batches) == list(range(workers))
+        for wid in prog.batches:
+            sk = prog.matrix(wid)
+            for i in range(p.h):
+                for j in range(p.m):
+                    want = ref.cells[i][j] if owners[j] == wid else set()
+                    assert sk.cells[i][j] == want
+        assert res.converged() and res.sketch() == ref
+
+
+def test_design2_route_gives_every_replica_one_batch(cms_corpus):
+    # Replicas share one batch object, so a chunk's cells are built once
+    # however many replicas there are.
+    prog = design2_run(cms_corpus, 6, params(), workers=3).program
+    assert prog.slabs == [prog.plan.workers]
+    batches = prog.route(corpus_stream(cms_corpus, 6)[:40])
+    assert sorted(batches) == [0, 1, 2]
+    assert batches[0] and all(b is batches[0] for b in batches.values())
 
 
 def test_design1_query_gathers_from_cell_owners(cms_corpus):
     p = params(h=3, m=90)
     res = design1_run(cms_corpus, 6, p, workers=3)
     item = corpus_stream(cms_corpus, 6)[0][0]
-    owners = {res.program.column_owners[j] for j in p.columns(item)}
+    owners = {res.program.holders[j][0] for j in p.columns(item)}
     before = len(res.sim.events)
     res.query(item, at_worker=0)
     gathers = [ev for ev in res.sim.events[before:] if ev[1] == "gather"]
@@ -283,7 +310,7 @@ def test_design1_partitioned_owner_means_idk(cms_corpus):
     assert isinstance(res.query(item, at_worker=0), Value)
     res.sim.set_partition([(0, 1), (0, 2)])
     out = res.query(item, at_worker=0)
-    owners = {res.program.column_owners[j] for j in p.columns(item)}
+    owners = {res.program.holders[j][0] for j in p.columns(item)}
     if owners - {0}:
         assert out is IDK
     res.sim.heal()
@@ -304,7 +331,7 @@ def rebuilt_deltas(prog):
 
 def cell_set_size(prog) -> int:
     """``state_size`` as it was defined over per-cell sets."""
-    return sum(len(c) for sk in prog.sketches.values()
+    return sum(len(c) for sk in map(prog.matrix, prog.batches)
                for row in sk.cells for c in row)
 
 
