@@ -281,9 +281,6 @@ def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one workload; returns (exit_code, report)."""
     try:
         config.validate()
-    except (ValueError, OSError) as exc:
-        return 2, {"error": str(exc)}
-    try:
         sim, result, match, coordination = WORKLOADS[config.workload].run(
             config)
     except (ValueError, OSError) as exc:

@@ -316,60 +316,47 @@ def run_to_quiescence(sim: Simulation, program: Program,
 # Dependency graphs
 
 
-def _reads(rules: Iterable) -> dict:
-    """``{target: tables its rules read}``, in rule order."""
+def _ordered(rules: Sequence) -> tuple[list, list[tuple], dict]:
+    """``rules`` sorted producers first; the cyclic components of their
+    dependency map (two or more nodes that read each other, or one node
+    reading itself), members in order of first appearance; and ``loops``,
+    a shortest cycle of read edges through each node on a cycle.
+
+    One breadth-first walk from each node ``n`` records the node that first
+    read each node it reaches (``came``).  ``below[n]``, every node ``n``
+    reads directly or not, is the keys of ``came``; the walk's first way
+    back to ``n``, if any, is a shortest cycle.  A node that reads another
+    reads all that one reads, so the rank ``(len(below[n] | {n}), first
+    appearance)`` puts producers first; a stable sort keeps each target's
+    rules together and in input order.  Components come in order of their
+    members' rank, so no ordering depends on ``PYTHONHASHSEED``.
+    """
     deps: dict = {}
     for r in rules:
         deps.setdefault(r.target, []).extend(r.sources)
-    return deps
-
-
-def _ordered(rules: Sequence) -> tuple[list, list[tuple]]:
-    """``rules`` sorted producers first, and the cyclic components of their
-    dependency map (two or more nodes that read each other, or one node
-    reading itself), members in order of first appearance.
-
-    ``below[n]`` is every node ``n`` reads, directly or not.  A node that
-    reads another reads all that one reads, so the rank ``(len(below[n] |
-    {n}), first appearance)`` puts producers first; a stable sort keeps each
-    target's rules together and in input order.  Components come in order
-    of their members' rank, so no ordering depends on ``PYTHONHASHSEED``.
-    """
-    deps = _reads(rules)
     order = list(dict.fromkeys(
         n for node, reads in deps.items() for n in (node, *reads)))
-    below = {}
-    for n in order:  # an explicit stack, so no recursion limit
-        seen, todo = set(), list(deps.get(n, ()))
-        while todo:
-            m = todo.pop()
-            if m not in seen:
-                seen.add(m)
-                todo.extend(deps.get(m, ()))
-        below[n] = seen
+    below, loops = {}, {}
+    for n in order:
+        came, frontier = {}, [n]
+        for m in frontier:
+            for dep in deps.get(m, ()):
+                if dep not in came:
+                    came[dep] = m
+                    frontier.append(dep)
+        below[n] = came.keys()
+        if n in came:
+            path, m = [n], came[n]
+            while m != n:
+                path.append(m)
+                m = came[m]
+            loops[n] = (n, *reversed(path))
     rank = {n: (len(below[n] | {n}), i) for i, n in enumerate(order)}
     cycles = dict.fromkeys(
         tuple(m for m in order if m in below[n] and n in below[m])
-        for n in order if n in below[n])
+        for n in loops)
     return (sorted(rules, key=lambda r: rank[r.target]),
-            sorted(cycles, key=lambda c: rank[c[0]]))
-
-
-def _cycle_through(start, deps: Mapping[Any, Sequence]) -> tuple:
-    """A shortest cycle of read edges from ``start`` back to itself."""
-    came_from = {start: None}
-    frontier = [start]
-    for node in frontier:
-        for dep in deps.get(node, ()):
-            if dep == start:
-                path = [start]
-                while node is not None:
-                    path.append(node)
-                    node = came_from[node]
-                return tuple(reversed(path))
-            if dep not in came_from:
-                came_from[dep] = node
-                frontier.append(dep)
+            sorted(cycles, key=lambda c: rank[c[0]]), loops)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +368,7 @@ class Rule:
     """A rule merging ``expr(tables)`` into table ``target``.
 
     ``sources`` names the tables ``expr`` reads, the edges of the
-    dependency map (``_reads``).  Deferred rules apply their output at the
+    dependency map (``_ordered``).  Deferred rules apply their output at the
     start of the next tick.  ``op`` names the operator of a rule parsed
     from text (``tables._parse``); a hand-written ``expr`` has none.
 
@@ -466,10 +453,9 @@ class TickRuleEngine:
         one of the rules to the next tick breaks the cycle.
         """
         instant = [r for r in self.rules if not r.deferred]
-        ordered, cycles = _ordered(instant)
+        ordered, cycles, loops = _ordered(instant)
         if cycles:
-            raise StratificationError(
-                _cycle_through(cycles[0][0], _reads(instant)))
+            raise StratificationError(loops[cycles[0][0]])
         return ordered
 
     def inject(self, name: str, delta) -> None:

@@ -228,7 +228,7 @@ class SketchResult:
         return Value(min(sizes))
 
     def estimate(self, item: str, at_worker: int = 0) -> int:
-        # SketchResult's query: Design2Result.query is this method.
+        # SketchResult's query, which Design2Result.query falls back to.
         out = SketchResult.query(self, item, at_worker)
         if not isinstance(out, Value):
             raise RuntimeError(f"query returned {out!r}")
@@ -249,7 +249,14 @@ Design1Result = SketchResult
 
 
 class Design2Result(SketchResult):
-    query = SketchResult.estimate  # a replica holds every cell: a count
+    def query(self, item: str, at_worker: int = 0) -> int:
+        """A count: a replica reads every cell locally; a worker that
+        joined after setup holds none and gathers, as ``estimate`` does."""
+        prog = self.program
+        if at_worker not in prog.batches:
+            return self.estimate(item, at_worker)
+        counts = prog.counts(at_worker)
+        return min(counts[c] for c in prog.cells(item))
 
 
 def design1_run(corpus, k: int, params: CmsParams, workers: int,

@@ -277,6 +277,21 @@ def test_stratification_error_names_a_real_cycle():
     assert err.value.cycle == ("x", "y", "x")
 
 
+def test_stratification_error_names_a_shortest_cycle():
+    # x reads y before z, but the way back through y (x -> y -> w -> x) is
+    # longer than the one through z (x -> z -> x).
+    with pytest.raises(StratificationError) as err:
+        TickRuleEngine(
+            tables={n: GSet.bottom() for n in "xyzw"},
+            rules=[
+                Rule("x", lambda t: t["y"].merge(t["z"]), sources=("y", "z")),
+                Rule("y", lambda t: t["w"], sources=("w",)),
+                Rule("w", lambda t: t["x"], sources=("x",)),
+                Rule("z", lambda t: t["x"], sources=("x",)),
+            ])
+    assert err.value.cycle == ("x", "z", "x")
+
+
 def test_rule_fixpoint():
     # Tick 1 gains nothing but leaves pending an output it did not apply,
     # even when b already holds it; the run stops once a tick repeats.

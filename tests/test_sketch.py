@@ -303,6 +303,20 @@ def test_design1_query_gathers_from_cell_owners(cms_corpus):
     assert len(gathers) == len(owners - {0})
 
 
+def test_design2_query_at_a_joined_worker_gathers(cms_corpus):
+    # A worker that joined after setup holds no replica: its answer is
+    # the replicas' count, gathered from the slab's first holder.
+    p = params(h=3, m=90)
+    res = design2_run(cms_corpus, 6, p, workers=3, joins=[4])
+    joiner = max(res.sim.workers)
+    assert joiner not in res.program.batches
+    for item in sorted({km for km, _ in corpus_stream(cms_corpus, 6)})[:8]:
+        before = len(res.sim.events)
+        assert res.query(item, at_worker=joiner) == res.query(item)
+        gathers = [ev for ev in res.sim.events[before:] if ev[1] == "gather"]
+        assert gathers and all(ev[2:4] == (joiner, 0) for ev in gathers)
+
+
 def test_design1_partitioned_owner_means_idk(cms_corpus):
     p = params(h=3, m=90)
     res = design1_run(cms_corpus, 6, p, workers=3)
