@@ -33,7 +33,7 @@ from .hashing import hash64
 # corpus_stream is re-exported: the sketch tests and benchmark read it here.
 from .kmer import KmerIngestProgram, _run, corpus_stream
 from .runtime import Simulation
-from .tables import IDK, PartitionPlan, Tristate, Value
+from .tables import IDK, Tristate, Value
 
 
 @dataclass(frozen=True)
@@ -147,11 +147,8 @@ class _CellProgram(KmerIngestProgram):
         self._counts: dict[int, Counter] = {}
         workers, r, m = self.plan.workers, self.replicas, self.params.m
         self.slabs = [workers[i:i + r] for i in range(0, len(workers), r)]
-        n = len(self.slabs)
-        width = -(-m // n)
-        plan = PartitionPlan("range", tuple(range(n)), column="column",
-                             boundaries=tuple(range(width, width * n, width)))
-        self.holders = [self.slabs[plan.owner_of_key(j)]
+        width = -(-m // len(self.slabs))  # the last slab may be narrower
+        self.holders = [self.slabs[j // width]
                         for j in range(m)] * self.params.h
 
     def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
@@ -211,24 +208,26 @@ class SketchResult:
     program: _CellProgram
 
     def query(self, item: str, at_worker: int = 0) -> Tristate:
-        """Min over the item's h cells, each read at ``at_worker`` if it
-        holds the cell, else gathered (and logged) from the slab's first
-        holder; IDK, the honest answer, if that holder is cut off."""
+        """Min over the item's h cells: from ``at_worker``'s counts, read
+        once, where it holds the cell, else gathered (and logged) from the
+        slab's first holder; IDK, the honest answer, if that is cut off."""
         prog, log, net = self.program, self.sim.log, self.sim.net
         holders, counts = prog.holders, prog.counts
+        local = counts(at_worker) if at_worker in prog.batches else None
         sizes = []
         for c in prog.cells(item):
-            held, wid = holders[c], at_worker
-            if wid not in held:  # a worker always reaches itself
-                wid = held[0]
-                if net.partitioned(at_worker, wid):
-                    return IDK
-                log("gather", src=at_worker, dst=wid)
-            sizes.append(counts(wid)[c])
+            held = holders[c]
+            if at_worker in held:  # a worker always reaches itself
+                sizes.append(local[c])
+            elif net.partitioned(at_worker, held[0]):
+                return IDK
+            else:
+                log("gather", src=at_worker, dst=held[0])
+                sizes.append(counts(held[0])[c])
         return Value(min(sizes))
 
     def estimate(self, item: str, at_worker: int = 0) -> int:
-        # SketchResult's query, which Design2Result.query falls back to.
+        # SketchResult's query by name: Design2Result.query is this method.
         out = SketchResult.query(self, item, at_worker)
         if not isinstance(out, Value):
             raise RuntimeError(f"query returned {out!r}")
@@ -249,14 +248,7 @@ Design1Result = SketchResult
 
 
 class Design2Result(SketchResult):
-    def query(self, item: str, at_worker: int = 0) -> int:
-        """A count: a replica reads every cell locally; a worker that
-        joined after setup holds none and gathers, as ``estimate`` does."""
-        prog = self.program
-        if at_worker not in prog.batches:
-            return self.estimate(item, at_worker)
-        counts = prog.counts(at_worker)
-        return min(counts[c] for c in prog.cells(item))
+    query = SketchResult.estimate
 
 
 def design1_run(corpus, k: int, params: CmsParams, workers: int,

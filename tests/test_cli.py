@@ -410,6 +410,26 @@ def test_verify_identical_across_seeds_on_every_answer(corpus_file, workload,
     assert summary["identical"] and summary["all_match"]
 
 
+def test_verify_reports_the_first_diverging_seed(corpus_file, monkeypatch,
+                                                capsys):
+    # Seeds 2 and 3 each lose a k-mer; verify names the first of them.
+    impl_a_run = kmer.impl_a_run
+
+    def lossy(*args, **kwargs):
+        res = impl_a_run(*args, **kwargs)
+        if kwargs["schedule"].seed in (2, 3):
+            res.histogram.pop(min(res.histogram))
+        return res
+
+    monkeypatch.setattr(kmer, "impl_a_run", lossy)
+    code = cli.main(["verify", "--workload", "kmer_a", "--input", corpus_file,
+                     "--seeds", "1,2,3"])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert summary["identical"] is False and summary["all_match"] is False
+    assert summary["diverging_seed"] == 2
+
+
 def test_verify_rejects_seed_from_config(corpus_file, tmp_path, capsys):
     cfg = tmp_path / "verify.cfg"
     cfg.write_text("seed = 5\n")

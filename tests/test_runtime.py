@@ -104,6 +104,18 @@ def test_partition_holds_then_heals():
     assert not sim.held and len(sim.in_flight) == 2
 
 
+def test_new_partition_keeps_an_envelope_its_cut_still_separates():
+    sim = Simulation()
+    for _ in range(3):
+        sim.register_worker()
+    sim.set_partition([(0, 1)])
+    env = sim.send(0, 1, "a")
+    sim.set_partition([(0, 1), (1, 2)])  # 0-1 is still cut
+    assert sim.held == [env] and not sim.in_flight
+    sim.heal()
+    assert not sim.held and [e[2] for e in sim.in_flight] == [env]
+
+
 def test_deliver_due_orders_by_due_and_resends_a_drop_later():
     sim = Simulation(DeliverySchedule(drop_prob=0.5))
     # Scripted drop and duplicate draws: two per send, then the resend's

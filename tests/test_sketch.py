@@ -436,3 +436,22 @@ def test_design2_replica_missing_a_batch_has_not_converged(cms_corpus):
     held = res.program.batches[max(res.program.batches)]
     held.pop(next(iter(held)))
     assert not res.converged()
+
+
+@pytest.mark.parametrize("run", [design1_run, design2_run])
+def test_a_count_behind_an_unhealed_cut_raises(cms_corpus, run):
+    # Design 1 reads at worker 0, which holds one slab; design 2's replicas
+    # hold every cell, so its reader is a worker that joined after setup.
+    res = run(cms_corpus, 6, params(h=3, m=90), workers=3, joins=[4])
+    prog = res.program
+    at = 0 if run is design1_run else max(res.sim.workers)
+    assert (at in prog.batches) == (run is design1_run)
+    item = next(x for x, _ in corpus_stream(cms_corpus, 6)
+                if any(at not in prog.holders[c] for c in prog.cells(x)))
+    read = res.estimate if run is design1_run else res.query
+    answer = read(item, at_worker=at)
+    res.sim.set_partition([(at, w) for w in prog.batches if w != at])
+    with pytest.raises(RuntimeError, match="IDK"):
+        read(item, at_worker=at)
+    res.sim.heal()
+    assert read(item, at_worker=at) == answer
