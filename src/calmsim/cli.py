@@ -79,6 +79,7 @@ class RunConfig:
         if self.k < 1 or self.workers < 1 or self.threshold < 1:
             raise ValueError("k, workers, and threshold must be >= 1")
         _schedule(self)  # raises ValueError on a bad delivery schedule
+        sketch.choose_params(self.eps, self.delta)  # and on eps, delta
         kmer.check_faults(self.workers, self.fail, self.join,
                           self.partition)
 

@@ -130,12 +130,12 @@ class KmerIngestProgram(Program):
     the batch's ``delta`` itself, which every delivery hands to ``absorb``;
     delivery only merges and never sends.
 
-    The pool is the one record of the chunk each worker holds, and one
-    hash plan on the k-mer, fixed over the workers present at setup, says
+    The pool, tiled at setup, records the chunk each worker holds.  A hash
+    plan on the k-mer, built with the program over workers ``0..n-1``, says
     which worker owns a k-mer; later joiners only ingest.  Owner state only
-    grows: by default ``batches[w]`` keeps each batch whole under its first
-    id.  The program is idle once the pool is done, so the run is at its
-    fixpoint when, in addition, nothing is in flight or held.
+    grows, from empty: by default ``batches[w]`` keeps each batch whole
+    under its first id.  The program is idle once the pool is done, so the
+    run is at its fixpoint when, in addition, nothing is in flight or held.
     """
 
     def __init__(self, corpus, k: int, workers: int,
@@ -144,23 +144,17 @@ class KmerIngestProgram(Program):
             raise ValueError("need at least one worker")
         self.data = normalize_corpus(corpus)
         self.k = k
-        self.nworkers = workers
         self.chunk_len = chunk_len
         self.pool: WorkPool | None = None
-        self.plan: PartitionPlan | None = None
+        self.plan = PartitionPlan("hash", tuple(range(workers)), column="seq")
+        self.batches = {wid: {} for wid in self.plan.workers}
 
     def setup(self, sim: Simulation) -> None:
-        self.pool = WorkPool.from_bytes(
-            self.data, chunk_len=self.chunk_len,
-            target_chunks=8 * self.nworkers)
-        for _ in range(self.nworkers):
+        n = len(self.plan.workers)
+        self.pool = WorkPool.from_bytes(self.data, chunk_len=self.chunk_len,
+                                        target_chunks=8 * n)
+        for _ in range(n):
             self.handle_join(sim)
-        self.plan = PartitionPlan("hash", tuple(self.pool.assigned),
-                                  column="seq")
-        self.init_state()
-
-    def init_state(self) -> None:
-        self.batches = {wid: {} for wid in self.plan.workers}
 
     def route(self, windows: list[tuple[str, int]]) -> dict[int, list]:
         """Group one chunk's windows into a batch per receiving worker."""
@@ -263,8 +257,6 @@ class ImplBProgram(KmerIngestProgram):
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         self.threshold = threshold
-
-    def init_state(self) -> None:
         self.ids = {wid: {} for wid in self.plan.workers}
 
     def absorb(self, wid, delta: tuple) -> None:
@@ -342,7 +334,7 @@ def _run(program: KmerIngestProgram, schedule: DeliverySchedule | None = None,
     """``(sim, program)`` quiescent under ``schedule`` and the faults;
     :func:`check_faults` runs first, so a bad schedule logs nothing."""
     failures, joins, partitions = list(failures), list(joins), list(partitions)
-    check_faults(program.nworkers, failures, joins, partitions)
+    check_faults(len(program.plan.workers), failures, joins, partitions)
     events: dict[int, list] = {}
     for tick, action in chain(
             ((t, lambda sim, prog, w=w: prog.handle_fail(sim, w))

@@ -120,8 +120,8 @@ def sequential_sketch(stream: Iterable[tuple[str, int]],
 
 class _CellProgram(KmerIngestProgram):
     """Owner ``w`` keeps ``batches[w]`` as the base class does, a batch's
-    first id being its first token.  ``slabs`` lists each slab's
-    ``replicas`` holders and ``holders[c]`` cell c's, both set at setup.
+    first id its first token.  The constructor builds ``slabs``, each slab's
+    ``replicas`` holders, and ``holders[c]``, cell c's, over ``0..n-1``.
 
     ``counts(w)``, cell -> size, is built on first read and dropped when
     ``w`` absorbs.  The :meth:`cells` memo is this program's alone:
@@ -130,8 +130,13 @@ class _CellProgram(KmerIngestProgram):
 
     def __init__(self, corpus, k, workers, params: CmsParams, replicas: int):
         super().__init__(corpus, k, workers)
-        self.params, self.replicas = params, replicas
+        self.params = params
         self._cells: dict[str, tuple] = {}
+        self._counts: dict[int, Counter] = {}
+        m, w = params.m, self.plan.workers
+        self.slabs = [w[i:i + replicas] for i in range(0, workers, replicas)]
+        width = -(-m // len(self.slabs))  # the last slab may be narrower
+        self.holders = [self.slabs[j // width] for j in range(m)] * params.h
 
     def cells(self, item: str) -> tuple:
         """``item``'s cell ``i * m + j`` in each row i, hashed on first use."""
@@ -141,15 +146,6 @@ class _CellProgram(KmerIngestProgram):
             cells = self._cells[item] = tuple(
                 i * m + j for i, j in enumerate(self.params.columns(item)))
         return cells
-
-    def init_state(self) -> None:
-        super().init_state()
-        self._counts: dict[int, Counter] = {}
-        workers, r, m = self.plan.workers, self.replicas, self.params.m
-        self.slabs = [workers[i:i + r] for i in range(0, len(workers), r)]
-        width = -(-m // len(self.slabs))  # the last slab may be narrower
-        self.holders = [self.slabs[j // width]
-                        for j in range(m)] * self.params.h
 
     def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
         """One ``(cells, tokens)`` batch per slab with cells, the same

@@ -268,7 +268,10 @@ def lookup(table: GlobalTable, key, at_worker: int, net=None) -> Tristate:
 class DataflowGraph:
     rules: list
     rewrite_map: dict = field(default_factory=dict)
-    needs_stratification: list = field(default_factory=list)
+
+    @property
+    def needs_stratification(self) -> list:
+        return detect_cycles(self)
 
     def nodes(self) -> set:
         return {n for r in self.rules for n in (r.target, *r.sources)}
@@ -393,9 +396,7 @@ def rewrite_one_shot(g: DataflowGraph) -> DataflowGraph:
                                set.difference))
         else:
             rules.append(r)
-    out = DataflowGraph(rules, rewrite_map=rewrite_map)
-    out.needs_stratification = detect_cycles(out)
-    return out
+    return DataflowGraph(rules, rewrite_map=rewrite_map)
 
 
 def _seed_env(g: DataflowGraph, inputs: Mapping[str, set]) -> dict:

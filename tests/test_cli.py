@@ -296,6 +296,18 @@ def test_bad_delivery_schedule_is_a_config_error(corpus_file, flag, capsys):
     assert "calmsim: error: " in err and not out
 
 
+@pytest.mark.parametrize("flag", [["--eps", "0"], ["--eps", "1"],
+                                  ["--delta", "0"]])
+def test_bad_eps_or_delta_is_a_config_error(flag, tmp_path, capsys):
+    # Rejected with the other flags, before the input is read.
+    code = cli.main(["run", "--workload", "cms_design1",
+                     "--input", str(tmp_path / "missing.txt"), *flag])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "calmsim: error: epsilon and delta must be in (0, 1)" in err
+    assert not out
+
+
 def test_worker_failed_twice_exits_2(corpus_file, capsys):
     code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
                      "--workers", "3", "--fail", "3:1", "--fail", "5:1"])

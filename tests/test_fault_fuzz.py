@@ -1,0 +1,156 @@
+"""Every runner under random multi-fault schedules.
+
+A drawn run has 1-4 workers, a lossy delivery schedule, up to three
+failures, up to two joins and up to three cuts at distinct ticks, each of
+0-2 pairs (an empty cut heals).  Ids reach past the registered workers, so
+some schedules are invalid.  Each run must end in exactly one way: the
+oracle's answer (implementation B's predicate), a ``ValueError`` with
+nothing logged, or a ``DivergenceError``; and a rerun must log the same
+events.  A failing example prints the ``calmsim run`` line that replays it.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, note, settings, strategies as st
+
+from calmsim import kmer, sketch
+from calmsim.errors import DivergenceError
+from calmsim.runtime import DeliverySchedule, Simulation
+from calmsim.tables import IDK, Value
+
+from conftest import make_corpus
+
+K, THRESHOLD, EPS, DELTA = 4, 3, 0.05, 0.1
+# The count-min workloads build their sketch from --eps and --delta.
+CMS = sketch.choose_params(EPS, DELTA)
+RUNNERS = {
+    "kmer_a": lambda corpus, n, **kw: kmer.impl_a_run(corpus, K, n, **kw),
+    "kmer_b": lambda corpus, n, **kw: kmer.impl_b_run(corpus, K, n,
+                                                      THRESHOLD, **kw),
+    "kmer_table": lambda corpus, n, **kw: kmer.table_kmer_run(corpus, K, n,
+                                                              **kw),
+    "cms_design1": lambda corpus, n, **kw: sketch.design1_run(corpus, K, CMS,
+                                                              n, **kw),
+    "cms_design2": lambda corpus, n, **kw: sketch.design2_run(corpus, K, CMS,
+                                                              n, **kw),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "corpus.txt"
+    path.write_text(make_corpus(random.Random(5), lines=6, width=40))
+    return path
+
+
+@st.composite
+def multi_fault_runs(draw):
+    """``(workers, schedule, failures, joins, partitions)``, mostly valid:
+    a joiner fails after its join tick but for an offset of 0, which names
+    it at its own tick, and a cut's ids usually stay below the workers
+    registered by then."""
+    workers = draw(st.integers(1, 4))
+    schedule = DeliverySchedule(
+        seed=draw(st.integers(0, 2**16)),
+        duplicate_prob=draw(st.sampled_from([0.0, 0.3])),
+        reorder_window=draw(st.integers(0, 4)),
+        drop_prob=draw(st.sampled_from([0.0, 0.2])))
+    joins = sorted(draw(st.lists(st.integers(1, 12), max_size=2)))
+    failures = []
+    for wid in draw(st.lists(st.integers(0, workers + len(joins) - 1),
+                             max_size=3, unique=True)):
+        after = joins[wid - workers] if wid >= workers else 0
+        failures.append((after + draw(st.integers(0 if after else 1, 10)),
+                         wid))
+    partitions = []
+    for tick in draw(st.lists(st.integers(1, 30), max_size=3, unique=True)):
+        known = workers + sum(j <= tick for j in joins)
+        hi = draw(st.sampled_from([known, workers + 2]))
+        pairs = []
+        for _ in range(draw(st.integers(0, 2)) if hi > 1 else 0):
+            a = draw(st.integers(0, hi - 1))
+            b = draw(st.integers(0, hi - 2))
+            pairs.append((a, b + (b >= a)))
+        partitions.append((tick, tuple(pairs)))
+    return workers, schedule, failures, joins, sorted(partitions)
+
+
+def replay_line(workload, path, workers, schedule, failures, joins,
+                partitions) -> str:
+    """The ``calmsim run`` command that makes the same run."""
+    flags = [f"--workload {workload} --input {path} -k {K}",
+             f"--workers {workers} --seed {schedule.seed}",
+             f"--dup-prob {schedule.duplicate_prob}",
+             f"--reorder-window {schedule.reorder_window}",
+             f"--drop-prob {schedule.drop_prob}"]
+    if workload == "kmer_b":
+        flags.append(f"--threshold {THRESHOLD}")
+    if workload.startswith("cms"):
+        flags.append(f"--eps {EPS} --delta {DELTA}")
+    flags += [f"--fail {t}:{w}" for t, w in failures]
+    flags += [f"--join {t}" for t in joins]
+    flags += [f"--partition {t}:" + ",".join(f"{a}-{b}" for a, b in pairs)
+              for t, pairs in partitions]
+    return "calmsim run " + " ".join(flags)
+
+
+def outcome(workload, corpus, workers, schedule, failures, joins,
+            partitions):
+    """The run's result, or the ``ValueError`` or ``DivergenceError`` it
+    raised with how many events the simulation logged."""
+    logged = []
+    log = Simulation.log
+
+    def counted(sim, *args, **kw):
+        logged.append(args[0])
+        log(sim, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(Simulation, "log", counted)
+        try:
+            return RUNNERS[workload](corpus, workers, schedule=schedule,
+                                     failures=failures, joins=joins,
+                                     partitions=partitions)
+        except (ValueError, DivergenceError) as exc:
+            return exc, len(logged)
+
+
+def meets_oracle(workload, corpus, res) -> bool:
+    truth = kmer.oracle_count(corpus, K)
+    if workload in ("kmer_a", "kmer_table"):
+        return res.histogram == truth and res.coordination_free is not False
+    if workload == "kmer_b":
+        return res.histogram.keys() == truth.keys() and all(
+            c <= truth[km] and (c == truth[km] or c >= THRESHOLD)
+            for km, c in res.histogram.items())
+    ref = sketch.sequential_sketch(sketch.corpus_stream(corpus, K), CMS)
+    prog, net = res.program, res.sim.net
+    for item in truth:
+        cut = any(0 not in prog.holders[c]
+                  and net.partitioned(0, prog.holders[c][0])
+                  for c in prog.cells(item))
+        expected = IDK if cut else Value(ref.query(item))
+        if sketch.SketchResult.query(res, item) != expected:
+            return False
+    return res.converged()
+
+
+@pytest.mark.parametrize("workload", RUNNERS)
+@settings(max_examples=150, deadline=None)
+@given(run=multi_fault_runs())
+def test_every_runner_under_random_fault_schedules(workload, corpus_file,
+                                                   run):
+    corpus = corpus_file.read_text()
+    note(replay_line(workload, corpus_file, *run))
+    first = outcome(workload, corpus, *run)
+    again = outcome(workload, corpus, *run)
+    if isinstance(first, tuple):
+        exc, logged = first
+        assert isinstance(again, tuple) and type(again[0]) is type(exc)
+        assert str(again[0]) == str(exc)
+        assert isinstance(exc, DivergenceError) or logged == 0, exc
+        return
+    # Before any query: a query at a non-holder logs a gather.
+    assert first.sim.event_lines() == again.sim.event_lines()
+    assert meets_oracle(workload, corpus, first)

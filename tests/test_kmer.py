@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from calmsim import kmer, runtime, sketch
 from calmsim.dispenser import Chunk
-from calmsim.errors import StratificationError
+from calmsim.errors import StratificationError, UnknownWorkerError
 from calmsim.lattice import GSet, LMap, ThresholdLSet
 from calmsim.runtime import (DeliverySchedule, Rule, Simulation,
                              TickRuleEngine)
@@ -286,8 +286,7 @@ def test_impl_b_absorb_matches_the_threshold_lattice_fold(threshold):
     # again, at the same owner.
     for seed in range(10):
         rng = random.Random(seed)
-        _, prog = kmer._run(kmer.ImplBProgram("ACGT", 2, 3, threshold))
-        prog.init_state()  # the run set the plan up; owners start empty
+        prog = kmer.ImplBProgram("ACGT", 2, 3, threshold)
         ref = {wid: LMap.bottom() for wid in prog.ids}
         delivered = []
         for _ in range(40):
@@ -312,6 +311,16 @@ def test_impl_b_absorb_matches_the_threshold_lattice_fold(threshold):
         assert list(prog.histogram().items()) == [
             (km, len(ids)) for w in sorted(ref)
             for km, ids in ref[w].entries.items()]
+
+
+def test_impl_b_state_size_counts_the_capped_ids():
+    prog = kmer.ImplBProgram("ACGT", 2, 3, threshold=2)
+    assert prog.state_size() == 0
+    for pairs in ([("AC", 1), ("AC", 2), ("AC", 3), ("GT", 4)],
+                  [("AC", 5), ("CG", 6)], [("GT", 7), ("GT", 4)]):
+        prog.absorb(0, prog.delta(pairs))
+    assert prog.histogram() == {"AC": 3, "GT": 2, "CG": 1}
+    assert prog.state_size() == sum(prog.histogram().values()) == 6
 
 
 def test_impl_b_run_builds_no_threshold_set_and_merges_no_map(small_corpus,
@@ -640,6 +649,40 @@ PROGRAMS = {"impl_a": kmer.ImplAProgram, "impl_b": kmer.ImplBProgram,
             "table_kmer": kmer.ImplAProgram,
             "design1": sketch.Design1Program,
             "design2": sketch.Design2Program}
+
+
+# Each runner's program, built as the runner builds it.
+BUILDS = {
+    "impl_a": lambda corpus: kmer.ImplAProgram(corpus, 4, 3),
+    "impl_b": lambda corpus: kmer.ImplBProgram(corpus, 4, 3, 3),
+    "table_kmer": lambda corpus: kmer.ImplAProgram(corpus, 4, 3),
+    "design1": lambda corpus: sketch.Design1Program(corpus, 4, 3, CMS, 1),
+    "design2": lambda corpus: sketch.Design2Program(corpus, 4, 3, CMS, 3),
+}
+
+
+@pytest.mark.parametrize("name", RUNNERS)
+def test_a_program_is_whole_when_built(name, small_corpus):
+    prog = BUILDS[name](small_corpus)
+    assert type(prog) is PROGRAMS[name]
+    assert prog.plan.workers == (0, 1, 2) and prog.pool is None
+    owners = prog.ids if name == "impl_b" else prog.batches
+    assert owners == {0: {}, 1: {}, 2: {}}
+    assert prog.state_size() == 0
+    if name.startswith("design"):
+        ran = kmer._run(BUILDS[name](small_corpus), **FAULTS)[1]
+        assert (prog.slabs, prog.holders) == (ran.slabs, ran.holders)
+        assert len(prog.slabs) == (3 if name == "design1" else 1)
+
+
+@pytest.mark.parametrize("name", RUNNERS)
+def test_a_run_on_a_simulation_with_workers_is_refused(name, small_corpus):
+    # Setup registers workers 1..3 here, so worker 0 holds no pool entry.
+    sim = Simulation()
+    sim.register_worker()
+    with pytest.raises(UnknownWorkerError, match="worker 0 not registered"):
+        runtime.run_to_quiescence(sim, BUILDS[name](small_corpus))
+    assert sim.now == 1
 
 
 @pytest.mark.parametrize("name", RUNNERS)

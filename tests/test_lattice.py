@@ -250,6 +250,15 @@ def test_custom_lattice_sum_rejected():
         custom_lattice("SumInt", 0, lambda a, b: a + b, samples=[0, 1, 2])
 
 
+@pytest.mark.parametrize("merge_fn, samples, law", [
+    (lambda a, b: a, [0, 1], "commutative"),
+    (lambda a, b: (a + b) // 2, [0, 2, 4], "associative"),
+])
+def test_custom_lattice_rejects_each_broken_law(merge_fn, samples, law):
+    with pytest.raises(LatticeLawError, match=f"merge is not {law} on 0, "):
+        custom_lattice("Broken", 0, merge_fn, samples=samples)
+
+
 # -- convergence under redelivery -------------------------------------------
 
 

@@ -317,6 +317,16 @@ def test_rule_fixpoint():
         assert eng.now == ticks
 
 
+def test_rules_that_grow_forever_diverge():
+    eng = TickRuleEngine(
+        tables={"c": LMax(0)},
+        rules=[Rule("c", lambda t: LMax(t["c"].value + 1), sources=("c",),
+                    deferred=True)])
+    with pytest.raises(DivergenceError, match="did not quiesce within"):
+        eng.run_to_fixpoint()
+    assert eng.tables["c"] == LMax(runtime._FIXPOINT_CAP - 1)
+
+
 def test_engine_never_mutates_caller_values():
     initial = LMap({"k": GSet.of([1])})
     injected = [LMap({"k": GSet.of([2]), "j": GSet.of([3])}),

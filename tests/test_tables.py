@@ -387,6 +387,17 @@ def test_rewrite_reports_monotone_cycles():
     assert g.needs_stratification  # not the difference pattern; flagged
 
 
+def test_a_parsed_graph_reports_its_cycles():
+    assert parse_rules("x <= x + y").needs_stratification == [("x",)]
+    assert parse_rules(ONE_SHOT).needs_stratification == []
+
+
+def test_rewrite_picks_a_fresh_name_for_the_inserts():
+    g = rewrite_one_shot(parse_rules(RECURSIVE + "cart_adds <= bad\n"))
+    assert g.rewrite_map == {"cart": ("cart_adds_", "bad")}
+    assert detect_cycles(g) == []
+
+
 @pytest.mark.parametrize("evaluate", [one_shot_eval, evaluate_stratified])
 @pytest.mark.parametrize("text, node, expected", [
     ("c <= b\nb <= a\n", "c", {1}),        # rules listed consumer first
