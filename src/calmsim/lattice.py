@@ -134,9 +134,6 @@ class LMap(LatticeValue):
     def get(self, key, default=None):
         return self.entries.get(key, default)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True, slots=True)
 class ThresholdLSet(LatticeValue):
@@ -305,9 +302,6 @@ class VersionVector:
 
     def leq(self, other: "VersionVector") -> bool:
         return all(c <= other.get(w) for w, c in self.counters)
-
-    def concurrent(self, other: "VersionVector") -> bool:
-        return not self.leq(other) and not other.leq(self)
 
     def bump(self, worker: int) -> "VersionVector":
         counts = dict(self.counters)

@@ -7,10 +7,13 @@ over-count (never under-count).  Cell ``i * m + j`` is row i, column j.
 
 The m columns split into ceil(n / r) contiguous slabs over n workers, each
 held by r consecutive workers.  The ingesting worker hashes each window
-and sends each slab's holders one shared batch of the chunk's cells, flat
-tuples ``(cells, tokens)``.  A holder keeps each batch whole under its
-first token, so a resent or rebuilt batch changes nothing, and a cell's
-size is a count over its batches.  A run hashes each distinct item once.
+and sends each slab's holders one shared batch of the chunk's cells, two
+typed arrays ``(cells, tokens)``: cell ids in ``"H"`` (``"I"`` when h*m
+exceeds 2**16) and tokens in ``"q"``, machine words rather than boxed
+ints.  A holder keeps each batch whole under its first token, so a resent
+or rebuilt batch changes nothing, and a cell's size is a count over its
+batches.  A run hashes each distinct item once, and its memo of an item's
+cells refers to one shared int per cell id.
 
 - Design 1 (r = 1) partitions the columns, a slab per worker: a query
   gathers cells from their holders, visible as gather events in the log.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -126,11 +130,16 @@ class _CellProgram(KmerIngestProgram):
     ``counts(w)``, cell -> size, is built on first read and dropped when
     ``w`` absorbs.  The :meth:`cells` memo is this program's alone:
     nothing is cached on ``params``, which the sequential reference shares.
+    Its tuples share ``_ids``, one int per cell id, built once.
     """
 
     def __init__(self, corpus, k, workers, params: CmsParams, replicas: int):
         super().__init__(corpus, k, workers)
         self.params = params
+        size = params.h * params.m
+        # The narrowest array code that holds the last cell id, size - 1.
+        self._cell_code = "H" if size <= 1 << 16 else "I"
+        self._ids = tuple(range(size))  # one int per cell, for the memo
         self._cells: dict[str, tuple] = {}
         self._counts: dict[int, Counter] = {}
         m, w = params.m, self.plan.workers
@@ -142,16 +151,17 @@ class _CellProgram(KmerIngestProgram):
         """``item``'s cell ``i * m + j`` in each row i, hashed on first use."""
         cells = self._cells.get(item)
         if cells is None:
-            m = self.params.m
+            ids, m = self._ids, self.params.m
             cells = self._cells[item] = tuple(
-                i * m + j for i, j in enumerate(self.params.columns(item)))
+                ids[i * m + j] for i, j in enumerate(self.params.columns(item)))
         return cells
 
     def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
-        """One ``(cells, tokens)`` batch per slab with cells, the same
-        object for each holder; a slab every worker holds gets ``()`` for
-        a chunk with no window."""
-        holders, cells = self.holders, self.cells
+        """One ``(cells, tokens)`` batch per slab with cells, grouped in
+        lists and stored as two typed arrays, the same object for each
+        holder; a slab every worker holds gets ``()`` for a chunk with no
+        window."""
+        holders, cells, code = self.holders, self.cells, self._cell_code
         grouped = {held[0]: ([], []) for held in self.slabs}
         for kmer, off in windows:
             for c in cells(kmer):
@@ -162,12 +172,14 @@ class _CellProgram(KmerIngestProgram):
         for held in self.slabs:
             slab_cells, tokens = grouped[held[0]]
             if slab_cells or held == self.plan.workers:
-                batch = (tuple(slab_cells), tuple(tokens)) if slab_cells else ()
+                batch = ((array(code, slab_cells), array("q", tokens))
+                         if slab_cells else ())
                 out.update(dict.fromkeys(held, batch))
         return out
 
     def delta(self, batch: tuple) -> tuple:
-        """``route`` builds each batch whole; ``tuple`` of it is itself."""
+        """``route`` builds each batch whole, two arrays or ``()``;
+        ``tuple`` of it is itself."""
         return tuple(batch)
 
     def absorb(self, wid, delta: tuple) -> None:

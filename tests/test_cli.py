@@ -308,6 +308,18 @@ def test_bad_eps_or_delta_is_a_config_error(flag, tmp_path, capsys):
     assert not out
 
 
+@pytest.mark.parametrize("flag", [["-k", "0"], ["--workers", "0"],
+                                  ["--threshold", "0"]])
+def test_k_workers_or_threshold_below_1_exits_2(flag, tmp_path, capsys):
+    # Rejected with the other flags, before the input is read.
+    code = cli.main(["run", "--workload", "kmer_b",
+                     "--input", str(tmp_path / "missing.txt"), *flag])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "calmsim: error: k, workers, and threshold must be >= 1" in err
+    assert not out
+
+
 def test_worker_failed_twice_exits_2(corpus_file, capsys):
     code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
                      "--workers", "3", "--fail", "3:1", "--fail", "5:1"])

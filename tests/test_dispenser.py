@@ -14,6 +14,12 @@ def test_open_tiles_file():
     assert all(c.length == 100 for c in pool.pending)
 
 
+@pytest.mark.parametrize("chunk_len", [0, -1])
+def test_chunk_len_must_be_positive(chunk_len):
+    with pytest.raises(ValueError, match="chunk_len must be positive"):
+        make_pool(100, chunk_len)
+
+
 def test_uneven_tail_chunk():
     pool = make_pool(1001, 100)
     assert len(pool.pending) == 11

@@ -383,6 +383,24 @@ def test_table_view_is_a_copy_of_the_rows_on_their_owners(small_corpus):
 # -- tick-rule variant (instantaneous vs deferred merge) --------------------
 
 
+@pytest.mark.parametrize("build", [
+    lambda w: kmer.ImplAProgram(THRESH_CORPUS, 4, w),
+    lambda w: kmer.ImplBProgram(THRESH_CORPUS, 4, w, 3),
+    lambda w: sketch.Design1Program(THRESH_CORPUS, 4, w,
+                                    sketch.choose_params(0.1, 0.1), 1),
+], ids=["impl_a", "impl_b", "design1"])
+@pytest.mark.parametrize("workers", [0, -1])
+def test_a_program_needs_at_least_one_worker(build, workers):
+    with pytest.raises(ValueError, match="need at least one worker"):
+        build(workers)
+
+
+@pytest.mark.parametrize("threshold", [0, -2])
+def test_impl_b_threshold_must_be_at_least_1(threshold):
+    with pytest.raises(ValueError, match="threshold must be >= 1"):
+        kmer.impl_b_run(THRESH_CORPUS, 4, 2, threshold)
+
+
 def test_instantaneous_merge_is_stratification_error():
     with pytest.raises(StratificationError) as err:
         kmer.threshold_rule_run(THRESH_CORPUS, 4, 3, deferred=False)

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -428,6 +430,64 @@ def test_state_size_counts_the_cell_sets(cms_corpus, run):
     ref = sequential_sketch(corpus_stream(cms_corpus, 6), params())
     replicas = len(res.program.batches) if run is design2_run else 1
     assert size == replicas * sum(len(c) for row in ref.cells for c in row)
+
+
+@pytest.mark.parametrize("h, code", [(2, "H"), (3, "I")])
+def test_batches_are_typed_arrays_in_the_narrowest_cell_code(cms_corpus, h,
+                                                              code):
+    # Two rows of 2**15 columns end at cell 65535, the last an "H" holds;
+    # a third row's cells start at 65536.
+    prog = sketch.Design1Program(cms_corpus, 6, 3, params(h=h, m=1 << 15), 1)
+    windows = corpus_stream(cms_corpus, 6)[:40]
+    batches = prog.route(windows)
+    assert all((cells.typecode, tokens.typecode) == (code, "q")
+               for cells, tokens in batches.values())
+    got = sorted(pair for cells, tokens in batches.values()
+                 for pair in zip(cells, tokens))
+    want = sorted((c, off) for item, off in windows for c in prog.cells(item))
+    assert got == want
+    assert (want[-1][0] >= 1 << 16) == (code == "I")
+
+
+def test_the_cells_memo_shares_one_int_per_cell(cms_corpus):
+    prog = design1_run(cms_corpus, 6, params(h=3, m=400), workers=3).program
+    first = {}
+    for item, _ in corpus_stream(cms_corpus, 6):
+        for c in prog.cells(item):
+            assert first.setdefault(c, c) is c
+    assert max(first) > 256  # past the small ints CPython caches
+
+
+def repeat_rich_corpus(rng: random.Random, nbytes: int) -> str:
+    """100-base lines tiled from 16 random 12-base motifs, with 2% point
+    mutations: few distinct k-mers, each repeated many times."""
+    motifs = ["".join(rng.choices("ACGT", k=12)) for _ in range(16)]
+    lines = []
+    for _ in range(nbytes // 101):
+        line = "".join(rng.choice(motifs) for _ in range(9))[:100]
+        lines.append("".join(rng.choice("ACGT") if rng.random() < 0.02
+                             else base for base in line))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("run", [design1_run, design2_run])
+def test_designs_hold_at_most_110_bytes_per_window(run):
+    # Tuple batches box every cell id and token, about 160 bytes a window;
+    # typed arrays and one shared int per cell id hold about 85.
+    corpus = repeat_rich_corpus(random.Random(1), 20_000)
+    p = choose_params(0.01, 0.01)
+    windows = len(corpus_stream(corpus, 8))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        # res keeps sim alive, so its event log counts as held too.
+        res = run(corpus, 8, p, workers=4)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.converged()
+    assert held <= 110 * windows
 
 
 def test_design2_replica_missing_a_batch_has_not_converged(cms_corpus):

@@ -62,6 +62,31 @@ def test_plan_rejects_a_field_its_strategy_ignores(strategy, kw, message):
         PartitionPlan(strategy, (0, 1), **kw)
 
 
+@pytest.mark.parametrize("strategy, workers, column, message", [
+    ("modulo", (0, 1), "seq", "unknown partition strategy 'modulo'"),
+    ("hash", (0, 1), None, "hash partitioning needs a key column"),
+    ("range", (0, 1), None, "range partitioning needs a key column"),
+    ("hash", (), "seq", "plan needs at least one worker"),
+    ("round_robin", (), None, "plan needs at least one worker"),
+])
+def test_plan_rejects_a_bad_strategy_column_or_worker_set(strategy, workers,
+                                                           column, message):
+    with pytest.raises(ValueError, match=message):
+        PartitionPlan(strategy, workers, column=column)
+
+
+def test_round_robin_plan_names_no_owner_of_a_key():
+    plan = PartitionPlan("round_robin", (0, 1))
+    with pytest.raises(ValueError, match="not a function of the key"):
+        plan.owner_of_key("ACGT")
+
+
+def test_global_table_holds_g_set_shards_only():
+    with pytest.raises(TypeError, match="G-Set shards only"):
+        GlobalTable("t", LMap, ("seq", "token"), PartitionPlan(
+            "hash", (0, 1), column="seq"))
+
+
 def test_keyed_plan_column_must_be_in_the_schema():
     plan = PartitionPlan("hash", (0, 1), column="zzz")
     with pytest.raises(ValueError, match="'zzz'"):
