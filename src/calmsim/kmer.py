@@ -182,9 +182,11 @@ class KmerIngestProgram(Program):
         self.absorb(env.dst, env.payload)
 
     def delta(self, pairs: list) -> tuple:
-        """A batch as flat tuples: its k-mers and an ``array("q")`` of ids."""
+        """A batch as flat tuples: its k-mers and an ``array("Q")`` of ids,
+        unsigned as offsets are, and not parsed item by item as CPython 3.11
+        parses ``"q"``."""
         kmers, ids = zip(*pairs)
-        return kmers, array("q", ids)
+        return kmers, array("Q", ids)
 
     def absorb(self, wid: int, delta: tuple) -> None:
         """Keep ``delta`` whole under its first id; ignore the ``()`` batch."""

@@ -9,9 +9,11 @@ The m columns split into ceil(n / r) contiguous slabs over n workers, each
 held by r consecutive workers.  The ingesting worker hashes each window
 and sends each slab's holders one shared batch of the chunk's cells, two
 typed arrays ``(cells, tokens)``: cell ids in ``"H"`` (``"I"`` when h*m
-exceeds 2**16) and tokens in ``"q"``, machine words rather than boxed
-ints.  A holder keeps each batch whole under its first token, so a resent
-or rebuilt batch changes nothing, and a cell's size is a count over its
+exceeds 2**16) and tokens in ``"Q"``, machine words rather than boxed
+ints.  Tokens are byte offsets, never negative, and CPython 3.11 builds a
+``"Q"`` array from a list without the per-item parse it gives ``"q"``.
+A holder keeps each batch whole under its first token, so a resent or
+rebuilt batch changes nothing, and a cell's size is a count over its
 batches.  A run hashes each distinct item once, and its memo of an item's
 cells refers to one shared int per cell id.
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -145,7 +148,8 @@ class _CellProgram(KmerIngestProgram):
         m, w = params.m, self.plan.workers
         self.slabs = [w[i:i + replicas] for i in range(0, workers, replicas)]
         width = -(-m // len(self.slabs))  # the last slab may be narrower
-        self.holders = [self.slabs[j // width] for j in range(m)] * params.h
+        self._slab_of = [j // width for j in range(m)] * params.h
+        self.holders = [self.slabs[s] for s in self._slab_of]
 
     def cells(self, item: str) -> tuple:
         """``item``'s cell ``i * m + j`` in each row i, hashed on first use."""
@@ -160,20 +164,23 @@ class _CellProgram(KmerIngestProgram):
         """One ``(cells, tokens)`` batch per slab with cells, grouped in
         lists and stored as two typed arrays, the same object for each
         holder; a slab every worker holds gets ``()`` for a chunk with no
-        window."""
-        holders, cells, code = self.holders, self.cells, self._cell_code
-        grouped = {held[0]: ([], []) for held in self.slabs}
+        window.  The cells array is packed, not built from the list, which
+        CPython 3.11 parses item by item for ``"H"``."""
+        slab_of, get, cells = self._slab_of, self._cells.get, self.cells
+        grouped = [([], []) for _ in self.slabs]
         for kmer, off in windows:
-            for c in cells(kmer):
-                slab_cells, tokens = grouped[holders[c][0]]
+            for c in get(kmer) or cells(kmer):  # a memo tuple is never empty
+                slab_cells, tokens = grouped[slab_of[c]]
                 slab_cells.append(c)
                 tokens.append(off)
-        out = {}
-        for held in self.slabs:
-            slab_cells, tokens = grouped[held[0]]
+        out, code = {}, self._cell_code
+        for held, (slab_cells, tokens) in zip(self.slabs, grouped):
             if slab_cells or held == self.plan.workers:
-                batch = ((array(code, slab_cells), array("q", tokens))
-                         if slab_cells else ())
+                batch = ()
+                if slab_cells:
+                    batch = array(code), array("Q", tokens)
+                    batch[0].frombytes(struct.pack(
+                        f"{len(slab_cells)}{code}", *slab_cells))
                 out.update(dict.fromkeys(held, batch))
         return out
 
@@ -218,7 +225,8 @@ class SketchResult:
     def query(self, item: str, at_worker: int = 0) -> Tristate:
         """Min over the item's h cells: from ``at_worker``'s counts, read
         once, where it holds the cell, else gathered (and logged) from the
-        slab's first holder; IDK, the honest answer, if that is cut off."""
+        slab's first reachable holder; IDK, the honest answer, if every
+        holder is cut off."""
         prog, log, net = self.program, self.sim.log, self.sim.net
         holders, counts = prog.holders, prog.counts
         local = counts(at_worker) if at_worker in prog.batches else None
@@ -227,11 +235,14 @@ class SketchResult:
             held = holders[c]
             if at_worker in held:  # a worker always reaches itself
                 sizes.append(local[c])
-            elif net.partitioned(at_worker, held[0]):
-                return IDK
+                continue
+            for src in held:
+                if not net.partitioned(at_worker, src):
+                    break
             else:
-                log("gather", src=at_worker, dst=held[0])
-                sizes.append(counts(held[0])[c])
+                return IDK
+            log("gather", src=at_worker, dst=src)
+            sizes.append(counts(src)[c])
         return Value(min(sizes))
 
     def estimate(self, item: str, at_worker: int = 0) -> int:

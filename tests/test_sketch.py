@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -440,13 +441,18 @@ def test_batches_are_typed_arrays_in_the_narrowest_cell_code(cms_corpus, h,
     prog = sketch.Design1Program(cms_corpus, 6, 3, params(h=h, m=1 << 15), 1)
     windows = corpus_stream(cms_corpus, 6)[:40]
     batches = prog.route(windows)
-    assert all((cells.typecode, tokens.typecode) == (code, "q")
-               for cells, tokens in batches.values())
-    got = sorted(pair for cells, tokens in batches.values()
-                 for pair in zip(cells, tokens))
-    want = sorted((c, off) for item, off in windows for c in prog.cells(item))
-    assert got == want
-    assert (want[-1][0] >= 1 << 16) == (code == "I")
+    # Each holder's (cell, token) pairs in window order, as route meets them.
+    want = {}
+    for item, off in windows:
+        for c in prog.cells(item):
+            want.setdefault(prog.holders[c][0], []).append((c, off))
+    assert sorted(batches) == sorted(want)
+    for wid, (cells, tokens) in batches.items():
+        assert (cells.typecode, tokens.typecode) == (code, "Q")
+        assert list(zip(cells, tokens)) == want[wid]
+        assert cells == array(code, [c for c, _ in want[wid]])
+    assert (max(c for pairs in want.values() for c, _ in pairs)
+            >= 1 << 16) == (code == "I")
 
 
 def test_the_cells_memo_shares_one_int_per_cell(cms_corpus):
@@ -515,3 +521,20 @@ def test_a_count_behind_an_unhealed_cut_raises(cms_corpus, run):
         read(item, at_worker=at)
     res.sim.heal()
     assert read(item, at_worker=at) == answer
+
+
+def test_a_read_cut_off_from_the_first_holder_gathers_from_the_next(
+        cms_corpus):
+    # Design 2's joined reader holds no cell; worker 0 is every slab's first
+    # holder, and worker 1 holds the same replica.
+    res = design2_run(cms_corpus, 6, params(h=3, m=90), workers=3, joins=[4])
+    at = max(res.sim.workers)
+    assert at not in res.program.batches
+    item = corpus_stream(cms_corpus, 6)[0][0]
+    healed = sketch.SketchResult.query(res, item, at_worker=at)
+    res.sim.set_partition([(at, 0)])
+    before = len(res.sim.events)
+    assert sketch.SketchResult.query(res, item, at_worker=at) == healed
+    gathers = {ev[1:4] for ev in res.sim.events[before:]}
+    assert gathers == {("gather", at, 1)}
+    assert isinstance(healed, Value)
