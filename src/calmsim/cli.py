@@ -290,23 +290,26 @@ def run(config: RunConfig) -> tuple[int, dict]:
         code = EXIT_CODES[type(exc)]
         if code == 2:
             return 2, {"error": str(exc)}
-        return code, {"error": str(exc), "config": config.echo()}
-    report = {
-        "config": config.echo(),
-        "workload": config.workload,
-        "match": match,
-        "result": result,
-        "ticks": sim.now if sim else 0,
-        "messages": sum(1 for ev in sim.events if ev[1] == "send") if sim else 0,
-        "coordination": coordination,
-    }
-    if config.emit_events:
+        # The run's sim is lost with the error, so no event log is written.
+        sim, report = None, {"error": str(exc), "config": config.echo()}
+    else:
+        code = 0 if match else 1
+        report = {
+            "config": config.echo(),
+            "workload": config.workload,
+            "match": match,
+            "result": result,
+            "ticks": sim.now if sim else 0,
+            "messages": sum(ev[1] == "send" for ev in sim.events) if sim else 0,
+            "coordination": coordination,
+        }
+    if config.emit_events and sim:
         with open(config.emit_events, "w", encoding="utf-8") as fh:
             fh.write(sim.event_lines())
     if config.report:
         with open(config.report, "w", encoding="utf-8") as fh:
             fh.write(report_json(report))
-    return (0 if match else 1), report
+    return code, report
 
 
 def report_json(report: dict) -> str:

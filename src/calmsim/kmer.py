@@ -17,10 +17,11 @@ Three variants over the same chunk-ingestion pipeline:
   ``table_kmer_run`` returns implementation A's histogram, in the same
   pinned order.
 
-A chunk ships each owner one lattice delta, built once; a duplicated or
-resent envelope reuses it.  All variants are verified against
-``oracle_count``, a sequential single-threaded scan.  Every runner, the
-sketch designs' too, passes :func:`_run`'s fault keywords through to it.
+``route`` builds each owner's lattice delta once per chunk, as the
+payload sent; a duplicated or resent envelope reuses it.  All variants
+are verified against ``oracle_count``, a sequential single-threaded scan.
+Every runner, the sketch designs' too, passes :func:`_run`'s fault
+keywords through to it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Mapping
 
@@ -93,15 +94,19 @@ def _lines(read: bytes, off: int, k: int):
         off += len(line) + 1
 
 
+def _windows(read: bytes, off: int, k: int):
+    """``(k-mer, offset)`` of each window of ``read`` (at byte ``off``), a
+    line at a time from ``_lines``.  No window spans a newline."""
+    for text, start, n in _lines(read, off, k):
+        for i in range(n):
+            yield text[i:i + k], start + i
+
+
 def chunk_windows(data: bytes, chunk: Chunk, k: int) -> list[tuple[str, int]]:
-    """Windows starting inside the chunk, read by ``_lines``; the read
-    overlaps the next chunk by k-1 bytes, so the earlier chunk alone holds
-    a straddling window.  No window spans a newline."""
+    """Windows starting inside the chunk; the read overlaps the next chunk
+    by k-1 bytes, so the earlier chunk alone holds a straddling window."""
     end = min(chunk.start + chunk.length, len(data))
-    out = []
-    for text, off, n in _lines(data[chunk.start:end + k - 1], chunk.start, k):
-        out.extend((text[i:i + k], off + i) for i in range(n))
-    return out
+    return list(_windows(data[chunk.start:end + k - 1], chunk.start, k))
 
 
 def normalize_corpus(corpus: str | bytes) -> bytes:
@@ -124,11 +129,11 @@ class KmerIngestProgram(Program):
 
     A worker alternates between taking a chunk and processing it, so an
     injected failure between the two leaves an uncompleted chunk for the
-    pool to reassign.  Processing extracts the chunk's windows, groups them
-    into one batch per receiving worker with ``route``, and sends one
-    envelope per batch stamped with the chunk's token id.  The payload is
-    the batch's ``delta`` itself, which every delivery hands to ``absorb``;
-    delivery only merges and never sends.
+    pool to reassign.  Processing extracts the chunk's windows, and
+    ``route`` builds from them each receiving worker's payload, the delta
+    it merges; one envelope per payload, stamped with the chunk's token
+    id, carries it as built, and every delivery hands it to ``absorb``.
+    Delivery only merges and never sends.
 
     The pool, tiled at setup, records the chunk each worker holds.  A hash
     plan on the k-mer, built with the program over workers ``0..n-1``, says
@@ -156,13 +161,20 @@ class KmerIngestProgram(Program):
         for _ in range(n):
             self.handle_join(sim)
 
-    def route(self, windows: list[tuple[str, int]]) -> dict[int, list]:
-        """Group one chunk's windows into a batch per receiving worker."""
+    def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
+        """One chunk's payload for each receiving worker: the k-mers it owns
+        as a tuple and their ids as an ``array("Q")``, unsigned as offsets
+        are, and not parsed item by item as CPython 3.11 parses ``"q"``."""
         owners = hash_owners(self.plan.workers, map(itemgetter(0), windows))
         batches = {wid: [] for wid in self.plan.workers}
         for owner, pair in zip(owners, windows):
             batches[owner].append(pair)
-        return {wid: batch for wid, batch in batches.items() if batch}
+        out = {}
+        for wid, pairs in batches.items():
+            if pairs:
+                kmers, ids = zip(*pairs)
+                out[wid] = kmers, array("Q", ids)
+        return out
 
     def worker_step(self, sim: Simulation, wid: int) -> None:
         if not self.pool.assigned.get(wid):
@@ -171,22 +183,14 @@ class KmerIngestProgram(Program):
                 sim.log("assign", dst=wid, token_id=chunk.token_id)
             return
         (chunk,) = self.pool.assigned[wid]  # one chunk at a time
-        batches = self.route(chunk_windows(self.data, chunk, self.k))
-        for owner in sorted(batches):
-            sim.send(wid, owner, self.delta(batches[owner]),
-                     token_id=chunk.token_id)
+        payloads = self.route(chunk_windows(self.data, chunk, self.k))
+        for owner in sorted(payloads):
+            sim.send(wid, owner, payloads[owner], token_id=chunk.token_id)
         self.pool.complete(wid, chunk)
         sim.log("complete", dst=wid, token_id=chunk.token_id)
 
     def on_deliver(self, sim: Simulation, env: Envelope) -> None:
         self.absorb(env.dst, env.payload)
-
-    def delta(self, pairs: list) -> tuple:
-        """A batch as flat tuples: its k-mers and an ``array("Q")`` of ids,
-        unsigned as offsets are, and not parsed item by item as CPython 3.11
-        parses ``"q"``."""
-        kmers, ids = zip(*pairs)
-        return kmers, array("Q", ids)
 
     def absorb(self, wid: int, delta: tuple) -> None:
         """Keep ``delta`` whole under its first id; ignore the ``()`` batch."""
@@ -377,20 +381,6 @@ def table_kmer_run(corpus, k: int, workers: int, **faults) -> KmerRunResult:
 # Threshold counting via tick rules (instantaneous vs deferred merge)
 
 
-def _window_batches(data: bytes, k: int, batch: int):
-    """Each run of ``batch`` windows as ``{k-mer: [ids]}``, from ``_lines``."""
-    grouped, room = {}, batch
-    for text, off, n in _lines(data, 0, k):
-        for i in range(n):
-            grouped.setdefault(text[i:i + k], []).append(off + i)
-            room -= 1
-            if not room:
-                yield grouped
-                grouped, room = {}, batch
-    if grouped:
-        yield grouped
-
-
 def threshold_rule_run(corpus, k: int, threshold: int,
                        deferred: bool = True, batch: int = 64) -> dict[str, int]:
     """Threshold k-mer counting written as Bloom rule text over lattice maps.
@@ -412,7 +402,8 @@ def threshold_rule_run(corpus, k: int, threshold: int,
         incoming <= arrivals below local {threshold}
         local {"<+" if deferred else "<="} incoming
     """))
-    for grouped in _window_batches(normalize_corpus(corpus), k, batch):
+    windows = _windows(normalize_corpus(corpus), 0, k)
+    while grouped := _grouped(islice(windows, batch)):
         engine.inject("arrivals",
                       LMap({km: GSet(ids) for km, ids in grouped.items()}))
         engine.tick()

@@ -6,16 +6,16 @@ item is the minimum cardinality over its h addressed cells, and it can only
 over-count (never under-count).  Cell ``i * m + j`` is row i, column j.
 
 The m columns split into ceil(n / r) contiguous slabs over n workers, each
-held by r consecutive workers.  The ingesting worker hashes each window
-and sends each slab's holders one shared batch of the chunk's cells, two
-typed arrays ``(cells, tokens)``: cell ids in ``"H"`` (``"I"`` when h*m
-exceeds 2**16) and tokens in ``"Q"``, machine words rather than boxed
-ints.  Tokens are byte offsets, never negative, and CPython 3.11 builds a
-``"Q"`` array from a list without the per-item parse it gives ``"q"``.
-A holder keeps each batch whole under its first token, so a resent or
-rebuilt batch changes nothing, and a cell's size is a count over its
-batches.  A run hashes each distinct item once, and its memo of an item's
-cells refers to one shared int per cell id.
+held by r consecutive workers.  The ingesting worker hashes each window;
+``route`` builds the payload sent to each slab's holders, one shared batch
+of the chunk's cells, two typed arrays ``(cells, tokens)``: cell ids in
+``"H"`` (``"I"`` when h*m exceeds 2**16) and tokens in ``"Q"``, machine
+words rather than boxed ints.  Tokens are byte offsets, never negative,
+and CPython 3.11 builds a ``"Q"`` array from a list without the per-item
+parse it gives ``"q"``.  A holder keeps each batch whole under its first
+token, so a resent or rebuilt batch changes nothing, and a cell's size is
+a count over its batches.  A run hashes each distinct item once, and its
+memo of an item's cells refers to one shared int per cell id.
 
 - Design 1 (r = 1) partitions the columns, a slab per worker: a query
   gathers cells from their holders, visible as gather events in the log.
@@ -161,11 +161,11 @@ class _CellProgram(KmerIngestProgram):
         return cells
 
     def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
-        """One ``(cells, tokens)`` batch per slab with cells, grouped in
-        lists and stored as two typed arrays, the same object for each
-        holder; a slab every worker holds gets ``()`` for a chunk with no
-        window.  The cells array is packed, not built from the list, which
-        CPython 3.11 parses item by item for ``"H"``."""
+        """Each holder's payload: one ``(cells, tokens)`` batch per slab
+        with cells, grouped in lists and stored as two typed arrays, the
+        same object for each holder; a slab every worker holds gets ``()``
+        for a chunk with no window.  The cells array is packed, not built
+        from the list, which CPython 3.11 parses item by item for ``"H"``."""
         slab_of, get, cells = self._slab_of, self._cells.get, self.cells
         grouped = [([], []) for _ in self.slabs]
         for kmer, off in windows:
@@ -183,11 +183,6 @@ class _CellProgram(KmerIngestProgram):
                         f"{len(slab_cells)}{code}", *slab_cells))
                 out.update(dict.fromkeys(held, batch))
         return out
-
-    def delta(self, batch: tuple) -> tuple:
-        """``route`` builds each batch whole, two arrays or ``()``;
-        ``tuple`` of it is itself."""
-        return tuple(batch)
 
     def absorb(self, wid, delta: tuple) -> None:
         super().absorb(wid, delta)
@@ -226,7 +221,9 @@ class SketchResult:
         """Min over the item's h cells: from ``at_worker``'s counts, read
         once, where it holds the cell, else gathered (and logged) from the
         slab's first reachable holder; IDK, the honest answer, if every
-        holder is cut off."""
+        holder is cut off.  A worker never registered raises
+        :class:`UnknownWorkerError`; a joined or failed one reads."""
+        self.sim._known(at_worker)
         prog, log, net = self.program, self.sim.log, self.sim.net
         holders, counts = prog.holders, prog.counts
         local = counts(at_worker) if at_worker in prog.batches else None

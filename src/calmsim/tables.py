@@ -33,18 +33,13 @@ from .runtime import _FIXPOINT_CAP, Rule, Scratch, _ordered
 
 def hash_owners(workers: tuple, keys) -> list:
     """Where a hash plan over ``workers`` puts each of ``keys``, in order;
-    hash routes use it.
+    hash routes and ``PartitionPlan.owner_of_key`` use it.
 
     The hash is an unkeyed crc32 of the UTF-8 key: stable across processes
     and runs, balanced, and for placement only, never for anything seeded.
     """
     n = len(workers)
     return [workers[zlib.crc32(key.encode()) % n] for key in keys]
-
-
-def hash_owner(workers: tuple, key: str) -> int:
-    """``hash_owners`` for one key."""
-    return hash_owners(workers, (key,))[0]
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,7 @@ class PartitionPlan:
 
     def owner_of_key(self, key) -> int:
         if self.strategy == "hash":
-            return hash_owner(self.workers, str(key))
+            return hash_owners(self.workers, (str(key),))[0]
         if self.strategy == "range":
             return self.workers[bisect_right(self.boundaries, key)]
         raise ValueError("round_robin placement is not a function of the key")

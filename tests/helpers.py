@@ -1,6 +1,8 @@
-"""Random value generators shared by the lattice law tests."""
+"""Random value generators shared by the lattice law tests, and the k-mer
+owner payload builder shared by the k-mer tests."""
 
 import random
+from array import array
 
 from calmsim.lattice import (GSet, LMap, LMax, LWWSet, LWWTokenSet, MVSet,
                              ThresholdLSet, Timestamp, TwoPSet, VersionVector)
@@ -65,3 +67,10 @@ def random_value(kind, rng: random.Random):
 
 
 LAW_TYPES = (GSet, TwoPSet, LWWSet, MVSet, LWWTokenSet, LMax, LMap)
+
+
+def kmer_batch(pairs) -> tuple:
+    """The payload a k-mer ``route`` sends an owner for its ``(k-mer, id)``
+    pairs: the k-mers as a tuple and the ids as an ``array("Q")``."""
+    kmers, ids = zip(*pairs)
+    return kmers, array("Q", ids)

@@ -125,6 +125,41 @@ def test_run_error_exits_with_its_code(corpus_file, monkeypatch, capsys,
     assert json.loads(capsys.readouterr().out)["error"] == str(error)
 
 
+@pytest.mark.parametrize("error, code", RUN_ERRORS,
+                         ids=[type(e).__name__ for e, _code in RUN_ERRORS])
+def test_run_error_writes_the_report_it_prints(corpus_file, tmp_path,
+                                               monkeypatch, capsys, error,
+                                               code):
+    # Exit 3 or 4 writes stdout's report to --report too; a config error
+    # (exit 2) writes no file, and no error writes an event log.
+    def failing_run(*a, **kw):
+        raise error
+
+    monkeypatch.setattr(kmer, "impl_a_run", failing_run)
+    report, events = tmp_path / "r.json", tmp_path / "ev.log"
+    assert cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
+                     "--report", str(report),
+                     "--emit-events", str(events)]) == code
+    out = capsys.readouterr().out
+    assert not events.exists()
+    if code == 2:
+        assert not report.exists()
+    else:
+        assert report.read_bytes() == out.encode()
+        assert json.loads(out).keys() == {"config", "error"}
+
+
+def test_unhealed_partition_exits_3_and_writes_the_report(corpus_file,
+                                                          tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
+                     "--workers", "3", "--partition", "2:0-1",
+                     "--report", str(report)]) == 3
+    out = capsys.readouterr().out
+    assert report.read_bytes() == out.encode()
+    assert "no quiescence" in json.loads(out)["error"]
+
+
 def test_run_with_every_worker_failed_exits_3_at_once(corpus_file):
     config = RunConfig(workload="kmer_a", input=corpus_file, workers=2,
                        fail=[(2, 0), (2, 1)])

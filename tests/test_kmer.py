@@ -14,6 +14,8 @@ from calmsim.runtime import (DeliverySchedule, Rule, Simulation,
                              TickRuleEngine)
 from calmsim.tables import DNE, Value, lookup
 
+from helpers import kmer_batch
+
 THRESH_CORPUS = ("AAAA\n" + "CCCC\n" * 2 + "GGGG\n" * 3
                  + "TTTT\n" * 10 + "ACGT\n" * 100)
 THRESH_TRUTH = {"AAAA": 1, "CCCC": 2, "GGGG": 3, "TTTT": 10, "ACGT": 100}
@@ -211,13 +213,13 @@ def test_impl_a_batch_is_held_under_its_first_id(small_corpus):
     first, held = next(iter(prog.batches[wid].items()))
     before = dict(prog.batches[wid])
     # A reprocessed chunk rebuilds an equal batch as a new object.
-    again = prog.delta(list(zip(*held)))
+    again = kmer_batch(list(zip(*held)))
     assert again == held and again is not held
     prog.absorb(wid, again)
     assert prog.batches[wid] == before and prog.batches[wid][first] is held
     assert prog.histogram() == truth
     # A different batch under a held first id is a fault, not a merge.
-    other = prog.delta([*zip(*held), ("ACGT", 10**6)])
+    other = kmer_batch([*zip(*held), ("ACGT", 10**6)])
     with pytest.raises(AssertionError, match="two batches, one first id"):
         prog.absorb(wid, other)
     assert prog.batches[wid] == before and prog.batches[wid][first] is held
@@ -297,7 +299,7 @@ def test_impl_b_absorb_matches_the_threshold_lattice_fold(threshold):
                 pairs = [(f"{wid}{rng.randrange(3)}", rng.randrange(30))
                          for _ in range(rng.randint(1, 8))]
                 delivered.append((wid, pairs))
-            prog.absorb(wid, prog.delta(pairs))
+            prog.absorb(wid, kmer_batch(pairs))
             grouped = {}
             for km, off in pairs:
                 grouped.setdefault(km, []).append(off)
@@ -318,7 +320,7 @@ def test_impl_b_state_size_counts_the_capped_ids():
     assert prog.state_size() == 0
     for pairs in ([("AC", 1), ("AC", 2), ("AC", 3), ("GT", 4)],
                   [("AC", 5), ("CG", 6)], [("GT", 7), ("GT", 4)]):
-        prog.absorb(0, prog.delta(pairs))
+        prog.absorb(0, kmer_batch(pairs))
     assert prog.histogram() == {"AC": 3, "GT": 2, "CG": 1}
     assert prog.state_size() == sum(prog.histogram().values()) == 6
 
@@ -563,7 +565,7 @@ def test_a_kmer_on_two_owner_shards_is_rejected(name, small_corpus):
     res = faulty_run(name, small_corpus, 0)
     prog = res.program
     for wid in prog.plan.workers:
-        prog.absorb(wid, prog.delta([("ACGT", 10**6)]))
+        prog.absorb(wid, kmer_batch([("ACGT", 10**6)]))
     with pytest.raises(AssertionError, match="two owner shards"):
         prog.histogram()
 
@@ -573,7 +575,7 @@ def test_impl_a_kmer_on_exactly_two_owner_shards_is_rejected(owners,
                                                             small_corpus):
     prog = faulty_run("impl_a", small_corpus, 0).program
     for wid in owners:
-        prog.absorb(wid, prog.delta([("ACGTA", 10**6)]))
+        prog.absorb(wid, kmer_batch([("ACGTA", 10**6)]))
     with pytest.raises(AssertionError, match="two owner shards"):
         prog.histogram()
 
@@ -581,7 +583,7 @@ def test_impl_a_kmer_on_exactly_two_owner_shards_is_rejected(owners,
 def test_impl_a_kmer_only_on_the_last_owner_is_counted(small_corpus):
     prog = faulty_run("impl_a", small_corpus, 0).program
     prog.absorb(max(prog.batches),
-                prog.delta([("ACGTA", 10**6), ("ACGTA", 10**6 + 1)]))
+                kmer_batch([("ACGTA", 10**6), ("ACGTA", 10**6 + 1)]))
     hist = prog.histogram()
     assert hist == {**kmer.oracle_count(small_corpus, 4), "ACGTA": 2}
     assert list(hist)[-1] == "ACGTA"
@@ -707,12 +709,12 @@ def test_a_run_on_a_simulation_with_workers_is_refused(name, small_corpus):
 def test_each_delta_is_built_once_and_delivered_as_sent(
         name, small_corpus, monkeypatch):
     cls = PROGRAMS[name]
-    make_delta, send, on_deliver = cls.delta, Simulation.send, cls.on_deliver
+    route, send, on_deliver = cls.route, Simulation.send, cls.on_deliver
     built, sent, delivered = [], [], []
 
-    def spy_delta(self, pairs):
-        out = make_delta(self, pairs)
-        built.append((list(pairs), out))
+    def spy_route(self, windows):
+        out = route(self, windows)
+        built.append((list(windows), out))
         return out
 
     def spy_send(sim, src, dst, payload, token_id=None):
@@ -723,23 +725,23 @@ def test_each_delta_is_built_once_and_delivered_as_sent(
         delivered.append(env.payload)
         return on_deliver(self, sim, env)
 
-    monkeypatch.setattr(cls, "delta", spy_delta)
+    monkeypatch.setattr(cls, "route", spy_route)
     monkeypatch.setattr(Simulation, "send", spy_send)
     monkeypatch.setattr(cls, "on_deliver", spy_deliver)
     res = faulty_run(name, small_corpus, 0)
     assert agrees_with_oracle(name, small_corpus, res)
     assert {"dup", "drop", "hold"} <= {ev[1] for ev in res.sim.events}
 
-    # One delta per send, and the payload is that delta.
+    # One route payload per send, in owner order, and the payload is it.
     assert len(sent) == sum(ev[1] == "send" for ev in res.sim.events)
-    assert len(built) == len(sent)
-    assert all(p is delta for p, (_pairs, delta) in zip(sent, built))
+    payloads = [out[owner] for _windows, out in built for owner in sorted(out)]
+    assert len(payloads) == len(sent)
+    assert all(p is delta for p, delta in zip(sent, payloads))
     assert len(delivered) == sum(ev[1] == "deliver" for ev in res.sim.events)
     sent_ids = {id(p) for p in sent}
     assert all(id(p) in sent_ids for p in delivered)
     # Merging a delivered delta never mutated it.
-    assert all(delta == make_delta(res.program, pairs)
-               for pairs, delta in built)
+    assert all(out == route(res.program, windows) for windows, out in built)
 
 
 @pytest.mark.parametrize("name", RUNNERS)
@@ -794,7 +796,7 @@ def test_direct_owner_agrees_with_the_plan(name, corpus_10k):
     windows = kmer.corpus_stream(corpus_10k, 4)
     kmer_at = dict((off, km) for km, off in windows)
     for owner, batch in prog.route(windows).items():
-        for item in batch:
-            km = kmer_at[item[-1]]  # the offset ends a pair and a cell
+        for km, off in zip(*batch):
+            assert km == kmer_at[off]
             assert owner == prog.plan.owner_of_key(km)
     assert len(prog.plan.workers) == 3 < len(res.sim.workers)

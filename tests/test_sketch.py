@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from calmsim import kmer, sketch
+from calmsim.errors import UnknownWorkerError
 from calmsim.hashing import hash64
 from calmsim.runtime import DeliverySchedule, NetworkCondition, Simulation
 from calmsim.sketch import (CmsParams, SketchMatrix, choose_params,
@@ -320,6 +321,22 @@ def test_design2_query_at_a_joined_worker_gathers(cms_corpus):
         assert gathers and all(ev[2:4] == (joiner, 0) for ev in gathers)
 
 
+@pytest.mark.parametrize("run", [design1_run, design2_run])
+def test_a_query_at_a_worker_never_registered_raises(cms_corpus, run):
+    # FAULTS fails worker 1 and adds worker 3; worker 4 was never added.
+    res = run(cms_corpus, 6, params(), workers=3, **FAULTS)
+    item = corpus_stream(cms_corpus, 6)[0][0]
+    events = list(res.sim.events)
+    for read in (res.query, res.estimate):
+        with pytest.raises(UnknownWorkerError,
+                           match="worker 4 was never registered"):
+            read(item, at_worker=4)
+    assert res.sim.events == events
+    # A failed worker and a joined one still read.
+    for wid in (1, 3):
+        assert res.estimate(item, at_worker=wid) == res.estimate(item)
+
+
 def test_design1_partitioned_owner_means_idk(cms_corpus):
     p = params(h=3, m=90)
     res = design1_run(cms_corpus, 6, p, workers=3)
@@ -342,8 +359,7 @@ def rebuilt_deltas(prog):
     reissued chunk: ``(receiver, delta)`` pairs."""
     for chunk in sorted(prog.pool.completed):
         windows = kmer.chunk_windows(prog.data, chunk, prog.k)
-        for wid, batch in prog.route(windows).items():
-            yield wid, prog.delta(batch)
+        yield from prog.route(windows).items()
 
 
 def cell_set_size(prog) -> int:
@@ -419,7 +435,7 @@ def test_a_query_after_a_new_batch_counts_it(cms_corpus, run):
     item = corpus_stream(cms_corpus, 6)[0][0]
     before = estimates(res, [item])[item]
     for wid, batch in prog.route([(item, 10**6)]).items():
-        prog.absorb(wid, prog.delta(batch))
+        prog.absorb(wid, batch)
     assert estimates(res, [item])[item] == before + 1
 
 

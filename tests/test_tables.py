@@ -10,8 +10,8 @@ from calmsim.runtime import NetworkCondition, Scratch
 from calmsim.tables import (DNE, IDK, GlobalTable, PartitionPlan, Value,
                             compile_rules, detect_cycles, detect_skew,
                             evaluate_stratified, lookup, one_shot_eval,
-                            parse_rules, plan_query, hash_owner,
-                            hash_owners, rewrite_one_shot,
+                            parse_rules, plan_query, hash_owners,
+                            rewrite_one_shot,
                             switch_partitioning)
 
 
@@ -110,7 +110,7 @@ KNOWN_OWNERS = [
 @pytest.mark.parametrize("key, owner", KNOWN_OWNERS)
 def test_hash_owner_known_answers(key, owner):
     # crc32 of the UTF-8 key: the same owner in every process and release
-    assert hash_owner((0, 1, 2, 3), key) == owner
+    assert hash_owners((0, 1, 2, 3), (key,)) == [owner]
     assert kmer_table().plan.owner_of_key(key) == owner
 
 
@@ -122,7 +122,8 @@ def test_hash_owners_places_a_batch_as_hash_owner_does():
     keys = ["".join(rng.choices("ACGT", k=rng.randint(1, 16)))
             for _ in range(500)]
     for workers in ((5,), (0, 2), (3, 1, 4, 7, 9)):
-        assert hash_owners(workers, keys) == [hash_owner(workers, key)
+        plan = PartitionPlan("hash", workers, column="seq")
+        assert hash_owners(workers, keys) == [plan.owner_of_key(key)
                                               for key in keys]
 
 
@@ -130,8 +131,9 @@ def test_hash_owner_balances_uniform_windows():
     rng = random.Random(2024)
     seq = "".join(rng.choices("ACGT", k=120_011))
     counts = [0] * 4
-    for i in range(len(seq) - 11):
-        counts[hash_owner((0, 1, 2, 3), seq[i:i + 12])] += 1
+    for owner in hash_owners((0, 1, 2, 3), (seq[i:i + 12]
+                                             for i in range(len(seq) - 11))):
+        counts[owner] += 1
     assert max(counts) / (sum(counts) / 4) <= 1.02
 
 
