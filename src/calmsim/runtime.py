@@ -22,6 +22,9 @@ persist, or ``scratch`` collections, which are emptied after every tick;
 read full tables; a rule that should see only one tick's input reads
 a scratch.  A run is at its fixpoint after a tick that gains no persistent
 table anything and leaves pending exactly the ``<+`` output it applied.
+A persistent map whose values no rule reads (a ``below`` reads only its
+limit's sizes, a morphism into ``lmax``) grows its ``GSet``s in place, as
+sets, between ticks; ``run_to_fixpoint`` returns them as ``GSet``s.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import lattice
 from .errors import DivergenceError, StratificationError, UnknownWorkerError
-from .lattice import LMap, ThresholdLSet
+from .lattice import GSet, LMap, ThresholdLSet
 
 
 @dataclass(frozen=True)
@@ -408,6 +411,26 @@ def _merge_into(store: dict, name: str, value) -> bool:
     return store[name] != cur
 
 
+class _Grown(set):
+    """A ``GSet`` that its engine table grows in place; it reads as one."""
+    __slots__ = ()
+    elems = property(lambda self: self)
+
+
+def _grow_into(entries: dict, delta: LMap) -> bool:
+    """Merge a map of ``GSet``s into ``entries``; True if they changed.  A
+    new key stores the ``GSet``, a merge that adds to it a ``_Grown`` copy."""
+    size, changed = len(entries), False
+    for key, value in delta.entries.items():
+        cur = entries.setdefault(key, value)
+        if cur is not value and not value <= cur:
+            if type(cur) is GSet:
+                entries[key] = cur = _Grown(cur)
+            cur |= value
+            changed = True
+    return changed or len(entries) > size
+
+
 _FIXPOINT_CAP = 10_000
 
 
@@ -416,8 +439,11 @@ class TickRuleEngine:
 
     The engine owns its tables: it copies the caller's values at
     construction, merges maps in place, and never mutates a caller's value
-    or an injected one.  Every table a rule or an inject names must be
-    declared in ``tables``; any other name raises ``ValueError``.
+    or an injected one.  A persistent map that rules read only as a
+    ``below``'s limit merges a map of ``GSet``s copy-on-write into its own
+    sets, which ``tick()`` callers may see; ``run_to_fixpoint`` returns
+    ``GSet``s.  Every table a rule or an inject names must be declared in
+    ``tables``; any other name raises ``ValueError``.
 
     A plain value in ``tables`` declares a Bloom ``table``, which persists;
     ``Scratch(value)`` declares a ``scratch``, reset to bottom after every
@@ -428,7 +454,13 @@ class TickRuleEngine:
     """
 
     def __init__(self, tables: dict, rules: Sequence[Rule]):
-        self.tables: dict = {}
+        self.rules = list(rules)
+        # Persistent maps that rules read only as a below's limit, by size.
+        read = {name for r in self.rules
+                for name in (r.sources[:1] if r.op == "below" else r.sources)}
+        self._grown = {name for name, value in tables.items()
+                       if type(value) is LMap and name not in read}
+        self.tables = {n: LMap() if n in self._grown else None for n in tables}
         self._scratch: dict[str, Callable] = {}  # name -> bottom maker
         for name, value in tables.items():
             if type(value) is Scratch:
@@ -437,7 +469,6 @@ class TickRuleEngine:
                     partial(ThresholdLSet.bottom, value.threshold)
                     if type(value) is ThresholdLSet else type(value).bottom)
             self._absorb(name, value)
-        self.rules = list(rules)
         for rule in self.rules:
             for name in (rule.target, *rule.sources):
                 self._declared(name)
@@ -470,8 +501,19 @@ class TickRuleEngine:
     def _absorb(self, name: str, value) -> None:
         """Merge ``value`` into table ``name``; a gain in a persistent table
         keeps the fixpoint running."""
-        if _merge_into(self.tables, name, value) and name not in self._scratch:
+        if name in self._grown and not (type(value) is LMap and {
+                *map(type, value.entries.values())} <= {GSet}):
+            self._settle(name)
+            self._grown.remove(name)  # not a map of GSets: merge as any map
+        changed = (_grow_into(self.tables[name].entries, value) if name
+                   in self._grown else _merge_into(self.tables, name, value))
+        if changed and name not in self._scratch:
             self._gained = True
+
+    def _settle(self, name: str) -> None:
+        entries = self.tables[name].entries
+        entries.update({key: GSet(value) for key, value in entries.items()
+                        if type(value) is _Grown})
 
     def tick(self) -> None:
         self.now += 1
@@ -495,6 +537,8 @@ class TickRuleEngine:
         for _ in range(_FIXPOINT_CAP):
             self.tick()
             if not self._gained and self._pending == self._applied:
+                for name in self._grown:
+                    self._settle(name)
                 return self.tables
         raise DivergenceError(
             f"rules did not quiesce within {_FIXPOINT_CAP} ticks")

@@ -17,12 +17,12 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Any, Mapping
 
 from . import lattice
-from .errors import DivergenceError
+from .errors import DivergenceError, LatticeTypeError
 from .lattice import GSet, LMap
 from .runtime import _FIXPOINT_CAP, Rule, Scratch, _ordered
 
@@ -273,10 +273,16 @@ class DataflowGraph:
 
 
 def _below(a: LMap, b: LMap, limit: int) -> LMap:
-    """The entries of ``a`` whose key has under ``limit`` elements in ``b``."""
+    """The entries of ``a`` whose key has under ``limit`` elements in ``b``;
+    ``LatticeTypeError`` for such a value of ``b`` with no size."""
     held = b.entries.get
-    return LMap({key: value for key, value in a.entries.items()
-                 if len(held(key, ())) < limit})
+    try:
+        return LMap({key: value for key, value in a.entries.items()
+                     if len(held(key, ())) < limit})
+    except TypeError:  # from len: find the value
+        bad = next(v for v in map(held, a.entries, repeat(()))
+                   if not hasattr(v, "__len__"))
+        raise LatticeTypeError(f"below: {type(bad).__name__} has no size")
 
 
 #: Each binary operator over sets and over lattices.

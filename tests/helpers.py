@@ -1,11 +1,14 @@
-"""Random value generators shared by the lattice law tests, and the k-mer
-owner payload builder shared by the k-mer tests."""
+"""Random value generators shared by the lattice law tests, the k-mer
+owner payload builder shared by the k-mer tests, and a spy on the engines
+a call builds."""
 
+import dataclasses
 import random
 from array import array
 
 from calmsim.lattice import (GSet, LMap, LMax, LWWSet, LWWTokenSet, MVSet,
                              ThresholdLSet, Timestamp, TwoPSet, VersionVector)
+from calmsim.runtime import TickRuleEngine
 
 ELEMS = list("abcdefgh")
 
@@ -74,3 +77,26 @@ def kmer_batch(pairs) -> tuple:
     pairs: the k-mers as a tuple and the ids as an ``array("Q")``."""
     kmers, ids = zip(*pairs)
     return kmers, array("Q", ids)
+
+
+class EngineSpy:
+    """Catches the engines a call builds, the ``(tables, rules)`` each is
+    built from and every ``(name, delta)`` injected; wraps each rule's
+    ``expr`` with ``wrap``."""
+
+    def __init__(self, monkeypatch, wrap=lambda rule: rule.expr):
+        self.engines, self.built, self.injected = [], [], []
+        init, inject = TickRuleEngine.__init__, TickRuleEngine.inject
+
+        def spy(engine, tables, rules):
+            self.built.append((tables, rules))
+            init(engine, tables, [dataclasses.replace(r, expr=wrap(r))
+                                  for r in rules])
+            self.engines.append(engine)
+
+        def spy_inject(engine, name, delta):
+            self.injected.append((name, delta))
+            inject(engine, name, delta)
+
+        monkeypatch.setattr(TickRuleEngine, "__init__", spy)
+        monkeypatch.setattr(TickRuleEngine, "inject", spy_inject)

@@ -5,20 +5,24 @@ builds, and absorbing a batch twice must equal absorbing it once, in the
 view the program's answer reads.  With quiescence as termination, that
 local confluence gives every delivery order one answer (Newman's lemma).
 A state is a random reachable prefix: routed batches delivered to their
-owners in any order, a batch possibly more than once.
+owners in any order, a batch possibly more than once.  The tick-rule
+program of ``threshold_rule_run`` is checked whole: its engine gives one
+capped histogram for every order of its ``inject`` batches, repeats too.
 """
 
 import random
 from collections import Counter
+from functools import partial
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calmsim import kmer, sketch
-from calmsim.runtime import Simulation
+from calmsim.runtime import Simulation, TickRuleEngine
 
 from conftest import make_corpus
-from helpers import kmer_batch
+from helpers import EngineSpy, kmer_batch
 
 K, WORKERS, THRESHOLD, PREFIXES, PAIRS = 4, 3, 3, 300, 3
 # Few columns, so a chunk's batches share cells.
@@ -44,12 +48,13 @@ def cells_view(prog, wid):
 
 
 BUILDS = {
-    "impl_a": lambda corpus: kmer.ImplAProgram(corpus, K, WORKERS),
-    "impl_b": lambda corpus: kmer.ImplBProgram(corpus, K, WORKERS, THRESHOLD),
-    "design1": lambda corpus: sketch.Design1Program(corpus, K, WORKERS,
-                                                    CMS, 1),
-    "design2": lambda corpus: sketch.Design2Program(corpus, K, WORKERS,
-                                                    CMS, WORKERS),
+    "impl_a": lambda corpus, n=WORKERS: kmer.ImplAProgram(corpus, K, n),
+    "impl_b": lambda corpus, n=WORKERS: kmer.ImplBProgram(corpus, K, n,
+                                                          THRESHOLD),
+    "design1": lambda corpus, n=WORKERS: sketch.Design1Program(corpus, K, n,
+                                                               CMS, 1),
+    "design2": lambda corpus, n=WORKERS: sketch.Design2Program(corpus, K, n,
+                                                               CMS, n),
 }
 
 VIEWS = {"impl_a": impl_a_view, "impl_b": capped_view,
@@ -76,14 +81,15 @@ def absorbed(build, corpus, deliveries):
     return prog
 
 
-def violations(name, corpus, view, seed=0) -> tuple[int, int]:
+def violations(name, corpus, view, seed=0, workers=WORKERS,
+               prefixes=PREFIXES) -> tuple[int, int]:
     """``(pairs checked, pairs whose two orders differ in view)``; raises
     on a batch whose second delivery changes the view."""
-    build = BUILDS[name]
+    build = partial(BUILDS[name], n=workers)
     deliveries = routed(build(corpus))
     rng = random.Random(seed)
     checked = differ = 0
-    for _ in range(PREFIXES):
+    for _ in range(prefixes):
         prefix = rng.choices(deliveries, k=rng.randint(0, len(deliveries)))
         wid = rng.choice([w for w, _ in deliveries])
         mine = [payload for w, payload in deliveries if w == wid]
@@ -105,6 +111,18 @@ def test_absorb_commutes_and_is_idempotent_in_the_answer_view(name, corpus):
     assert checked == PREFIXES * PAIRS and differ == 0
 
 
+@pytest.mark.parametrize("name", BUILDS)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), lines=st.integers(1, 8),
+       width=st.integers(K, 30), workers=st.integers(1, 4))
+def test_absorb_laws_hold_on_small_corpora_and_1_to_4_owners(
+        name, seed, lines, width, workers):
+    corpus = make_corpus(random.Random(seed), lines, width)
+    checked, differ = violations(name, corpus, VIEWS[name], seed, workers,
+                                 prefixes=25)
+    assert checked == 25 * PAIRS and differ == 0
+
+
 def test_impl_b_raw_id_counts_are_not_confluent(corpus):
     # The sampled pairs find it: what the cap hides, the raw view shows.
     assert violations("impl_b", corpus, raw_view)[1] > 0
@@ -118,3 +136,47 @@ def test_impl_b_raw_id_counts_are_not_confluent(corpus):
     ba = absorbed(build, "ACGT", [(0, kmer_batch(held)), (0, b), (0, a)])
     assert (raw_view(ab, 0), raw_view(ba, 0)) == ({"AC": 3}, {"AC": 5})
     assert capped_view(ab, 0) == capped_view(ba, 0) == {"AC": 3}
+
+
+# -- the tick-rule program ----------------------------------------------------
+
+
+def threshold_program(corpus, batch):
+    """The declared tables, the rules and the ``inject`` batches of one
+    ``threshold_rule_run``, and its histogram."""
+    with pytest.MonkeyPatch.context() as mp:
+        spy = EngineSpy(mp)
+        counts = kmer.threshold_rule_run(corpus, K, THRESHOLD, batch=batch)
+    (built,) = spy.built
+    return built, spy.injected, counts
+
+
+def capped_histogram(built, injected, order) -> dict:
+    """The engine's ``local`` as ``min(count, THRESHOLD)`` after the
+    ``inject`` batches in ``order``, one tick each, and the fixpoint."""
+    engine = TickRuleEngine(*built)
+    for i in order:
+        engine.inject(*injected[i])
+        engine.tick()
+    local = engine.run_to_fixpoint()["local"]
+    return {km: min(len(ids), THRESHOLD) for km, ids in local.entries.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16), lines=st.integers(1, 8),
+       batch=st.integers(1, 12))
+def test_threshold_engine_capped_view_ignores_inject_order_and_repeats(
+        data, seed, lines, batch):
+    corpus = make_corpus(random.Random(seed), lines, 24)
+    built, injected, counts = threshold_program(corpus, batch)
+    batches = range(len(injected))
+    want = {km: min(c, THRESHOLD)
+            for km, c in kmer.oracle_count(corpus, K).items()}
+    assert capped_histogram(built, injected, batches) == want
+    assert {km: min(c, THRESHOLD) for km, c in counts.items()} == want
+    order = data.draw(st.permutations(batches), label="order")
+    again = data.draw(st.lists(st.sampled_from(batches), max_size=6),
+                      label="repeated")
+    mixed = data.draw(st.permutations([*order, *again]), label="mixed")
+    assert capped_histogram(built, injected, order) == want
+    assert capped_histogram(built, injected, mixed) == want

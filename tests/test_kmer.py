@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 import tracemalloc
@@ -14,7 +13,7 @@ from calmsim.runtime import (DeliverySchedule, Rule, Simulation,
                              TickRuleEngine)
 from calmsim.tables import DNE, Value, lookup
 
-from helpers import kmer_batch
+from helpers import EngineSpy, kmer_batch
 
 THRESH_CORPUS = ("AAAA\n" + "CCCC\n" * 2 + "GGGG\n" * 3
                  + "TTTT\n" * 10 + "ACGT\n" * 100)
@@ -452,21 +451,6 @@ def persistent_tables_run(corpus, k, threshold, batch):
     engine.run_to_fixpoint()
     return ({km: len(ids) for km, ids in engine.tables["local"].entries.items()},
             engine.now)
-
-
-class EngineSpy:
-    """Catches the engines a call builds and wraps their rules' ``expr``."""
-
-    def __init__(self, monkeypatch, wrap=lambda rule: rule.expr):
-        self.engines = []
-        init = TickRuleEngine.__init__
-
-        def spy(engine, tables, rules):
-            init(engine, tables, [dataclasses.replace(r, expr=wrap(r))
-                                  for r in rules])
-            self.engines.append(engine)
-
-        monkeypatch.setattr(runtime.TickRuleEngine, "__init__", spy)
 
 
 @settings(max_examples=40, deadline=None)

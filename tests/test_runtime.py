@@ -1,11 +1,14 @@
 import pytest
 
-from calmsim import lattice, runtime
-from calmsim.errors import (DivergenceError, StratificationError,
-                            UnknownWorkerError)
+from calmsim import kmer, lattice, runtime
+from calmsim.errors import (DivergenceError, LatticeTypeError,
+                            StratificationError, UnknownWorkerError)
 from calmsim.lattice import GSet, LMap, LMax, ThresholdLSet
 from calmsim.runtime import (DeliverySchedule, Program, Rule, Scratch,
                              Simulation, TickRuleEngine, run_to_quiescence)
+from calmsim.tables import compile_rules
+
+from helpers import EngineSpy
 
 
 class GSetSink(Program):
@@ -466,3 +469,154 @@ def test_threshold_scratch_resets_to_its_declared_threshold():
     eng.tick()
     assert eng.tables["s"] == ThresholdLSet.bottom(3)
     assert eng.tables["p"] == ThresholdLSet(frozenset({1, 2}), 3)
+
+
+# -- tables grown in place ---------------------------------------------------
+
+
+def limit_engine(**tables):
+    """An engine whose table ``t`` only a ``below`` reads, as its limit."""
+    declared, rules = compile_rules("""
+        table a
+        table t
+        table x
+        x <= a below t 3
+    """)
+    return TickRuleEngine({**declared, **tables}, rules)
+
+
+def test_threshold_rule_run_grows_local_in_place(monkeypatch):
+    spy = EngineSpy(monkeypatch)
+    seen = []
+    tick = TickRuleEngine.tick
+
+    def spy_tick(engine):
+        tick(engine)
+        seen.extend(map(type, engine.tables["local"].entries.values()))
+
+    monkeypatch.setattr(TickRuleEngine, "tick", spy_tick)
+    counts = kmer.threshold_rule_run("ACGTACGTACGT\n" * 8, 4, 3, batch=5)
+    engine, = spy.engines
+    assert engine._grown == {"local"}
+    assert runtime._Grown in seen  # a tick() caller may see the engine's sets
+    local = engine.tables["local"].entries
+    assert {type(ids) for ids in local.values()} == {GSet}
+    assert counts == {km: len(ids) for km, ids in local.items()}
+
+
+@pytest.mark.parametrize("text", [
+    "x <= t", "x <= t + u", "x <= u + t", "x <= t below t 3",
+    "x <+ t below u 3", "x <= t below u 3\ny <= t"])
+def test_a_table_whose_values_a_rule_reads_is_not_grown(text):
+    tables, rules = compile_rules("table t\ntable u\ntable x\ntable y\n"
+                                  + text)
+    assert "t" not in TickRuleEngine(tables, rules)._grown
+
+
+def test_a_table_a_hand_written_rule_reads_is_not_grown():
+    eng = TickRuleEngine(
+        tables={"t": LMap(), "x": LMap(), "s": Scratch(LMap())},
+        rules=[Rule("x", lambda t: LMap(), sources=("t",))])
+    assert eng._grown == {"x"}  # read by no rule; a scratch is never grown
+
+
+def test_grow_into_reports_exactly_the_merges_that_add():
+    entries = {}
+    first = GSet.of([1])
+    assert runtime._grow_into(entries, LMap({"k": first}))
+    assert entries["k"] is first
+    assert not runtime._grow_into(entries, LMap({"k": first}))
+    assert not runtime._grow_into(entries, LMap({"k": GSet.of([1])}))
+    assert runtime._grow_into(entries, LMap({"k": GSet.of([1, 2])}))
+    grown = entries["k"]
+    assert type(grown) is runtime._Grown and grown == {1, 2}
+    assert not runtime._grow_into(entries, LMap({"k": GSet.of([2])}))
+    assert runtime._grow_into(entries, LMap({"k": GSet.of([3])}))
+    assert entries["k"] is grown and grown == {1, 2, 3}
+    assert first == {1}
+    assert not runtime._grow_into(entries, LMap())
+
+
+def test_grown_table_never_mutates_a_constructor_or_injected_gset():
+    initial = LMap({"k": GSet.of([1])})
+    injected = [LMap({"k": GSet.of([2]), "j": GSet.of([3])}),
+                LMap({"k": GSet.of([1, 4]), "j": GSet.of([5])}),
+                LMap({"j": GSet.of([6])})]
+    snapshots = [{key: (ids, frozenset(ids)) for key, ids in v.entries.items()}
+                 for v in (initial, *injected)]
+    eng = limit_engine(t=initial)
+    assert eng._grown == {"t", "x"}
+    for delta in injected:
+        eng.inject("t", delta)
+        eng.inject("a", delta)
+        eng.tick()
+    assert eng.tables["t"] == LMap({"k": GSet.of([1, 2, 4]),
+                                    "j": GSet.of([3, 5, 6])})
+    eng.run_to_fixpoint()
+    for value, before in zip((initial, *injected), snapshots):
+        assert value.entries.keys() == before.keys()
+        for key, (ids, elems) in before.items():
+            assert value.entries[key] is ids and ids == elems
+
+
+@pytest.mark.parametrize("delta", [
+    LMap({"k": LMax(1)}),
+    LMap({"j": GSet.of([7]), "k": LMax(1)}),
+    LMap({"k": GSet.of([7]), "j": ThresholdLSet(frozenset({7}), 3)}),
+    GSet.of([7])], ids=["lmax", "gset-then-lmax", "gset-then-threshold",
+                        "not-a-map"])
+def test_a_mixed_type_delta_raises_and_leaves_the_grown_table(delta):
+    eng = limit_engine()
+    eng.inject("t", LMap({"k": GSet.of([1])}))
+    eng.inject("t", LMap({"k": GSet.of([2]), "j": GSet.of([3])}))
+    eng.tick()
+    before = {key: frozenset(ids)
+              for key, ids in eng.tables["t"].entries.items()}
+    with pytest.raises(LatticeTypeError):
+        eng.inject("t", delta)
+    assert eng.tables["t"] == LMap(before)
+    eng.inject("t", LMap({"k": GSet.of([9])}))  # merges as into any map
+    assert eng.tables["t"].entries["k"] == {1, 2, 9}
+
+
+def test_a_grown_table_of_other_values_merges_as_any_map():
+    eng = limit_engine(t=LMap({"k": ThresholdLSet(frozenset({1}), 3)}))
+    assert "t" not in eng._grown
+    for elem in (2, 3):
+        eng.inject("t", LMap({"k": ThresholdLSet(frozenset({elem}), 3)}))
+    eng.inject("a", LMap({"k": GSet.of([5]), "j": GSet.of([6])}))
+    assert eng.run_to_fixpoint()["x"] == LMap({"j": GSet.of([6])})
+
+
+def test_noop_merge_into_a_grown_table_does_not_keep_fixpoint_running():
+    eng = TickRuleEngine(
+        tables={"s": LMap({"k": GSet.of([1, 2])}), "t": LMap()},
+        rules=[Rule("t", lambda t: t["s"], sources=("s",), deferred=True)])
+    assert eng._grown == {"t"}
+    eng.run_to_fixpoint()
+    eng.inject("t", LMap({"k": GSet.of([3])}))
+    assert type(eng.tables["t"].entries["k"]) is runtime._Grown
+    now = eng.now
+    eng.inject("s", LMap({"k": GSet.of([2])}))
+    eng.run_to_fixpoint()
+    assert eng.now == now + 1
+    assert eng.tables["t"] == LMap({"k": GSet.of([1, 2, 3])})
+
+
+def test_run_to_fixpoint_returns_gsets_in_every_grown_table():
+    eng = limit_engine()
+    for ids in ([1], [2], [2, 3]):
+        eng.inject("t", LMap({"k": GSet.of(ids), "j": GSet.of([0])}))
+        eng.inject("a", LMap({"k": GSet.of(ids)}))
+        eng.tick()
+    tables = eng.run_to_fixpoint()
+    for name in ("t", "x"):
+        assert {type(v) for v in tables[name].entries.values()} == {GSet}
+    assert tables["t"] == LMap({"k": GSet.of([1, 2, 3]), "j": GSet.of([0])})
+
+
+def test_below_over_a_value_with_no_size_raises_lattice_type_error():
+    eng = limit_engine(t=LMap({"k": LMax(5)}))
+    eng.inject("a", LMap({"k": GSet.of([1]), "j": GSet.of([2])}))
+    with pytest.raises(LatticeTypeError, match="LMax has no size"):
+        eng.tick()
