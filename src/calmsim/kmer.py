@@ -37,9 +37,9 @@ from typing import Mapping
 from .dispenser import Chunk, WorkPool
 from .lattice import GSet, LMap, ThresholdLSet
 from .runtime import (DeliverySchedule, Envelope, NetworkCondition, Program,
-                      Simulation, TickRuleEngine, run_to_quiescence)
-from .tables import (GlobalTable, PartitionPlan, compile_rules, hash_owners,
-                     plan_query)
+                      Simulation, run_to_quiescence)
+from .tables import (GlobalTable, PartitionPlan, TickRuleEngine, compile_rules,
+                     hash_owners, plan_query)
 
 BASES = frozenset("ACGT")
 _NOT_BASE = re.compile(rb"[^ACGT]")

@@ -1,7 +1,8 @@
 """Global tables over CRDTs, partition planning, tri-state lookups, and
-rule text: one line parser behind ``parse_rules`` (set-valued dataflow
-graphs: cycle analysis, the one-shot rewrite of self-recursive difference
-rules, fixpoints) and ``compile_rules`` (``TickRuleEngine`` programs).
+the rule layer: ``TickRuleEngine`` and rule text, one line parser behind
+``parse_rules`` (set-valued dataflow graphs: cycle analysis, the one-shot
+rewrite of self-recursive difference rules, fixpoints) and
+``compile_rules`` (the engine's programs).
 
 A global table is a named collection of tuples whose logical contents are
 the merge of all per-worker shards.  The partition plan decides which worker
@@ -19,12 +20,11 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from . import lattice
-from .errors import DivergenceError, LatticeTypeError
-from .lattice import GSet, LMap
-from .runtime import _FIXPOINT_CAP, Rule, Scratch, _ordered
+from .errors import DivergenceError, LatticeTypeError, StratificationError
+from .lattice import GSet, LMap, ThresholdLSet
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +253,235 @@ def lookup(table: GlobalTable, key, at_worker: int, net=None) -> Tristate:
         return IDK
     owned = rows_at(owner)
     return Value(owned) if owned else IDK if table._displaced else DNE
+
+
+# ---------------------------------------------------------------------------
+# Dependency graphs
+
+
+def _ordered(rules: Sequence) -> tuple[list, list[tuple], dict]:
+    """``rules`` sorted producers first; the cyclic components of their
+    dependency map (two or more nodes that read each other, or one node
+    reading itself), members in order of first appearance; and ``loops``,
+    a shortest cycle of read edges through each node on a cycle.
+
+    One breadth-first walk from each node ``n`` records the node that first
+    read each node it reaches (``came``).  ``below[n]``, every node ``n``
+    reads directly or not, is the keys of ``came``; the walk's first way
+    back to ``n``, if any, is a shortest cycle.  A node that reads another
+    reads all that one reads, so the rank ``(len(below[n] | {n}), first
+    appearance)`` puts producers first; a stable sort keeps each target's
+    rules together and in input order.  Components come in order of their
+    members' rank, so no ordering depends on ``PYTHONHASHSEED``.
+    """
+    deps: dict = {}
+    for r in rules:
+        deps.setdefault(r.target, []).extend(r.sources)
+    order = list(dict.fromkeys(
+        n for node, reads in deps.items() for n in (node, *reads)))
+    below, loops = {}, {}
+    for n in order:
+        came, frontier = {}, [n]
+        for m in frontier:
+            for dep in deps.get(m, ()):
+                if dep not in came:
+                    came[dep] = m
+                    frontier.append(dep)
+        below[n] = came.keys()
+        if n in came:
+            path, m = [n], came[n]
+            while m != n:
+                path.append(m)
+                m = came[m]
+            loops[n] = (n, *reversed(path))
+    rank = {n: (len(below[n] | {n}), i) for i, n in enumerate(order)}
+    cycles = dict.fromkeys(
+        tuple(m for m in order if m in below[n] and n in below[m])
+        for n in loops)
+    return (sorted(rules, key=lambda r: rank[r.target]),
+            sorted(cycles, key=lambda c: rank[c[0]]), loops)
+
+
+# ---------------------------------------------------------------------------
+# Tick tables
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A rule merging ``expr(tables)`` into table ``target``.
+
+    ``sources`` names the tables ``expr`` reads, the edges of the
+    dependency map (``_ordered``).  Deferred rules apply their output at the
+    start of the next tick.  ``op`` names the operator of a rule parsed
+    from text (``_parse``); a hand-written ``expr`` has none.
+
+    Rules read full tables and are correct for any expression.  To see
+    only new input, read a scratch table (see :class:`Scratch`): it starts
+    every tick at bottom, so it holds only what reached it this tick.
+    """
+
+    target: str
+    expr: Callable[[Mapping[str, Any]], Any]
+    sources: tuple
+    deferred: bool = False
+    op: str | None = None
+
+
+@dataclass(frozen=True)
+class Scratch:
+    """Declares a Bloom ``scratch`` table in ``TickRuleEngine``'s
+    ``tables``: ``{"name": Scratch(initial)}``.  Its content lasts one
+    tick; the engine resets it to its bottom after every tick."""
+
+    value: Any
+
+
+def _merge_into(store: dict, name: str, value) -> bool:
+    """Merge ``value`` into ``store[name]``, which the engine owns, and
+    return whether it changed.  An absent entry takes a copy of a map; a
+    present map merges in place; any other value is immutable and merges
+    purely.  ``value`` is never mutated."""
+    cur = store.get(name)
+    if cur is None:
+        store[name] = LMap(dict(value.entries)) if type(value) is LMap else value
+        return True
+    if type(cur) is LMap:
+        return cur.merge_in(value)
+    store[name] = lattice.merge(cur, value)
+    return store[name] != cur
+
+
+class _Grown(set):
+    """A ``GSet`` that its engine table grows in place; it reads as one."""
+    __slots__ = ()
+    elems = property(lambda self: self)
+
+
+def _grow_into(entries: dict, delta: LMap) -> bool:
+    """Merge a map of ``GSet``s into ``entries``; True if they changed.  A
+    new key stores the ``GSet``, a merge that adds to it a ``_Grown`` copy."""
+    size, changed = len(entries), False
+    for key, value in delta.entries.items():
+        cur = entries.setdefault(key, value)
+        if cur is not value and not value <= cur:
+            if type(cur) is GSet:
+                entries[key] = cur = _Grown(cur)
+            cur |= value
+            changed = True
+    return changed or len(entries) > size
+
+
+_FIXPOINT_CAP = 10_000
+
+
+class TickRuleEngine:
+    """Applies rules tick by tick with instantaneous/deferred timing.
+
+    The engine owns its tables: it copies the caller's values at
+    construction, merges maps in place, and never mutates a caller's value
+    or an injected one.  A persistent map that rules read only as a
+    ``below``'s limit merges a map of ``GSet``s copy-on-write into its own
+    sets, which ``tick()`` callers may see; ``run_to_fixpoint`` returns
+    ``GSet``s.  Every table a rule or an inject names must be declared in
+    ``tables``; any other name raises ``ValueError``.
+
+    A plain value in ``tables`` declares a Bloom ``table``, which persists;
+    ``Scratch(value)`` declares a ``scratch``, reset to bottom after every
+    tick (Alvaro et al., CIDR 2011).  ``run_to_fixpoint`` stops after a
+    tick that gains no persistent table anything and whose pending ``<+``
+    output equals what it applied, so a scratch refilled on every tick, or
+    a ``<+`` that repeats its output, lets the run settle.
+    """
+
+    def __init__(self, tables: dict, rules: Sequence[Rule]):
+        self.rules = list(rules)
+        # Persistent maps that rules read only as a below's limit, by size.
+        read = {name for r in self.rules
+                for name in (r.sources[:1] if r.op == "below" else r.sources)}
+        self._grown = {name for name, value in tables.items()
+                       if type(value) is LMap and name not in read}
+        self.tables = {n: LMap() if n in self._grown else None for n in tables}
+        self._scratch: dict[str, Callable] = {}  # name -> bottom maker
+        for name, value in tables.items():
+            if type(value) is Scratch:
+                value = value.value
+                self._scratch[name] = (  # keeps a declared threshold
+                    partial(ThresholdLSet.bottom, value.threshold)
+                    if type(value) is ThresholdLSet else type(value).bottom)
+            self._absorb(name, value)
+        for rule in self.rules:
+            for name in (rule.target, *rule.sources):
+                self._declared(name)
+        self.now = 0
+        self._pending: dict = {}
+        self._instant_order = self._stratify()
+
+    def _stratify(self) -> list[Rule]:
+        """Order instantaneous rules so producers run before consumers.
+
+        A cycle among instantaneous rules means a rule's target feeds its own
+        sources within one tick: a static stratification error.  Deferring
+        one of the rules to the next tick breaks the cycle.
+        """
+        instant = [r for r in self.rules if not r.deferred]
+        ordered, cycles, loops = _ordered(instant)
+        if cycles:
+            raise StratificationError(loops[cycles[0][0]])
+        return ordered
+
+    def inject(self, name: str, delta) -> None:
+        """Merge external input into a table before the next tick runs."""
+        self._declared(name)
+        self._absorb(name, delta)
+
+    def _declared(self, name: str) -> None:
+        if name not in self.tables:
+            raise ValueError(f"undeclared table {name!r}")
+
+    def _absorb(self, name: str, value) -> None:
+        """Merge ``value`` into table ``name``; a gain in a persistent table
+        keeps the fixpoint running."""
+        if name in self._grown and not (type(value) is LMap and {
+                *map(type, value.entries.values())} <= {GSet}):
+            self._settle(name)
+            self._grown.remove(name)  # not a map of GSets: merge as any map
+        changed = (_grow_into(self.tables[name].entries, value) if name
+                   in self._grown else _merge_into(self.tables, name, value))
+        if changed and name not in self._scratch:
+            self._gained = True
+
+    def _settle(self, name: str) -> None:
+        entries = self.tables[name].entries
+        entries.update({key: GSet(value) for key, value in entries.items()
+                        if type(value) is _Grown})
+
+    def tick(self) -> None:
+        self.now += 1
+        self._gained = False
+        self._applied, self._pending = self._pending, {}
+        for name in sorted(self._applied):
+            self._absorb(name, self._applied[name])
+        for rule in self._instant_order:
+            self._absorb(rule.target, rule.expr(self.tables))
+        for rule in self.rules:
+            if rule.deferred:
+                _merge_into(self._pending, rule.target, rule.expr(self.tables))
+        for name, bottom in self._scratch.items():
+            self.tables[name] = bottom()
+
+    def run_to_fixpoint(self) -> dict:
+        """Tick until a tick gains no persistent table anything and leaves
+        pending exactly the ``<+`` output it applied.  The next tick then
+        starts from the same persistent tables, bottom scratches and the
+        same applied output, so it would replay this one."""
+        for _ in range(_FIXPOINT_CAP):
+            self.tick()
+            if not self._gained and self._pending == self._applied:
+                for name in self._grown:
+                    self._settle(name)
+                return self.tables
+        raise DivergenceError(
+            f"rules did not quiesce within {_FIXPOINT_CAP} ticks")
 
 
 # ---------------------------------------------------------------------------

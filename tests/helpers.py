@@ -8,7 +8,7 @@ from array import array
 
 from calmsim.lattice import (GSet, LMap, LMax, LWWSet, LWWTokenSet, MVSet,
                              ThresholdLSet, Timestamp, TwoPSet, VersionVector)
-from calmsim.runtime import TickRuleEngine
+from calmsim.tables import TickRuleEngine
 
 ELEMS = list("abcdefgh")
 

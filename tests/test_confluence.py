@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from calmsim import kmer, sketch
-from calmsim.runtime import Simulation, TickRuleEngine
+from calmsim.runtime import Simulation
+from calmsim.tables import TickRuleEngine
 
 from conftest import make_corpus
 from helpers import EngineSpy, kmer_batch

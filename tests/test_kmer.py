@@ -9,9 +9,8 @@ from calmsim import kmer, runtime, sketch
 from calmsim.dispenser import Chunk
 from calmsim.errors import StratificationError, UnknownWorkerError
 from calmsim.lattice import GSet, LMap, ThresholdLSet
-from calmsim.runtime import (DeliverySchedule, Rule, Simulation,
-                             TickRuleEngine)
-from calmsim.tables import DNE, Value, lookup
+from calmsim.runtime import DeliverySchedule, Simulation
+from calmsim.tables import DNE, Rule, TickRuleEngine, Value, lookup
 
 from helpers import EngineSpy, kmer_batch
 

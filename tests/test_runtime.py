@@ -1,12 +1,12 @@
 import pytest
 
-from calmsim import kmer, lattice, runtime
+from calmsim import kmer, lattice, runtime, tables
 from calmsim.errors import (DivergenceError, LatticeTypeError,
                             StratificationError, UnknownWorkerError)
 from calmsim.lattice import GSet, LMap, LMax, ThresholdLSet
-from calmsim.runtime import (DeliverySchedule, Program, Rule, Scratch,
-                             Simulation, TickRuleEngine, run_to_quiescence)
-from calmsim.tables import compile_rules
+from calmsim.runtime import (DeliverySchedule, Program, Simulation,
+                             run_to_quiescence)
+from calmsim.tables import Rule, Scratch, TickRuleEngine, compile_rules
 
 from helpers import EngineSpy
 
@@ -327,7 +327,7 @@ def test_rules_that_grow_forever_diverge():
                     deferred=True)])
     with pytest.raises(DivergenceError, match="did not quiesce within"):
         eng.run_to_fixpoint()
-    assert eng.tables["c"] == LMax(runtime._FIXPOINT_CAP - 1)
+    assert eng.tables["c"] == LMax(tables._FIXPOINT_CAP - 1)
 
 
 def test_engine_never_mutates_caller_values():
@@ -498,7 +498,7 @@ def test_threshold_rule_run_grows_local_in_place(monkeypatch):
     counts = kmer.threshold_rule_run("ACGTACGTACGT\n" * 8, 4, 3, batch=5)
     engine, = spy.engines
     assert engine._grown == {"local"}
-    assert runtime._Grown in seen  # a tick() caller may see the engine's sets
+    assert tables._Grown in seen  # a tick() caller may see the engine's sets
     local = engine.tables["local"].entries
     assert {type(ids) for ids in local.values()} == {GSet}
     assert counts == {km: len(ids) for km, ids in local.items()}
@@ -523,18 +523,18 @@ def test_a_table_a_hand_written_rule_reads_is_not_grown():
 def test_grow_into_reports_exactly_the_merges_that_add():
     entries = {}
     first = GSet.of([1])
-    assert runtime._grow_into(entries, LMap({"k": first}))
+    assert tables._grow_into(entries, LMap({"k": first}))
     assert entries["k"] is first
-    assert not runtime._grow_into(entries, LMap({"k": first}))
-    assert not runtime._grow_into(entries, LMap({"k": GSet.of([1])}))
-    assert runtime._grow_into(entries, LMap({"k": GSet.of([1, 2])}))
+    assert not tables._grow_into(entries, LMap({"k": first}))
+    assert not tables._grow_into(entries, LMap({"k": GSet.of([1])}))
+    assert tables._grow_into(entries, LMap({"k": GSet.of([1, 2])}))
     grown = entries["k"]
-    assert type(grown) is runtime._Grown and grown == {1, 2}
-    assert not runtime._grow_into(entries, LMap({"k": GSet.of([2])}))
-    assert runtime._grow_into(entries, LMap({"k": GSet.of([3])}))
+    assert type(grown) is tables._Grown and grown == {1, 2}
+    assert not tables._grow_into(entries, LMap({"k": GSet.of([2])}))
+    assert tables._grow_into(entries, LMap({"k": GSet.of([3])}))
     assert entries["k"] is grown and grown == {1, 2, 3}
     assert first == {1}
-    assert not runtime._grow_into(entries, LMap())
+    assert not tables._grow_into(entries, LMap())
 
 
 def test_grown_table_never_mutates_a_constructor_or_injected_gset():
@@ -595,7 +595,7 @@ def test_noop_merge_into_a_grown_table_does_not_keep_fixpoint_running():
     assert eng._grown == {"t"}
     eng.run_to_fixpoint()
     eng.inject("t", LMap({"k": GSet.of([3])}))
-    assert type(eng.tables["t"].entries["k"]) is runtime._Grown
+    assert type(eng.tables["t"].entries["k"]) is tables._Grown
     now = eng.now
     eng.inject("s", LMap({"k": GSet.of([2])}))
     eng.run_to_fixpoint()

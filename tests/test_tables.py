@@ -6,9 +6,9 @@ from conftest import run_python
 
 from calmsim.errors import DivergenceError
 from calmsim.lattice import GSet, LMap
-from calmsim.runtime import NetworkCondition, Scratch
-from calmsim.tables import (DNE, IDK, GlobalTable, PartitionPlan, Value,
-                            compile_rules, detect_cycles, detect_skew,
+from calmsim.runtime import NetworkCondition
+from calmsim.tables import (DNE, IDK, GlobalTable, PartitionPlan, Scratch,
+                            Value, compile_rules, detect_cycles, detect_skew,
                             evaluate_stratified, lookup, one_shot_eval,
                             parse_rules, plan_query, hash_owners,
                             rewrite_one_shot,
