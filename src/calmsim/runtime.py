@@ -42,6 +42,8 @@ class DeliverySchedule:
                 raise ValueError("probabilities must be in [0, 1]")
         if self.drop_prob >= 1.0:
             raise ValueError("drop_prob must be < 1 for liveness")
+        if not isinstance(self.reorder_window, int):
+            raise ValueError("reorder_window must be an int")
         if self.reorder_window < 0:
             raise ValueError("reorder_window must be >= 0")
 
@@ -299,4 +301,3 @@ def run_to_quiescence(sim: Simulation, program: Program,
         raise DivergenceError(
             "no quiescence: work is left but no worker is alive, and no "
             "later event adds one")
-

@@ -119,6 +119,7 @@ class GlobalTable:
 
     def insert(self, row: tuple) -> int:
         """Route a tuple to its owner shard; returns the owner worker id."""
+        self._check_arity((row,))
         plan = self.plan
         if plan.keyed:
             wid = plan.owner_of_key(row[self.schema.index(plan.column)])
@@ -132,9 +133,17 @@ class GlobalTable:
         """Merge ``delta`` into ``wid``'s shard as it stands; a row the
         plan puts elsewhere marks the table displaced, as a plan switch
         does, so ``lookup`` answers ``IDK`` rather than a false ``DNE``."""
+        self._check_arity(delta.elems)
         self._displaced |= self._off_owner(wid, delta)
         cur = self.shards.get(wid, GSet.bottom())
         self.shards[wid] = lattice.merge(cur, delta)
+
+    def _check_arity(self, rows) -> None:
+        """``ValueError`` for a row without one value per schema column."""
+        for row in rows:
+            if len(row) != len(self.schema):
+                raise ValueError(f"row {row!r} has {len(row)} values; schema "
+                                 f"{self.schema} has {len(self.schema)}")
 
     def _off_owner(self, wid: int, rows) -> bool:
         """Whether the plan would put any of ``rows`` off ``wid``."""

@@ -7,14 +7,20 @@ some schedules are invalid.  Each run must end in exactly one way: the
 oracle's answer (implementation B's predicate), a ``ValueError`` with
 nothing logged, or a ``DivergenceError``; and a rerun must log the same
 events.  A failing example prints the ``calmsim run`` line that replays it.
+
+The same runs through ``cli.run`` must end in one exit code each, write a
+report only when the code says so, and rerun to the same report bytes.
 """
 
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, note, settings, strategies as st
+from hypothesis import example, given, note, settings, strategies as st
 
-from calmsim import kmer, sketch
+from calmsim import cli, kmer, sketch
 from calmsim.errors import DivergenceError
 from calmsim.runtime import DeliverySchedule, Simulation
 from calmsim.tables import IDK, Value
@@ -154,3 +160,57 @@ def test_every_runner_under_random_fault_schedules(workload, corpus_file,
     # Before any query: a query at a non-holder logs a gather.
     assert first.sim.event_lines() == again.sim.event_lines()
     assert meets_oracle(workload, corpus, first)
+
+
+def cli_config(workload, path, report, workers, schedule, failures, joins,
+               partitions) -> cli.RunConfig:
+    """The ``RunConfig`` of ``replay_line``'s command, with ``--report``."""
+    return cli.RunConfig(
+        workload=workload, input=str(path), k=K, workers=workers,
+        seed=schedule.seed, dup_prob=schedule.duplicate_prob,
+        reorder_window=schedule.reorder_window, drop_prob=schedule.drop_prob,
+        fail=failures, join=joins, partition=partitions, report=str(report),
+        **{"kmer_b": dict(threshold=THRESHOLD),
+           "cms_design1": dict(eps=EPS, delta=DELTA),
+           "cms_design2": dict(eps=EPS, delta=DELTA)}.get(workload, {}))
+
+
+def cli_outcome(config) -> tuple[int, str, str | None]:
+    """``cli.run``'s exit code, printed report and report file, if any."""
+    report_file = Path(config.report)
+    report_file.unlink(missing_ok=True)
+    code, report = cli.run(config)
+    written = report_file.read_text() if report_file.exists() else None
+    return code, cli.report_json(report), written
+
+
+# A cut left in place past quiescence: design 1 answers IDK, not a number.
+@pytest.mark.parametrize("workload", RUNNERS)
+@settings(max_examples=120, deadline=None)
+@example(run=(2, DeliverySchedule(), [], [], [(60, ((0, 1),))]))
+@given(run=multi_fault_runs())
+def test_every_workload_through_the_cli_under_random_fault_schedules(
+        workload, corpus_file, run):
+    note(replay_line(workload, corpus_file, *run) + " --report r.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        config = cli_config(workload, corpus_file, Path(tmp, "r.json"), *run)
+        first = cli_outcome(config)
+        assert cli_outcome(config) == first
+    code, printed, written = first
+    report = json.loads(printed)
+    if code == 2:
+        assert report.keys() == {"error"} and written is None
+        return
+    assert written == printed
+    if code == 3:
+        assert report.keys() == {"config", "error"}
+        return
+    partitions = run[-1]
+    cut_left = bool(partitions) and bool(partitions[-1][1])
+    assert code == 0 and report["match"] or (
+        code == 1 and workload == "cms_design1" and cut_left), report
+    if code == 1:
+        ref = sketch.sequential_sketch(
+            sketch.corpus_stream(corpus_file.read_text(), K), CMS)
+        assert all(estimate is None or estimate == ref.query(item)
+                   for item, estimate in report["result"]["estimates"].items())

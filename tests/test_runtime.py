@@ -1,5 +1,6 @@
 import pytest
 
+import calmsim
 from calmsim import kmer, lattice, runtime, tables
 from calmsim.errors import (DivergenceError, LatticeTypeError,
                             StratificationError, UnknownWorkerError)
@@ -73,6 +74,13 @@ def test_register_workers():
 def test_unknown_worker_rejected():
     with pytest.raises(UnknownWorkerError):
         Simulation().fail_worker(9)
+
+
+@pytest.mark.parametrize("window", [1.5, 2.0, "2"])
+def test_a_non_integer_reorder_window_is_rejected_at_construction(window):
+    # Accepted, it would fail only at the run's first send, in randrange.
+    with pytest.raises(ValueError, match="reorder_window must be an int"):
+        DeliverySchedule(reorder_window=window)
 
 
 def test_partition_pair_cutting_a_worker_from_itself_is_rejected():
@@ -620,3 +628,25 @@ def test_below_over_a_value_with_no_size_raises_lattice_type_error():
     eng.inject("a", LMap({"k": GSet.of([1]), "j": GSet.of([2])}))
     with pytest.raises(LatticeTypeError, match="LMax has no size"):
         eng.tick()
+
+
+# The benchmark imports the engine from runtime and patches it there; were
+# runtime's name to fork from tables', it would silently record no engine.
+def test_runtime_and_the_package_name_the_engine_tables_defines():
+    assert runtime.TickRuleEngine is tables.TickRuleEngine
+    assert (calmsim.TickRuleEngine, calmsim.Rule, calmsim.Scratch) == (
+        tables.TickRuleEngine, tables.Rule, tables.Scratch)
+
+
+def test_a_wrapper_on_the_runtime_engine_sees_threshold_rule_runs(
+        monkeypatch):
+    init, seen = runtime.TickRuleEngine.__init__, []
+
+    def record(engine, *args, **kwargs):  # as bench's _EngineRecord does
+        init(engine, *args, **kwargs)
+        seen.append(engine)
+
+    monkeypatch.setattr(runtime.TickRuleEngine, "__init__", record)
+    assert kmer.threshold_rule_run("ACGTACGT\n", 3, 2) == {
+        "ACG": 2, "CGT": 2, "GTA": 1, "TAC": 1}
+    assert len(seen) == 1 and seen[0].now > 0

@@ -206,6 +206,21 @@ def test_merging_a_row_off_its_owner_marks_the_table_displaced():
     assert not plan_query(t, "seq").coordination_free
 
 
+@pytest.mark.parametrize("strategy", ["hash", "round_robin"])
+def test_a_row_of_the_wrong_arity_is_rejected_before_any_change(strategy):
+    t = kmer_table(workers=(0, 1), strategy=strategy)
+    t.insert(("ACGT", 0))
+    shards = dict(t.shards)
+    with pytest.raises(ValueError, match=r"has 1 values; .* has 2"):
+        t.insert(("CCCC",))
+    with pytest.raises(ValueError, match=r"has 3 values; .* has 2"):
+        t.merge_shard(0, GSet.of([("GGGG", 1), ("TTTT", 2, 3)]))
+    assert t.shards == shards and not t._displaced
+    assert t._arrivals == (1 if strategy == "round_robin" else 0)
+    # Every row is whole, so a later plan switch can read each key.
+    switch_partitioning(t, PartitionPlan("hash", (0, 1), column="token"))
+
+
 def test_insert_hashes_its_row_once(monkeypatch):
     owner_of_key, calls = PartitionPlan.owner_of_key, []
 
