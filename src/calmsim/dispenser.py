@@ -43,16 +43,6 @@ class WorkPool:
         self.assigned: dict[int, set[Chunk]] = {}
         self.completed: set[Chunk] = set()
 
-    @classmethod
-    def from_bytes(cls, data: bytes, chunk_len: int | None = None,
-                   target_chunks: int | None = None) -> "WorkPool":
-        """Tile ``data``; ``chunk_len`` wins, else it is derived from
-        ``target_chunks``."""
-        if chunk_len is None:
-            n = max(1, target_chunks or 1)
-            chunk_len = max(1, -(-len(data) // n))
-        return cls(data, chunk_len)
-
     def add_worker(self, wid: int) -> None:
         self.assigned.setdefault(wid, set())
 

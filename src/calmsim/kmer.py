@@ -130,17 +130,17 @@ class KmerIngestProgram(Program):
     A worker alternates between taking a chunk and processing it, so an
     injected failure between the two leaves an uncompleted chunk for the
     pool to reassign.  Processing extracts the chunk's windows, and
-    ``route`` builds from them each receiving worker's payload, the delta
-    it merges; one envelope per payload, stamped with the chunk's token
-    id, carries it as built, and every delivery hands it to ``absorb``.
-    Delivery only merges and never sends.
+    ``route`` builds from them a payload, the delta it merges, for each
+    worker the windows reach and no other; one envelope per payload,
+    stamped with the chunk's token id, carries it as built, and every
+    delivery hands it to ``absorb``.  Delivery only merges and never sends.
 
-    The pool, tiled at setup, records the chunk each worker holds.  A hash
-    plan on the k-mer, built with the program over workers ``0..n-1``, says
-    which worker owns a k-mer; later joiners only ingest.  Owner state only
-    grows, from empty: by default ``batches[w]`` keeps each batch whole
-    under its first id.  The program is idle once the pool is done, so the
-    run is at its fixpoint when, in addition, nothing is in flight or held.
+    The pool, tiled at setup, records the chunk each worker holds.  The
+    owners are ``workers``, ``0..n-1``; ``route`` alone says which owner
+    gets a window, and later joiners only ingest.  Owner state only grows,
+    from empty: by default ``batches[w]`` keeps each batch whole under its
+    first id.  The program is idle once the pool is done, so the run is at
+    its fixpoint when, in addition, nothing is in flight or held.
     """
 
     def __init__(self, corpus, k: int, workers: int,
@@ -151,13 +151,14 @@ class KmerIngestProgram(Program):
         self.k = k
         self.chunk_len = chunk_len
         self.pool: WorkPool | None = None
-        self.plan = PartitionPlan("hash", tuple(range(workers)), column="seq")
-        self.batches = {wid: {} for wid in self.plan.workers}
+        self.workers = tuple(range(workers))
+        self.batches = {wid: {} for wid in self.workers}
 
     def setup(self, sim: Simulation) -> None:
-        n = len(self.plan.workers)
-        self.pool = WorkPool.from_bytes(self.data, chunk_len=self.chunk_len,
-                                        target_chunks=8 * n)
+        n, chunk_len = len(self.workers), self.chunk_len
+        if chunk_len is None:  # about eight chunks per worker, 1 byte or more
+            chunk_len = max(1, -(-len(self.data) // (8 * n)))
+        self.pool = WorkPool(self.data, chunk_len)
         for _ in range(n):
             self.handle_join(sim)
 
@@ -165,8 +166,8 @@ class KmerIngestProgram(Program):
         """One chunk's payload for each receiving worker: the k-mers it owns
         as a tuple and their ids as an ``array("Q")``, unsigned as offsets
         are, and not parsed item by item as CPython 3.11 parses ``"q"``."""
-        owners = hash_owners(self.plan.workers, map(itemgetter(0), windows))
-        batches = {wid: [] for wid in self.plan.workers}
+        owners = hash_owners(self.workers, map(itemgetter(0), windows))
+        batches = {wid: [] for wid in self.workers}
         for owner, pair in zip(owners, windows):
             batches[owner].append(pair)
         out = {}
@@ -193,8 +194,8 @@ class KmerIngestProgram(Program):
         self.absorb(env.dst, env.payload)
 
     def absorb(self, wid: int, delta: tuple) -> None:
-        """Keep ``delta`` whole under its first id; ignore the ``()`` batch."""
-        if delta and self.batches[wid].setdefault(delta[1][0], delta) != delta:
+        """Keep ``delta``, never empty, whole under its first id."""
+        if self.batches[wid].setdefault(delta[1][0], delta) != delta:
             raise AssertionError("two batches, one first id")
 
     def idle(self, sim: Simulation) -> bool:
@@ -241,7 +242,8 @@ class ImplAProgram(KmerIngestProgram):
     @property
     def table(self) -> GlobalTable:
         """The pairs as a ``(seq, token)`` table; a copy, like ``shards``."""
-        return GlobalTable("kmers", GSet, ("seq", "token"), self.plan,
+        return GlobalTable("kmers", GSet, ("seq", "token"),
+                           PartitionPlan("hash", self.workers, column="seq"),
                            {w: GSet(self.pairs(w)) for w in self.batches})
 
     def histogram(self) -> Counter:
@@ -263,7 +265,7 @@ class ImplBProgram(KmerIngestProgram):
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         self.threshold = threshold
-        self.ids = {wid: {} for wid in self.plan.workers}
+        self.ids = {wid: {} for wid in self.workers}
 
     def absorb(self, wid, delta: tuple) -> None:
         """``ThresholdLSet.merge`` in place, as only the owner reads its sets:
@@ -340,7 +342,7 @@ def _run(program: KmerIngestProgram, schedule: DeliverySchedule | None = None,
     """``(sim, program)`` quiescent under ``schedule`` and the faults;
     :func:`check_faults` runs first, so a bad schedule logs nothing."""
     failures, joins, partitions = list(failures), list(joins), list(partitions)
-    check_faults(len(program.plan.workers), failures, joins, partitions)
+    check_faults(len(program.workers), failures, joins, partitions)
     events: dict[int, list] = {}
     for tick, action in chain(
             ((t, lambda sim, prog, w=w: prog.handle_fail(sim, w))

@@ -7,15 +7,15 @@ over-count (never under-count).  Cell ``i * m + j`` is row i, column j.
 
 The m columns split into ceil(n / r) contiguous slabs over n workers, each
 held by r consecutive workers.  The ingesting worker hashes each window;
-``route`` builds the payload sent to each slab's holders, one shared batch
-of the chunk's cells, two typed arrays ``(cells, tokens)``: cell ids in
-``"H"`` (``"I"`` when h*m exceeds 2**16) and tokens in ``"Q"``, machine
-words rather than boxed ints.  Tokens are byte offsets, never negative,
-and CPython 3.11 builds a ``"Q"`` array from a list without the per-item
-parse it gives ``"q"``.  A holder keeps each batch whole under its first
-token, so a resent or rebuilt batch changes nothing, and a cell's size is
-a count over its batches.  A run hashes each distinct item once, and its
-memo of an item's cells refers to one shared int per cell id.
+``route`` gives the holders of each slab that the chunk has cells in one
+shared batch of those cells, two typed arrays ``(cells, tokens)``: cell ids
+in ``"H"`` (``"I"`` when h*m exceeds 2**16) and tokens in ``"Q"``, machine
+words rather than boxed ints.  Tokens are byte offsets, never negative, and
+CPython 3.11 builds a ``"Q"`` array from a list without the per-item parse
+it gives ``"q"``.  A holder keeps each batch whole under its first token,
+so a resent or rebuilt batch changes nothing, and a cell's size is a count
+over its batches.  A run hashes each distinct item once, and its memo of an
+item's cells refers to one shared int per cell id.
 
 - Design 1 (r = 1) partitions the columns, a slab per worker: a query
   gathers cells from their holders, visible as gather events in the log.
@@ -145,7 +145,7 @@ class _CellProgram(KmerIngestProgram):
         self._ids = tuple(range(size))  # one int per cell, for the memo
         self._cells: dict[str, tuple] = {}
         self._counts: dict[int, Counter] = {}
-        m, w = params.m, self.plan.workers
+        m, w = params.m, self.workers
         self.slabs = [w[i:i + replicas] for i in range(0, workers, replicas)]
         width = -(-m // len(self.slabs))  # the last slab may be narrower
         self._slab_of = [j // width for j in range(m)] * params.h
@@ -163,9 +163,9 @@ class _CellProgram(KmerIngestProgram):
     def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
         """Each holder's payload: one ``(cells, tokens)`` batch per slab
         with cells, grouped in lists and stored as two typed arrays, the
-        same object for each holder; a slab every worker holds gets ``()``
-        for a chunk with no window.  The cells array is packed, not built
-        from the list, which CPython 3.11 parses item by item for ``"H"``."""
+        same object for each holder; a slab with no cell gets nothing.  The
+        cells array is packed, not built from the list, which CPython 3.11
+        parses item by item for ``"H"``."""
         slab_of, get, cells = self._slab_of, self._cells.get, self.cells
         grouped = [([], []) for _ in self.slabs]
         for kmer, off in windows:
@@ -175,12 +175,10 @@ class _CellProgram(KmerIngestProgram):
                 tokens.append(off)
         out, code = {}, self._cell_code
         for held, (slab_cells, tokens) in zip(self.slabs, grouped):
-            if slab_cells or held == self.plan.workers:
-                batch = ()
-                if slab_cells:
-                    batch = array(code), array("Q", tokens)
-                    batch[0].frombytes(struct.pack(
-                        f"{len(slab_cells)}{code}", *slab_cells))
+            if slab_cells:
+                batch = array(code), array("Q", tokens)
+                batch[0].frombytes(struct.pack(f"{len(slab_cells)}{code}",
+                                               *slab_cells))
                 out.update(dict.fromkeys(held, batch))
         return out
 

@@ -380,6 +380,14 @@ def _grow_into(entries: dict, delta: LMap) -> bool:
     return changed or len(entries) > size
 
 
+def _own(value):
+    """``value`` with each ``_Grown`` in it, in nested maps too, a ``GSet``."""
+    if type(value) is LMap and not {_Grown, LMap}.isdisjoint(
+            map(type, value.entries.values())):
+        return LMap({key: _own(v) for key, v in value.entries.items()})
+    return GSet(value) if type(value) is _Grown else value
+
+
 _FIXPOINT_CAP = 10_000
 
 
@@ -387,12 +395,13 @@ class TickRuleEngine:
     """Applies rules tick by tick with instantaneous/deferred timing.
 
     The engine owns its tables: it copies the caller's values at
-    construction, merges maps in place, and never mutates a caller's value
-    or an injected one.  A persistent map that rules read only as a
-    ``below``'s limit merges a map of ``GSet``s copy-on-write into its own
-    sets, which ``tick()`` callers may see; ``run_to_fixpoint`` returns
-    ``GSet``s.  Every table a rule or an inject names must be declared in
-    ``tables``; any other name raises ``ValueError``.
+    construction, merges maps in place, never mutates a caller's value or
+    an injected one, and takes in a set another engine grows as a ``GSet``.
+    A persistent map that rules read only as a ``below``'s limit merges a
+    map of ``GSet``s copy-on-write into its own sets, which ``tick()``
+    callers may see; ``run_to_fixpoint`` returns ``GSet``s.  Every table a
+    rule or an inject names must be declared in ``tables``; any other name
+    raises ``ValueError``.
 
     A plain value in ``tables`` declares a Bloom ``table``, which persists;
     ``Scratch(value)`` declares a ``scratch``, reset to bottom after every
@@ -417,7 +426,7 @@ class TickRuleEngine:
                 self._scratch[name] = (  # keeps a declared threshold
                     partial(ThresholdLSet.bottom, value.threshold)
                     if type(value) is ThresholdLSet else type(value).bottom)
-            self._absorb(name, value)
+            self._absorb(name, _own(value))
         for rule in self.rules:
             for name in (rule.target, *rule.sources):
                 self._declared(name)
@@ -441,7 +450,7 @@ class TickRuleEngine:
     def inject(self, name: str, delta) -> None:
         """Merge external input into a table before the next tick runs."""
         self._declared(name)
-        self._absorb(name, delta)
+        self._absorb(name, _own(delta))
 
     def _declared(self, name: str) -> None:
         if name not in self.tables:

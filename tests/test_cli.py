@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from calmsim import cli, errors, kmer
+from calmsim import cli, errors, kmer, sketch
 from calmsim.cli import RunConfig
 
 from conftest import SRC, run_python
@@ -45,6 +45,21 @@ def test_run_cms_design1_counts_gathers(corpus_file):
                                      k=5, workers=3, eps=0.05, delta=0.1))
     assert code == 0
     assert report["coordination"]["gather_messages"] > 0
+
+
+@pytest.mark.parametrize("workload", ["cms_design1", "cms_design2"])
+def test_cms_report_cells_are_the_sequential_sketchs(workload, corpus_file,
+                                                     small_corpus):
+    # Dup, drop and reorder, a failure, a join and a cut that heals.
+    code, report = cli.run(RunConfig(
+        workload=workload, input=corpus_file, k=5, workers=3, eps=0.05,
+        delta=0.1, seed=2, dup_prob=0.3, drop_prob=0.1, reorder_window=4,
+        fail=[(3, 1)], join=[5], partition=[(2, ((0, 1),)), (6, ())]))
+    assert code == 0, report
+    ref = sketch.sequential_sketch(sketch.corpus_stream(small_corpus, 5),
+                                   sketch.choose_params(0.05, 0.1))
+    cells = [len(c) for row in ref.cells for c in row]
+    assert report["result"]["cells"] == cells and sum(cells) > 0
 
 
 def test_unknown_workload_exits_2():

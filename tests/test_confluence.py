@@ -124,6 +124,21 @@ def test_absorb_laws_hold_on_small_corpora_and_1_to_4_owners(
     assert checked == 25 * PAIRS and differ == 0
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", BUILDS)
+def test_routing_twice_gives_equal_payloads(name, workers, corpus):
+    # A chunk is routed again when a failed worker's chunk is reissued,
+    # after other chunks; absorb's "two batches, one first id" assert
+    # holds only if the second payload map equals the first.
+    prog = BUILDS[name](corpus, workers)
+    prog.setup(Simulation())
+    chunks = prog.pool.pending
+    first = [prog.route(kmer.chunk_windows(prog.data, c, K)) for c in chunks]
+    again = [prog.route(kmer.chunk_windows(prog.data, c, K))
+             for c in reversed(chunks)]
+    assert again[::-1] == first and any(first)
+
+
 def test_impl_b_raw_id_counts_are_not_confluent(corpus):
     # The sampled pairs find it: what the cap hides, the raw view shows.
     assert violations("impl_b", corpus, raw_view)[1] > 0

@@ -5,11 +5,11 @@ from calmsim.errors import UnknownWorkerError
 
 
 def make_pool(size=1000, chunk_len=100, fill=b"A"):
-    return WorkPool.from_bytes(fill * size, chunk_len=chunk_len)
+    return WorkPool(fill * size, chunk_len)
 
 
 def test_open_tiles_file():
-    pool = WorkPool.from_bytes(b"x" * 1000, chunk_len=100)
+    pool = WorkPool(b"x" * 1000, 100)
     assert len(pool.pending) == 10
     assert all(c.length == 100 for c in pool.pending)
 
@@ -28,15 +28,10 @@ def test_uneven_tail_chunk():
 
 def test_token_ids_distinct_and_reproducible():
     data = bytes(range(256)) * 8
-    tokens1 = [c.token_id for c in WorkPool.from_bytes(data, 64).pending]
-    tokens2 = [c.token_id for c in WorkPool.from_bytes(data, 64).pending]
+    tokens1 = [c.token_id for c in WorkPool(data, 64).pending]
+    tokens2 = [c.token_id for c in WorkPool(data, 64).pending]
     assert tokens1 == tokens2
     assert len(set(tokens1)) == len(tokens1)
-
-
-def test_target_chunks_derives_chunk_len():
-    pool = WorkPool.from_bytes(b"A" * 1000, target_chunks=8)
-    assert len(pool.pending) == 8
 
 
 def test_next_assigns_and_exhausts():

@@ -547,7 +547,7 @@ def agrees_with_oracle(name, corpus, res) -> bool:
 def test_a_kmer_on_two_owner_shards_is_rejected(name, small_corpus):
     res = faulty_run(name, small_corpus, 0)
     prog = res.program
-    for wid in prog.plan.workers:
+    for wid in prog.workers:
         prog.absorb(wid, kmer_batch([("ACGT", 10**6)]))
     with pytest.raises(AssertionError, match="two owner shards"):
         prog.histogram()
@@ -668,7 +668,7 @@ BUILDS = {
 def test_a_program_is_whole_when_built(name, small_corpus):
     prog = BUILDS[name](small_corpus)
     assert type(prog) is PROGRAMS[name]
-    assert prog.plan.workers == (0, 1, 2) and prog.pool is None
+    assert prog.workers == (0, 1, 2) and prog.pool is None
     owners = prog.ids if name == "impl_b" else prog.batches
     assert owners == {0: {}, 1: {}, 2: {}}
     assert prog.state_size() == 0
@@ -676,6 +676,22 @@ def test_a_program_is_whole_when_built(name, small_corpus):
         ran = kmer._run(BUILDS[name](small_corpus), **FAULTS)[1]
         assert (prog.slabs, prog.holders) == (ran.slabs, ran.holders)
         assert len(prog.slabs) == (3 if name == "design1" else 1)
+
+
+@pytest.mark.parametrize("size, workers, chunks", [
+    (1000, 1, 8), (1000, 2, 16), (1001, 3, 24), (3, 2, 3), (0, 2, 0)])
+def test_default_tiling_is_about_eight_chunks_per_worker(size, workers,
+                                                         chunks):
+    # Chunks are at least 1 byte long, so a short corpus gets fewer.
+    prog = kmer.ImplAProgram(b"A" * size, 4, workers)
+    prog.setup(Simulation())
+    assert len(prog.pool.pending) == chunks
+    assert sum(c.length for c in prog.pool.pending) == size
+
+
+def test_an_explicit_chunk_len_of_zero_is_refused():
+    with pytest.raises(ValueError, match="chunk_len must be positive"):
+        kmer.ImplAProgram(b"ACGT", 4, 2, chunk_len=0).setup(Simulation())
 
 
 @pytest.mark.parametrize("name", RUNNERS)
@@ -762,7 +778,7 @@ def test_design2_sends_each_chunk_once_to_every_replica(small_corpus,
     for seed in range(3):
         sent.clear()
         res = faulty_run("design2", small_corpus, seed)
-        replicas = res.program.plan.workers
+        replicas = res.program.workers
         completed = [ev[4] for ev in res.sim.events if ev[1] == "complete"]
         assert sum(ev[1] == "send" for ev in res.sim.events) == (
             len(completed) * len(replicas))
@@ -778,8 +794,9 @@ def test_direct_owner_agrees_with_the_plan(name, corpus_10k):
     prog = res.program
     windows = kmer.corpus_stream(corpus_10k, 4)
     kmer_at = dict((off, km) for km, off in windows)
+    plan = prog.table.plan  # each read of ``table`` copies every pair
     for owner, batch in prog.route(windows).items():
         for km, off in zip(*batch):
             assert km == kmer_at[off]
-            assert owner == prog.plan.owner_of_key(km)
-    assert len(prog.plan.workers) == 3 < len(res.sim.workers)
+            assert owner == plan.owner_of_key(km)
+    assert len(prog.workers) == 3 < len(res.sim.workers)

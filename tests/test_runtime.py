@@ -567,6 +567,40 @@ def test_grown_table_never_mutates_a_constructor_or_injected_gset():
             assert value.entries[key] is ids and ids == elems
 
 
+def test_an_engines_grown_set_never_leaks_into_another_table():
+    eng = TickRuleEngine(*compile_rules("""
+        table a
+        table t
+        table x
+        table u
+        table y
+        x <= a below t 3
+        y <= u
+    """))
+    for ids in ([1], [2]):
+        eng.inject("t", LMap({"k": GSet.of(ids)}))
+        eng.tick()
+    grown = eng.tables["t"].entries["k"]
+    assert type(grown) is tables._Grown
+    eng.inject("u", LMap({"k": grown}))
+    eng.tick()
+    # Another engine's tables, the same set again and a map nested in one.
+    other = TickRuleEngine({"t": LMap({"k": grown}), "s": grown}, [])
+    eng.inject("u", LMap({"j": LMap({"k": grown})}))
+    eng.inject("t", LMap({"k": GSet.of([3])}))
+    eng.tick()
+    assert grown == {1, 2, 3}
+    u, y = eng.tables["u"].entries["k"], eng.tables["y"].entries["k"]
+    assert type(u) is type(y) is GSet and u == y == {1, 2}
+    assert eng.tables["u"].entries["j"] == LMap({"k": GSet.of([1, 2])})
+    assert other.tables == {"t": LMap({"k": GSet.of([1, 2])}),
+                            "s": GSet.of([1, 2])}
+    for table in eng.run_to_fixpoint().values():
+        for value in table.entries.values():
+            values = value.entries.values() if type(value) is LMap else [value]
+            assert {type(v) for v in values} == {GSet}
+
+
 @pytest.mark.parametrize("delta", [
     LMap({"k": LMax(1)}),
     LMap({"j": GSet.of([7]), "k": LMax(1)}),

@@ -290,7 +290,7 @@ def test_design2_route_gives_every_replica_one_batch(cms_corpus):
     # Replicas share one batch object, so a chunk's cells are built once
     # however many replicas there are.
     prog = design2_run(cms_corpus, 6, params(), workers=3).program
-    assert prog.slabs == [prog.plan.workers]
+    assert prog.slabs == [prog.workers]
     batches = prog.route(corpus_stream(cms_corpus, 6)[:40])
     assert sorted(batches) == [0, 1, 2]
     assert batches[0] and all(b is batches[0] for b in batches.values())
@@ -404,8 +404,7 @@ def test_a_different_batch_under_a_held_first_token_is_rejected(cms_corpus,
 
 @pytest.mark.parametrize("run", [design1_run, design2_run])
 def test_chunks_without_windows_change_nothing(run, monkeypatch):
-    # Every line is shorter than k: design 2 still sends each replica one
-    # empty batch per chunk, and design 1 has no cell to send.
+    # Every line is shorter than k, so no chunk has a cell to send.
     corpus = "ACGTA\nCG\nTTGCA\n" * 30
     sent = []
     send = Simulation.send
@@ -419,7 +418,7 @@ def test_chunks_without_windows_change_nothing(run, monkeypatch):
     prog = res.program
     chunks = len(prog.pool.completed)
     assert chunks > 1
-    assert sent == ([()] * chunks * 3 if run is design2_run else [])
+    assert sent == []
     assert any(ev[1] == "deliver" for ev in res.sim.events) == bool(sent)
     assert all(held == {} for held in prog.batches.values())
     assert prog.state_size() == cell_set_size(prog) == 0
