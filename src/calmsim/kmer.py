@@ -6,7 +6,7 @@ Three variants over the same chunk-ingestion pipeline:
   offset in the input); an owner keeps each batch whole under its first
   id, k-mers as a tuple and ids as a typed ``array``, so re-delivery cannot
   double count.  The histogram is one ``Counter``, built owner by owner in
-  delivery order, the same under every hash seed.
+  arrival order, the same under every hash seed.
 - ``impl_b_run``: owners apply :class:`ThresholdLSet`'s merge in place to
   a set of ids per k-mer, which stops growing at the caller's threshold;
   counts are exact below the threshold and the predicate ``count >= threshold``
@@ -17,8 +17,8 @@ Three variants over the same chunk-ingestion pipeline:
   ``table_kmer_run`` returns implementation A's histogram, in the same
   pinned order.
 
-``route`` builds each owner's lattice delta once per chunk, as the
-payload sent; a duplicated or resent envelope reuses it.  All variants
+``route`` builds each owner's lattice delta once per chunk, the payload
+absorbed or sent; a duplicated or resent envelope reuses it.  All variants
 are verified against ``oracle_count``, a sequential single-threaded scan.
 Every runner, the sketch designs' too, passes :func:`_run`'s fault
 keywords through to it.
@@ -131,9 +131,10 @@ class KmerIngestProgram(Program):
     injected failure between the two leaves an uncompleted chunk for the
     pool to reassign.  Processing extracts the chunk's windows, and
     ``route`` builds from them a payload, the delta it merges, for each
-    worker the windows reach and no other; one envelope per payload,
-    stamped with the chunk's token id, carries it as built, and every
-    delivery hands it to ``absorb``.  Delivery only merges and never sends.
+    worker the windows reach and no other.  The worker's own payload goes
+    to ``absorb`` at once; one envelope per other payload, stamped with
+    the chunk's token id, carries it as built, and every delivery hands it
+    to ``absorb``.  Delivery only merges and never sends.
 
     The pool, tiled at setup, records the chunk each worker holds.  The
     owners are ``workers``, ``0..n-1``; ``route`` alone says which owner
@@ -186,7 +187,10 @@ class KmerIngestProgram(Program):
         (chunk,) = self.pool.assigned[wid]  # one chunk at a time
         payloads = self.route(chunk_windows(self.data, chunk, self.k))
         for owner in sorted(payloads):
-            sim.send(wid, owner, payloads[owner], token_id=chunk.token_id)
+            if owner == wid:  # a worker's own batch skips the network
+                self.absorb(wid, payloads[owner])
+            else:
+                sim.send(wid, owner, payloads[owner], token_id=chunk.token_id)
         self.pool.complete(wid, chunk)
         sim.log("complete", dst=wid, token_id=chunk.token_id)
 
@@ -226,11 +230,11 @@ def _grouped(pairs) -> dict[str, list]:
 
 
 class ImplAProgram(KmerIngestProgram):
-    """Owners keep the batches as delivered; ``shards`` and ``table`` are
+    """Owners keep the batches as they arrive; ``shards`` and ``table`` are
     views.  The histogram is one ``Counter``, built owner by owner."""
 
     def pairs(self, wid: int):
-        """The ``(k-mer, id)`` pairs ``wid`` holds, in delivery order."""
+        """The ``(k-mer, id)`` pairs ``wid`` holds, in arrival order."""
         return chain.from_iterable(zip(*b) for b in self.batches[wid].values())
 
     @property

@@ -221,10 +221,10 @@ class Simulation:
 class Program:
     """Workload plugged into the simulation loop; all hooks optional.
 
-    State changes only in the hooks and in harness actions, and a message
-    changes it only when delivered.  So ``idle`` is the one contract a
-    program must meet: it is False while any ``worker_step`` or ``on_tick``
-    could still change state or send.  Work left with no live worker, no
+    State changes only in the hooks, a worker step as well as a delivery,
+    and in harness actions.  So ``idle`` is the one contract a program must
+    meet: it is False while any ``worker_step`` or ``on_tick`` could still
+    change state or send.  Work left with no live worker, no
     harness event left and nothing in flight is stuck: the run raises.
     """
 
@@ -260,7 +260,8 @@ def run_to_quiescence(sim: Simulation, program: Program,
 
     Before each tick, the run stops when nothing is in flight or held,
     ``program.idle(sim)`` is true and every harness event has run
-    (``sim.now >= max(events)``).  Lattice state grows only on delivery,
+    (``sim.now >= max(events)``).  Lattice state grows only on delivery
+    and in a worker step, which changes nothing once the program is idle,
     so from there no tick could change it.  Raises ``DivergenceError``
     when that takes more than ``_TICK_CAP`` ticks, and at once when only
     held envelopes are left: only ``set_partition`` releases them, and no

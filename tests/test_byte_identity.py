@@ -10,10 +10,12 @@ run; the tick-rule run reads a repeat-rich corpus of its own.  Only
 owner placement) feed the digests.  They were computed and checked on one
 CPython build only; a refactor that keeps behaviour keeps them.
 
-The event log cannot see which worker owns a k-mer: on this corpus every
-chunk has a window for every owner, so it sends to each owner in the same
-order whatever the owner function, and ``impl_a_run``, ``impl_b_run`` and
-``design2_run`` log the same events.  The placement digests (each owner
+The ingesting worker absorbs its own batch of a chunk and sends one
+envelope to each other owner, so the log holds only batches between two
+workers.  It cannot see which worker owns a k-mer: on this corpus every
+chunk has a window for every owner, so it sends to each other owner in the
+same order whatever the owner function, and ``impl_a_run``, ``impl_b_run``
+and ``design2_run`` log the same events.  The placement digests (each owner
 shard's sorted k-mers) pin the owner function itself; of the answers, only
 ``impl_b_run``'s threshold-capped counts, which depend on arrival order,
 see it too.
@@ -72,11 +74,11 @@ RUNS = {
 }
 
 PINNED = {
-    "impl_a_run": ("189d3afcca75ec65", "34fe9c9879d96016"),
-    "impl_b_run": ("189d3afcca75ec65", "d941e56d127175c9"),
-    "table_kmer_run": ("e7c97ec6cb96ccfc", "34fe9c9879d96016"),
-    "design1_run": ("882fb67acd21d0f8", "6b819185609a1cbc"),
-    "design2_run": ("189d3afcca75ec65", "77b1ac23712d32db"),
+    "impl_a_run": ("331a5d8a20f3bb2a", "34fe9c9879d96016"),
+    "impl_b_run": ("331a5d8a20f3bb2a", "3a3f08f2a26d18f9"),
+    "table_kmer_run": ("da6ea82ce1cc759f", "34fe9c9879d96016"),
+    "design1_run": ("aa80dae745c8f106", "6b819185609a1cbc"),
+    "design2_run": ("331a5d8a20f3bb2a", "77b1ac23712d32db"),
 }
 
 
@@ -106,10 +108,11 @@ def test_owner_placement_digests_are_pinned(runner):
 
 @pytest.mark.parametrize("runner", ["impl_a_run", "table_kmer_run"])
 def test_impl_a_histogram_key_order_is_pinned(runner):
-    # Owners count their ids in delivery order, so the order holds under
-    # every hash seed; table_kmer_run returns implementation A's histogram.
+    # Owners count their ids in arrival order (a worker's own batch arrives
+    # as it is built), so the order holds under every hash seed;
+    # table_kmer_run returns implementation A's histogram.
     res = getattr(kmer, runner)(CORPUS, 5, 3, **FAULTS)
-    assert _digest(repr(list(res.histogram))) == "c26143342bd836e7"
+    assert _digest(repr(list(res.histogram))) == "a2605a30cebcfb09"
 
 
 def _repeat_rich_corpus(rng: random.Random) -> str:

@@ -6,7 +6,8 @@ failures, up to two joins and up to three cuts at distinct ticks, each of
 some schedules are invalid.  Each run must end in exactly one way: the
 oracle's answer (implementation B's predicate), a ``ValueError`` with
 nothing logged, or a ``DivergenceError``; and a rerun must log the same
-events.  A failing example prints the ``calmsim run`` line that replays it.
+events.  A run that answers logs no envelope from a worker to itself, as
+an owner absorbs its own batch.  A failing example prints the ``calmsim run`` line that replays it.
 
 The same runs through ``cli.run`` must end in one exit code each, write a
 report only when the code says so, and rerun to the same report bytes.
@@ -160,6 +161,10 @@ def test_every_runner_under_random_fault_schedules(workload, corpus_file,
     # Before any query: a query at a non-holder logs a gather.
     assert first.sim.event_lines() == again.sim.event_lines()
     assert meets_oracle(workload, corpus, first)
+    # An owner absorbs its own batch: no worker messages itself.
+    assert not [ev for ev in first.sim.events
+                if ev[1] in ("send", "dup", "drop", "hold", "deliver")
+                and ev[2] == ev[3]]
 
 
 def cli_config(workload, path, report, workers, schedule, failures, joins,

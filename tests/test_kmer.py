@@ -708,39 +708,67 @@ def test_a_run_on_a_simulation_with_workers_is_refused(name, small_corpus):
 def test_each_delta_is_built_once_and_delivered_as_sent(
         name, small_corpus, monkeypatch):
     cls = PROGRAMS[name]
-    route, send, on_deliver = cls.route, Simulation.send, cls.on_deliver
-    built, sent, delivered = [], [], []
+    route, step, absorb = cls.route, cls.worker_step, cls.absorb
+    send, on_deliver = Simulation.send, cls.on_deliver
+    stepping, built, handled, absorbed_at, delivered = [], [], [], [], []
+
+    def spy_step(self, sim, wid):
+        stepping.append((sim, wid))
+        step(self, sim, wid)
+        stepping.pop()
 
     def spy_route(self, windows):
         out = route(self, windows)
-        built.append((list(windows), out))
+        built.append((stepping[-1][1], list(windows), out))
         return out
 
+    def spy_absorb(self, wid, delta):
+        if stepping:  # in the ingesting worker's step, not on delivery
+            sim = stepping[-1][0]
+            (chunk,) = self.pool.assigned[wid]  # not yet complete
+            handled.append(("absorb", wid, wid, delta))
+            absorbed_at.append((len(sim.events), sim.now, wid,
+                                chunk.token_id))
+        return absorb(self, wid, delta)
+
     def spy_send(sim, src, dst, payload, token_id=None):
-        sent.append(payload)
+        handled.append(("send", src, dst, payload))
         return send(sim, src, dst, payload, token_id)
 
     def spy_deliver(self, sim, env):
         delivered.append(env.payload)
         return on_deliver(self, sim, env)
 
+    monkeypatch.setattr(cls, "worker_step", spy_step)
     monkeypatch.setattr(cls, "route", spy_route)
+    monkeypatch.setattr(cls, "absorb", spy_absorb)
     monkeypatch.setattr(Simulation, "send", spy_send)
     monkeypatch.setattr(cls, "on_deliver", spy_deliver)
     res = faulty_run(name, small_corpus, 0)
+    events = res.sim.events
     assert agrees_with_oracle(name, small_corpus, res)
-    assert {"dup", "drop", "hold"} <= {ev[1] for ev in res.sim.events}
+    assert {"dup", "drop", "hold"} <= {ev[1] for ev in events}
 
-    # One route payload per send, in owner order, and the payload is it.
-    assert len(sent) == sum(ev[1] == "send" for ev in res.sim.events)
-    payloads = [out[owner] for _windows, out in built for owner in sorted(out)]
-    assert len(payloads) == len(sent)
-    assert all(p is delta for p, delta in zip(sent, payloads))
-    assert len(delivered) == sum(ev[1] == "deliver" for ev in res.sim.events)
-    sent_ids = {id(p) for p in sent}
+    # Each route payload, in owner order, is absorbed by the worker that
+    # built it or sent once to another owner, never both; the payload is
+    # the object built.
+    expected = [("absorb" if owner == wid else "send", wid, owner, out[owner])
+                for wid, _windows, out in built for owner in sorted(out)]
+    assert [h[:3] for h in handled] == [e[:3] for e in expected]
+    assert all(h[3] is e[3] for h, e in zip(handled, expected))
+    kinds = [h[0] for h in handled]
+    assert "absorb" in kinds and "send" in kinds
+    assert kinds.count("send") == sum(ev[1] == "send" for ev in events)
+    # An owner absorbs its own batch before its chunk's ``complete``, in
+    # the same tick.
+    for n, now, wid, token in absorbed_at:
+        assert (now, "complete", None, wid, token, None) in events[n:]
+    assert len(delivered) == sum(ev[1] == "deliver" for ev in events)
+    sent_ids = {id(h[3]) for h in handled if h[0] == "send"}
     assert all(id(p) in sent_ids for p in delivered)
-    # Merging a delivered delta never mutated it.
-    assert all(out == route(res.program, windows) for windows, out in built)
+    # Merging a delta never mutated it.
+    assert all(out == route(res.program, windows)
+               for _wid, windows, out in built)
 
 
 @pytest.mark.parametrize("name", RUNNERS)
@@ -765,8 +793,8 @@ def test_delivery_never_sends(name, small_corpus, monkeypatch):
     assert any(ev[1] == "deliver" for ev in res.sim.events)
 
 
-def test_design2_sends_each_chunk_once_to_every_replica(small_corpus,
-                                                        monkeypatch):
+def test_design2_sends_each_chunk_once_to_every_other_replica(
+        small_corpus, monkeypatch):
     send = Simulation.send
     sent: dict = {}
 
@@ -779,12 +807,17 @@ def test_design2_sends_each_chunk_once_to_every_replica(small_corpus,
         sent.clear()
         res = faulty_run("design2", small_corpus, seed)
         replicas = res.program.workers
-        completed = [ev[4] for ev in res.sim.events if ev[1] == "complete"]
+        # A replica absorbs its own chunk; every other replica gets it.
+        completed = {ev[4]: ev[3] for ev in res.sim.events
+                     if ev[1] == "complete"}
+        others = {token: [r for r in replicas if r != wid]
+                  for token, wid in completed.items()}
         assert sum(ev[1] == "send" for ev in res.sim.events) == (
-            len(completed) * len(replicas))
+            sum(map(len, others.values())))
+        assert any(wid not in replicas for wid in completed.values())
         assert sorted(sent) == sorted(completed)
-        for envelopes in sent.values():
-            assert [dst for dst, _ in envelopes] == list(replicas)
+        for token, envelopes in sent.items():
+            assert [dst for dst, _ in envelopes] == others[token]
             assert all(p is envelopes[0][1] for _, p in envelopes)
 
 

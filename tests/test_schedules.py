@@ -21,9 +21,11 @@ from calmsim.sketch import (CmsParams, Design1Program, Design2Program,
                             SketchResult, corpus_stream, row_seeds,
                             sequential_sketch)
 
-# AAAA is in three chunks' batches, two ids twice and one id once, so
-# implementation B's capped count depends on which batch arrives first.
-CORPUS, K, WORKERS, CHUNK_LEN = "AAAAACGTAC\nAAAAAGGTTA\nAAAA\n", 4, 2, 8
+# AAAA is in two chunks' batches, twice and once.  Worker 0 ingests both
+# chunks and worker 1 owns AAAA, so the two batches race over the network
+# (an owner absorbs its own batch at once), and implementation B's capped
+# count depends on which batch arrives first.
+CORPUS, K, WORKERS, CHUNK_LEN = "AAAAACGTCGTACGT\nAAAACGTCGTACG\n", 4, 2, 8
 BOUND = 2
 # Both probabilities above 0, so the non-default answer of either draw
 # takes effect; a reorder window of 2 gives each delay three choices.
