@@ -2,13 +2,14 @@
 reports and event logs.
 
 Each ``WORKLOADS`` record names the options a workload reads; any other
-option is a config error.  ``--seed`` drives only the delivery schedule; the
-same config and seed reproduce a byte-identical report and event log.  Exit
-codes: 0 when the result matches the built-in oracle, 1 on mismatch, 2 on
-config errors, and for a :class:`CalmsimError` raised by the run, the code
-``EXIT_CODES`` gives its class: 3 on divergence (no quiescence; see
-``run_to_quiescence``), 4 when the program breaks a lattice or
-stratification contract.
+option, even one given at its default value, is a config error.  ``--seed``
+drives only the delivery schedule; the same config and seed reproduce a
+byte-identical report and event log, which ``--report`` and
+``--emit-events`` must write to two files.  Exit codes: 0 when the result
+matches the built-in oracle, 1 on mismatch, 2 on config errors, and for a
+:class:`CalmsimError` raised by the run, the code ``EXIT_CODES`` gives its
+class: 3 on divergence (no quiescence; see ``run_to_quiescence``), 4 when
+the program breaks a lattice or stratification contract.
 """
 
 from __future__ import annotations
@@ -61,21 +62,27 @@ class RunConfig:
     emit_events: str | None = None
     report: str | None = None
 
-    def validate(self) -> None:
+    def validate(self, given=()) -> None:
+        """``ValueError`` for a config no run can follow.  An option the
+        workload does not read is an error when it is in ``given``, the
+        names a flag or config key set, or differs from its default."""
         if self.workload not in WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}")
         # Every workload takes a seed (verify sets one) and a report.
         reads = {"workload", "seed", "report", *WORKLOADS[self.workload].reads}
         default = RunConfig()
-        unread = [f.name for f in fields(self) if f.name not in reads
-                  and getattr(self, f.name) != getattr(default, f.name)]
+        unread = [name for name in _FIELDS if name not in reads and (
+            name in given or getattr(self, name) != getattr(default, name))]
         if unread:
             raise ValueError(f"{self.workload} takes no {', '.join(unread)}")
         if "input" in reads and not self.input:
             raise ValueError("--input is required for this workload")
-        for path in map(Path, filter(None, (self.report, self.emit_events))):
+        outputs = [*map(Path, filter(None, (self.report, self.emit_events)))]
+        for path in outputs:
             if path.is_dir() or not path.parent.is_dir():
                 raise ValueError(f"cannot write output file {str(path)!r}")
+        if len({path.resolve() for path in outputs}) < len(outputs):
+            raise ValueError("--report and --emit-events name one file")
         if self.k < 1 or self.workers < 1 or self.threshold < 1:
             raise ValueError("k, workers, and threshold must be >= 1")
         _schedule(self)  # raises ValueError on a bad delivery schedule
@@ -137,7 +144,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             texts[name] = getattr(args, name)
     config = RunConfig(**{name: _coerce(name, text)
                           for name, text in texts.items()})
-    config.validate()
+    config.validate(given=texts)
     return config
 
 

@@ -97,7 +97,9 @@ class GlobalTable:
     Every shard is a G-Set of tuples, the only CRDT kind (``crdt_kind``) a
     table takes.  The logical table contents are the merge of all shards,
     so re-delivered or re-ordered updates cannot corrupt the table.  A
-    keyed plan's ``column`` must name a column of ``schema``.
+    keyed plan's ``column`` must name a column of ``schema``.  The
+    constructor checks the shards it is given as ``merge_shard`` checks a
+    delta, and marks a row off its plan owner (``_displaced``).
     """
 
     name: str
@@ -106,16 +108,21 @@ class GlobalTable:
     plan: PartitionPlan
     shards: dict = field(default_factory=dict)
     _arrivals: int = 0
-    _displaced: bool = False  # some row sits off its plan's owner
+    _displaced: bool = field(default=False, init=False)  # a row off its owner
 
     def __post_init__(self):
-        if self.crdt_kind is not GSet:
+        if self.crdt_kind is not GSet or not all(
+                isinstance(shard, GSet) for shard in self.shards.values()):
             raise TypeError("global tables hold G-Set shards only")
+        for shard in self.shards.values():
+            self._check_arity(shard)
         if self.plan.keyed and self.plan.column not in self.schema:
             raise ValueError(f"partition column {self.plan.column!r} is not "
                              f"in the schema {self.schema}")
         for wid in self.plan.workers:
             self.shards.setdefault(wid, GSet.bottom())
+        self._displaced = any(self._off_owner(wid, shard)
+                              for wid, shard in self.shards.items())
 
     def insert(self, row: tuple) -> int:
         """Route a tuple to its owner shard; returns the owner worker id."""
@@ -140,17 +147,23 @@ class GlobalTable:
 
     def _check_arity(self, rows) -> None:
         """``ValueError`` for a row without one value per schema column."""
-        for row in rows:
-            if len(row) != len(self.schema):
-                raise ValueError(f"row {row!r} has {len(row)} values; schema "
-                                 f"{self.schema} has {len(self.schema)}")
+        n = len(self.schema)
+        if not {n}.issuperset(map(len, rows)):
+            row = next(row for row in rows if len(row) != n)
+            raise ValueError(f"row {row!r} has {len(row)} values; schema "
+                             f"{self.schema} has {n}")
 
     def _off_owner(self, wid: int, rows) -> bool:
-        """Whether the plan would put any of ``rows`` off ``wid``."""
+        """Whether the plan would put any of ``rows`` off ``wid``; a hash
+        plan places their keys in one ``hash_owners`` call."""
         plan = self.plan
-        key = self.schema.index(plan.column) if plan.keyed else None
-        return any(wid not in plan.workers if key is None
-                   else plan.owner_of_key(row[key]) != wid for row in rows)
+        if not plan.keyed:
+            return bool(rows) and wid not in plan.workers
+        key = self.schema.index(plan.column)
+        if plan.strategy == "range":
+            return any(plan.owner_of_key(row[key]) != wid for row in rows)
+        return not {wid}.issuperset(
+            hash_owners(plan.workers, [str(row[key]) for row in rows]))
 
     def merged(self) -> GSet:
         out = GSet.bottom()
@@ -194,18 +207,12 @@ def detect_skew(table: GlobalTable, factor: float = 2.0) -> bool:
 
 
 def switch_partitioning(table: GlobalTable, new: PartitionPlan) -> GlobalTable:
-    """Swap the partition plan without moving any existing tuples.
-
-    Only routing of future inserts and the coordination cost of grouped
-    queries change; the merged logical contents are untouched.  If some
-    row now sits on a shard the new plan would not put it on, a keyed
-    ``lookup`` miss answers ``IDK`` and grouping is not coordination-free.
-    """
-    # replace runs GlobalTable's checks: a column not in the schema raises
-    switched = replace(table, plan=new, shards=dict(table.shards))
-    switched._displaced = any(switched._off_owner(wid, shard)
-                              for wid, shard in table.shards.items())
-    return switched
+    """``table`` rebuilt by its constructor under plan ``new``; no tuple
+    moves, so only routing of future inserts and the coordination cost of
+    grouped queries change.  If some row sits on a shard the new plan would
+    not put it on, a keyed ``lookup`` miss answers ``IDK`` and grouping is
+    not coordination-free; a column not in the schema raises."""
+    return replace(table, plan=new, shards=dict(table.shards))
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +388,12 @@ def _grow_into(entries: dict, delta: LMap) -> bool:
 
 
 def _own(value):
-    """``value`` with each ``_Grown`` in it, in nested maps too, a ``GSet``."""
+    """``value`` with each ``_Grown`` in it, in nested maps too, a ``GSet``:
+    the engine's one converter of the sets it grows."""
     if type(value) is LMap and not {_Grown, LMap}.isdisjoint(
             map(type, value.entries.values())):
-        return LMap({key: _own(v) for key, v in value.entries.items()})
+        return LMap({key: v if type(v) is GSet else _own(v)
+                     for key, v in value.entries.items()})
     return GSet(value) if type(value) is _Grown else value
 
 
@@ -461,17 +470,12 @@ class TickRuleEngine:
         keeps the fixpoint running."""
         if name in self._grown and not (type(value) is LMap and {
                 *map(type, value.entries.values())} <= {GSet}):
-            self._settle(name)
+            self.tables[name] = _own(self.tables[name])
             self._grown.remove(name)  # not a map of GSets: merge as any map
         changed = (_grow_into(self.tables[name].entries, value) if name
                    in self._grown else _merge_into(self.tables, name, value))
         if changed and name not in self._scratch:
             self._gained = True
-
-    def _settle(self, name: str) -> None:
-        entries = self.tables[name].entries
-        entries.update({key: GSet(value) for key, value in entries.items()
-                        if type(value) is _Grown})
 
     def tick(self) -> None:
         self.now += 1
@@ -496,7 +500,7 @@ class TickRuleEngine:
             self.tick()
             if not self._gained and self._pending == self._applied:
                 for name in self._grown:
-                    self._settle(name)
+                    self.tables[name] = _own(self.tables[name])
                 return self.tables
         raise DivergenceError(
             f"rules did not quiesce within {_FIXPOINT_CAP} ticks")

@@ -305,6 +305,35 @@ def test_lattice_demo_rejects_options_it_does_not_read(tmp_path, capsys):
     assert json.loads(report.read_text())["match"]
 
 
+@pytest.mark.parametrize("config_line", [None, "threshold = 3"],
+                         ids=["flag", "config-key"])
+def test_an_unread_option_at_its_default_exits_2(corpus_file, config_line,
+                                                 tmp_path, capsys):
+    assert RunConfig().threshold == 3  # the value given is the default
+    flag = ["--threshold", "3"]
+    if config_line:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_line + "\n")
+        flag = ["--config", str(cfg)]
+    code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
+                     *flag])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "calmsim: error: kmer_a takes no threshold" in err and not out
+
+
+def test_report_and_event_log_naming_one_file_exit_2(corpus_file, tmp_path,
+                                                     capsys):
+    (tmp_path / "sub").mkdir()
+    same, alias = tmp_path / "same.out", tmp_path / "sub" / ".." / "same.out"
+    code = cli.main(["run", "--workload", "kmer_a", "--input", corpus_file,
+                     "--workers", "2", "--report", str(same),
+                     "--emit-events", str(alias)])
+    assert code == 2
+    assert "name one file" in capsys.readouterr().err
+    assert not same.exists()
+
+
 @pytest.mark.parametrize("error, flag, config_line", [
     ("fail: ", ["--fail", "notanumber"], None),
     ("workers: ", ["--workers", "x"], None),

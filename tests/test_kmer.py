@@ -10,7 +10,8 @@ from calmsim.dispenser import Chunk
 from calmsim.errors import StratificationError, UnknownWorkerError
 from calmsim.lattice import GSet, LMap, ThresholdLSet
 from calmsim.runtime import DeliverySchedule, Simulation
-from calmsim.tables import DNE, Rule, TickRuleEngine, Value, lookup
+from calmsim.tables import (DNE, Rule, TickRuleEngine, Value, lookup,
+                            plan_query)
 
 from helpers import EngineSpy, kmer_batch
 
@@ -360,6 +361,16 @@ def test_table_kmer_failure_recovery(small_corpus):
         res = kmer.table_kmer_run(small_corpus, 4, 4, schedule=schedule,
                                   failures=[(4, 2)])
         assert res.histogram == truth
+
+
+def test_table_view_of_a_batch_off_its_owner_is_not_coordination_free(
+        small_corpus):
+    res = kmer.impl_a_run(small_corpus, 4, 3, schedule=adversarial(5))
+    batches = res.program.batches
+    assert plan_query(res.program.table, "seq").coordination_free
+    first = next(iter(batches[0]))
+    batches[1][first] = batches[0].pop(first)
+    assert not plan_query(res.program.table, "seq").coordination_free
 
 
 def test_table_view_is_a_copy_of_the_rows_on_their_owners(small_corpus):

@@ -206,6 +206,36 @@ def test_merging_a_row_off_its_owner_marks_the_table_displaced():
     assert not plan_query(t, "seq").coordination_free
 
 
+def test_a_table_built_with_a_row_off_its_owner_is_displaced():
+    plan = PartitionPlan("hash", (0, 1), column="seq")
+    assert plan.owner_of_key("ATAG") == 1
+    t = GlobalTable("k", GSet, ("seq", "tok"), plan, {0: GSet([("ATAG", 1)])})
+    assert lookup(t, "ATAG", at_worker=1) is IDK
+    assert not plan_query(t, "seq").coordination_free
+    # Under the same workers listed the other way, worker 0 owns ATAG.
+    owns = switch_partitioning(t, PartitionPlan("hash", (1, 0), column="seq"))
+    assert owns.plan.owner_of_key("ATAG") == 0
+    assert lookup(owns, "ATAG", at_worker=1) == Value(
+        frozenset({("ATAG", 1)}))
+    assert lookup(owns, "TTTT", owns.plan.owner_of_key("TTTT")) is DNE
+    assert plan_query(owns, "seq").coordination_free
+
+
+def test_a_table_rejects_given_shards_that_are_not_gsets():
+    plan = PartitionPlan("hash", (0, 1), column="seq")
+    with pytest.raises(TypeError, match="G-Set shards only"):
+        GlobalTable("k", GSet, ("seq", "tok"), plan, {0: set(), 1: set()})
+    with pytest.raises(TypeError, match="G-Set shards only"):
+        GlobalTable("k", GSet, ("seq", "tok"), plan,
+                    {0: GSet(), 1: LMap()})
+
+
+def test_a_table_rejects_a_given_row_of_the_wrong_arity():
+    plan = PartitionPlan("hash", (0, 1), column="seq")
+    with pytest.raises(ValueError, match=r"has 2 values; .* has 1"):
+        GlobalTable("k", GSet, ("seq",), plan, {0: GSet([("A", "B")])})
+
+
 @pytest.mark.parametrize("strategy", ["hash", "round_robin"])
 def test_a_row_of_the_wrong_arity_is_rejected_before_any_change(strategy):
     t = kmer_table(workers=(0, 1), strategy=strategy)
