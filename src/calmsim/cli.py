@@ -14,8 +14,6 @@ the program breaks a lattice or stratification contract.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -320,6 +318,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
 
 
 def report_json(report: dict) -> str:
+    import json  # on use, as argparse is: a cheaper `import calmsim.cli`
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
@@ -355,6 +354,7 @@ def verify(config: RunConfig, seeds: list[int]) -> tuple[int, dict]:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="calmsim",
         description="Deterministic CRDT workload simulator")

@@ -17,9 +17,10 @@ Three variants over the same chunk-ingestion pipeline:
   ``table_kmer_run`` returns implementation A's histogram, in the same
   pinned order.
 
-``route`` builds each owner's lattice delta once per chunk, the payload
-absorbed or sent; a duplicated or resent envelope reuses it.  All variants
-are verified against ``oracle_count``, a sequential single-threaded scan.
+``route`` builds each owner's lattice delta once per chunk from its k-mer
+and id columns (``chunk_columns``; ``chunk_windows`` and ``corpus_stream``
+pair them up, the reference scan), the payload absorbed or sent; a resent
+envelope reuses it.  All variants are checked against ``oracle_count``.
 Every runner, the sketch designs' too, passes :func:`_run`'s fault
 keywords through to it.
 """
@@ -31,7 +32,6 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import itemgetter
 from typing import Mapping
 
 from .dispenser import Chunk, WorkPool
@@ -109,6 +109,16 @@ def chunk_windows(data: bytes, chunk: Chunk, k: int) -> list[tuple[str, int]]:
     return list(_windows(data[chunk.start:end + k - 1], chunk.start, k))
 
 
+def chunk_columns(data: bytes, chunk: Chunk, k: int) -> tuple[list, list]:
+    """The same windows as k-mer and id columns: what a worker scans."""
+    end = min(chunk.start + chunk.length, len(data)) + k - 1
+    kmers, ids = [], []
+    for text, start, n in _lines(data[chunk.start:end], chunk.start, k):
+        kmers += [text[i:i + k] for i in range(n)]
+        ids += range(start, start + n)
+    return kmers, ids
+
+
 def normalize_corpus(corpus: str | bytes) -> bytes:
     data = corpus.encode("ascii") if isinstance(corpus, str) else bytes(corpus)
     return data.upper()
@@ -129,12 +139,12 @@ class KmerIngestProgram(Program):
 
     A worker alternates between taking a chunk and processing it, so an
     injected failure between the two leaves an uncompleted chunk for the
-    pool to reassign.  Processing extracts the chunk's windows, and
-    ``route`` builds from them a payload, the delta it merges, for each
-    worker the windows reach and no other.  The worker's own payload goes
-    to ``absorb`` at once; one envelope per other payload, stamped with
-    the chunk's token id, carries it as built, and every delivery hands it
-    to ``absorb``.  Delivery only merges and never sends.
+    pool to reassign.  Processing scans the chunk into its k-mer and id
+    columns, and ``route`` builds from them a payload, the delta it merges,
+    for each worker the windows reach and no other.  The worker's own
+    payload goes to ``absorb`` at once; one envelope per other payload,
+    stamped with the chunk's token id, carries it as built, and every
+    delivery hands it to ``absorb``.  Delivery only merges and never sends.
 
     The pool, tiled at setup, records the chunk each worker holds.  The
     owners are ``workers``, ``0..n-1``; ``route`` alone says which owner
@@ -163,20 +173,18 @@ class KmerIngestProgram(Program):
         for _ in range(n):
             self.handle_join(sim)
 
-    def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
-        """One chunk's payload for each receiving worker: the k-mers it owns
-        as a tuple and their ids as an ``array("Q")``, unsigned as offsets
-        are, and not parsed item by item as CPython 3.11 parses ``"q"``."""
-        owners = hash_owners(self.workers, map(itemgetter(0), windows))
-        batches = {wid: [] for wid in self.workers}
-        for owner, pair in zip(owners, windows):
-            batches[owner].append(pair)
-        out = {}
-        for wid, pairs in batches.items():
-            if pairs:
-                kmers, ids = zip(*pairs)
-                out[wid] = kmers, array("Q", ids)
-        return out
+    def route(self, kmers: list[str], ids: list[int]) -> dict[int, tuple]:
+        """Each receiving worker's payload, in one pass over the chunk's
+        columns: its k-mers as a tuple, their ids as an ``array("Q")``
+        (offsets are unsigned; CPython 3.11 parses ``"q"`` item by item)."""
+        groups = [([], []) for _ in self.workers]  # owners are 0..n-1
+        for owner, kmer, off in zip(hash_owners(self.workers, kmers),
+                                    kmers, ids):
+            owned, offs = groups[owner]
+            owned.append(kmer)
+            offs.append(off)
+        return {wid: (tuple(owned), array("Q", offs))
+                for wid, (owned, offs) in enumerate(groups) if owned}
 
     def worker_step(self, sim: Simulation, wid: int) -> None:
         if not self.pool.assigned.get(wid):
@@ -185,7 +193,7 @@ class KmerIngestProgram(Program):
                 sim.log("assign", dst=wid, token_id=chunk.token_id)
             return
         (chunk,) = self.pool.assigned[wid]  # one chunk at a time
-        payloads = self.route(chunk_windows(self.data, chunk, self.k))
+        payloads = self.route(*chunk_columns(self.data, chunk, self.k))
         for owner in sorted(payloads):
             if owner == wid:  # a worker's own batch skips the network
                 self.absorb(wid, payloads[owner])

@@ -6,16 +6,17 @@ item is the minimum cardinality over its h addressed cells, and it can only
 over-count (never under-count).  Cell ``i * m + j`` is row i, column j.
 
 The m columns split into ceil(n / r) contiguous slabs over n workers, each
-held by r consecutive workers.  The ingesting worker hashes each window;
-``route`` gives the holders of each slab that the chunk has cells in one
-shared batch of those cells, two typed arrays ``(cells, tokens)``: cell ids
-in ``"H"`` (``"I"`` when h*m exceeds 2**16) and tokens in ``"Q"``, machine
-words rather than boxed ints.  Tokens are byte offsets, never negative, and
-CPython 3.11 builds a ``"Q"`` array from a list without the per-item parse
-it gives ``"q"``.  A holder keeps each batch whole under its first token,
-so a resent or rebuilt batch changes nothing, and a cell's size is a count
-over its batches.  A run hashes each distinct item once, and its memo of an
-item's cells refers to one shared int per cell id.
+held by r consecutive workers.  The ingesting worker hashes its chunk's
+k-mer and id columns (``corpus_stream`` pairs are the reference's scan);
+``route`` gives each slab's holders one shared batch of its cells,
+``(cells, tokens)``: cell ids in ``"H"`` (``"I"`` when h*m exceeds 2**16)
+and tokens in ``"Q"``, machine words rather than boxed ints.  Tokens are
+byte offsets, never negative, and CPython 3.11 builds a ``"Q"`` array from
+a list without the per-item parse it gives ``"q"``.  A holder keeps each
+batch whole under its first token, so a resent or rebuilt batch changes
+nothing, and a cell's size is a count over its batches.  A run hashes each
+distinct item once, and its memo of an item's cells refers to one shared
+int per cell id.
 
 - Design 1 (r = 1) partitions the columns, a slab per worker: a query
   gathers cells from their holders, visible as gather events in the log.
@@ -160,15 +161,15 @@ class _CellProgram(KmerIngestProgram):
                 ids[i * m + j] for i, j in enumerate(self.params.columns(item)))
         return cells
 
-    def route(self, windows: list[tuple[str, int]]) -> dict[int, tuple]:
-        """Each holder's payload: one ``(cells, tokens)`` batch per slab
-        with cells, grouped in lists and stored as two typed arrays, the
-        same object for each holder; a slab with no cell gets nothing.  The
-        cells array is packed, not built from the list, which CPython 3.11
-        parses item by item for ``"H"``."""
+    def route(self, kmers: list[str], ids: list[int]) -> dict[int, tuple]:
+        """Each holder's payload from the chunk's k-mer and id columns: one
+        ``(cells, tokens)`` batch per slab with cells, grouped in lists and
+        stored as two typed arrays, the same object for each holder; a slab
+        with no cell gets nothing.  The cells array is packed, not built
+        from the list, which CPython 3.11 parses item by item for ``"H"``."""
         slab_of, get, cells = self._slab_of, self._cells.get, self.cells
         grouped = [([], []) for _ in self.slabs]
-        for kmer, off in windows:
+        for kmer, off in zip(kmers, ids):
             for c in get(kmer) or cells(kmer):  # a memo tuple is never empty
                 slab_cells, tokens = grouped[slab_of[c]]
                 slab_cells.append(c)

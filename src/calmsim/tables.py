@@ -541,8 +541,9 @@ _SET_OPS = {"union": set.union, "difference": set.difference}
 _LATTICE_OPS = {"union": lattice.merge, "below": _below}
 _OPS = {"+": "union", "-": "difference", "minus": "difference",
         "below": "below"}
-_LINE = re.compile(r"(table|scratch)\s+(\w+)|(\w+)\s*(<=|<\+)\s*(\w+)"
-                   r"(?:\s+(\+|-|minus|below)\s+(\w+))?(?:\s+([1-9]\d*))?")
+# Compiled on first use, in ``re``'s cache, not when the module loads.
+_LINE = (r"(table|scratch)\s+(\w+)|(\w+)\s*(<=|<\+)\s*(\w+)"
+         r"(?:\s+(\+|-|minus|below)\s+(\w+))?(?:\s+([1-9]\d*))?")
 
 
 def _rule(target: str, op: str, sources: tuple, fn, deferred=False) -> Rule:
@@ -562,7 +563,7 @@ def _parse(text: str, lattices: bool) -> tuple[dict, list]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _LINE.fullmatch(line)
+        m = re.fullmatch(_LINE, line)
         kind, name, target, arrow, a, symbol, b, limit = (
             m.groups() if m else (None,) * 8)
         op = _OPS.get(symbol, "copy")

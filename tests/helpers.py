@@ -1,6 +1,6 @@
 """Random value generators shared by the lattice law tests, the k-mer
-owner payload builder shared by the k-mer tests, and a spy on the engines
-a call builds."""
+owner payload builder and the column split of windows shared by the k-mer
+tests, and a spy on the engines a call builds."""
 
 import dataclasses
 import random
@@ -77,6 +77,12 @@ def kmer_batch(pairs) -> tuple:
     pairs: the k-mers as a tuple and the ids as an ``array("Q")``."""
     kmers, ids = zip(*pairs)
     return kmers, array("Q", ids)
+
+
+def columns(pairs) -> tuple[list, list]:
+    """The k-mer and id columns of ``(k-mer, id)`` pairs, as ``route``
+    takes a chunk's windows."""
+    return [kmer for kmer, _ in pairs], [off for _, off in pairs]
 
 
 class EngineSpy:

@@ -186,14 +186,14 @@ def test_run_with_every_worker_failed_exits_3_at_once(corpus_file):
 
 
 def test_dropped_windows_exit_1(corpus_file, monkeypatch):
-    real = kmer.chunk_windows
+    real = kmer.chunk_columns
 
     def lossy(data, chunk, k):
         if chunk.start == 0:
-            return []
+            return [], []
         return real(data, chunk, k)
 
-    monkeypatch.setattr(kmer, "chunk_windows", lossy)
+    monkeypatch.setattr(kmer, "chunk_columns", lossy)
     code, report = cli.run(RunConfig(workload="kmer_a", input=corpus_file,
                                      workers=2))
     assert code == 1 and not report["match"]

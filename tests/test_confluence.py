@@ -72,7 +72,7 @@ def routed(prog) -> list:
     prog.setup(Simulation())
     return [delivery for chunk in prog.pool.pending
             for delivery in prog.route(
-                kmer.chunk_windows(prog.data, chunk, prog.k)).items()]
+                *kmer.chunk_columns(prog.data, chunk, prog.k)).items()]
 
 
 def absorbed(build, corpus, deliveries):
@@ -133,8 +133,8 @@ def test_routing_twice_gives_equal_payloads(name, workers, corpus):
     prog = BUILDS[name](corpus, workers)
     prog.setup(Simulation())
     chunks = prog.pool.pending
-    first = [prog.route(kmer.chunk_windows(prog.data, c, K)) for c in chunks]
-    again = [prog.route(kmer.chunk_windows(prog.data, c, K))
+    first = [prog.route(*kmer.chunk_columns(prog.data, c, K)) for c in chunks]
+    again = [prog.route(*kmer.chunk_columns(prog.data, c, K))
              for c in reversed(chunks)]
     assert again[::-1] == first and any(first)
 

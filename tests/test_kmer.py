@@ -3,17 +3,17 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from calmsim import kmer, runtime, sketch
 from calmsim.dispenser import Chunk
 from calmsim.errors import StratificationError, UnknownWorkerError
 from calmsim.lattice import GSet, LMap, ThresholdLSet
 from calmsim.runtime import DeliverySchedule, Simulation
-from calmsim.tables import (DNE, Rule, TickRuleEngine, Value, lookup,
-                            plan_query)
+from calmsim.tables import (DNE, Rule, TickRuleEngine, Value, hash_owners,
+                            lookup, plan_query)
 
-from helpers import EngineSpy, kmer_batch
+from helpers import EngineSpy, columns, kmer_batch
 
 THRESH_CORPUS = ("AAAA\n" + "CCCC\n" * 2 + "GGGG\n" * 3
                  + "TTTT\n" * 10 + "ACGT\n" * 100)
@@ -104,6 +104,48 @@ def test_chunk_windows_matches_per_window_scan(data, k, start, length):
     chunk = Chunk(start, length, 0)
     assert (outcome(kmer.chunk_windows, data, chunk, k)
             == outcome(per_window_chunk_windows, data, chunk, k))
+
+
+def transposed_chunk_windows(data, chunk, k):
+    return columns(kmer.chunk_windows(data, chunk, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=60).map(
+           lambda b: bytes(b"ACGT\nX"[x % 6] for x in b)),
+       k=st.integers(1, 6), start=st.integers(0, 62),
+       length=st.integers(0, 62), valid=st.booleans())
+@example(data=b"ACGTA\nXX\nACGTAXG", k=4, start=0, length=17, valid=False)
+@example(data=b"ACGTA", k=0, start=0, length=5, valid=True)
+def test_chunk_columns_are_chunk_windows_transposed(data, k, start, length,
+                                                    valid):
+    # The same columns, or the same ValueError: a k below 1, or an invalid
+    # base at the same offset.  Half the corpora hold no invalid base and
+    # every chunk starts in the corpus, or few examples would hold a window.
+    if valid:
+        data = data.replace(b"X", b"A")
+    chunk = Chunk(start % (len(data) + 1), length, 0)
+    assert (outcome(kmer.chunk_columns, data, chunk, k)
+            == outcome(transposed_chunk_windows, data, chunk, k))
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: kmer.ImplAProgram("", 4, n),
+    lambda n: kmer.ImplBProgram("", 4, n, threshold=3)], ids=["a", "b"])
+@settings(max_examples=100, deadline=None)
+@given(windows=st.lists(st.tuples(st.text("ACGT", min_size=1, max_size=5),
+                                  st.integers(0, 2**64 - 1)), max_size=40),
+       workers=st.integers(1, 4))
+def test_route_on_columns_gives_each_owner_its_hash_owners_group(
+        build, windows, workers):
+    prog = build(workers)
+    owners = hash_owners(prog.workers, [km for km, _ in windows])
+    groups: dict = {}
+    for owner, pair in zip(owners, windows):
+        groups.setdefault(owner, []).append(pair)
+    out = prog.route(*columns(windows))
+    assert out == {w: kmer_batch(pairs) for w, pairs in groups.items()}
+    assert list(out) == sorted(groups)
 
 
 def test_chunk_windows_skips_invalid_bytes_on_short_lines():
@@ -728,9 +770,9 @@ def test_each_delta_is_built_once_and_delivered_as_sent(
         step(self, sim, wid)
         stepping.pop()
 
-    def spy_route(self, windows):
-        out = route(self, windows)
-        built.append((stepping[-1][1], list(windows), out))
+    def spy_route(self, kmers, ids):
+        out = route(self, kmers, ids)
+        built.append((stepping[-1][1], (list(kmers), list(ids)), out))
         return out
 
     def spy_absorb(self, wid, delta):
@@ -764,7 +806,7 @@ def test_each_delta_is_built_once_and_delivered_as_sent(
     # built it or sent once to another owner, never both; the payload is
     # the object built.
     expected = [("absorb" if owner == wid else "send", wid, owner, out[owner])
-                for wid, _windows, out in built for owner in sorted(out)]
+                for wid, _columns, out in built for owner in sorted(out)]
     assert [h[:3] for h in handled] == [e[:3] for e in expected]
     assert all(h[3] is e[3] for h, e in zip(handled, expected))
     kinds = [h[0] for h in handled]
@@ -778,8 +820,8 @@ def test_each_delta_is_built_once_and_delivered_as_sent(
     sent_ids = {id(h[3]) for h in handled if h[0] == "send"}
     assert all(id(p) in sent_ids for p in delivered)
     # Merging a delta never mutated it.
-    assert all(out == route(res.program, windows)
-               for _wid, windows, out in built)
+    assert all(out == route(res.program, *columns)
+               for _wid, columns, out in built)
 
 
 @pytest.mark.parametrize("name", RUNNERS)
@@ -839,7 +881,7 @@ def test_direct_owner_agrees_with_the_plan(name, corpus_10k):
     windows = kmer.corpus_stream(corpus_10k, 4)
     kmer_at = dict((off, km) for km, off in windows)
     plan = prog.table.plan  # each read of ``table`` copies every pair
-    for owner, batch in prog.route(windows).items():
+    for owner, batch in prog.route(*columns(windows)).items():
         for km, off in zip(*batch):
             assert km == kmer_at[off]
             assert owner == plan.owner_of_key(km)

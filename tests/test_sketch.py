@@ -16,6 +16,7 @@ from calmsim.sketch import (CmsParams, SketchMatrix, choose_params,
 from calmsim.tables import IDK, PartitionPlan, Value
 
 from conftest import make_corpus
+from helpers import columns
 
 
 def params(h=3, m=64, seed=0):
@@ -291,20 +292,28 @@ def test_design2_route_gives_every_replica_one_batch(cms_corpus):
     # however many replicas there are.
     prog = design2_run(cms_corpus, 6, params(), workers=3).program
     assert prog.slabs == [prog.workers]
-    batches = prog.route(corpus_stream(cms_corpus, 6)[:40])
+    batches = prog.route(*columns(corpus_stream(cms_corpus, 6)[:40]))
     assert sorted(batches) == [0, 1, 2]
     assert batches[0] and all(b is batches[0] for b in batches.values())
 
 
 def test_design1_query_gathers_from_cell_owners(cms_corpus):
+    # One gather per cell held elsewhere, in row order, even when two of
+    # an item's cells share a holder.
     p = params(h=3, m=90)
     res = design1_run(cms_corpus, 6, p, workers=3)
-    item = corpus_stream(cms_corpus, 6)[0][0]
-    owners = {res.program.holders[j][0] for j in p.columns(item)}
-    before = len(res.sim.events)
-    res.query(item, at_worker=0)
-    gathers = [ev for ev in res.sim.events[before:] if ev[1] == "gather"]
-    assert len(gathers) == len(owners - {0})
+    holders = res.program.holders  # a cell's holders are its column's
+    shared = 0
+    for item in sorted({km for km, _ in corpus_stream(cms_corpus, 6)}):
+        remote = [holders[j][0] for j in p.columns(item)
+                  if holders[j][0] != 0]
+        before = len(res.sim.events)
+        res.query(item, at_worker=0)
+        gathers = [ev[2:4] for ev in res.sim.events[before:]
+                   if ev[1] == "gather"]
+        assert gathers == [(0, owner) for owner in remote]
+        shared += len(set(remote)) < len(remote)
+    assert shared > 0
 
 
 def test_design2_query_at_a_joined_worker_gathers(cms_corpus):
@@ -355,11 +364,11 @@ def test_design1_partitioned_owner_means_idk(cms_corpus):
 
 
 def rebuilt_deltas(prog):
-    """Each completed chunk's deltas built again from its windows, as for a
+    """Each completed chunk's deltas built again from its columns, as for a
     reissued chunk: ``(receiver, delta)`` pairs."""
     for chunk in sorted(prog.pool.completed):
-        windows = kmer.chunk_windows(prog.data, chunk, prog.k)
-        yield from prog.route(windows).items()
+        yield from prog.route(
+            *kmer.chunk_columns(prog.data, chunk, prog.k)).items()
 
 
 def cell_set_size(prog) -> int:
@@ -433,7 +442,7 @@ def test_a_query_after_a_new_batch_counts_it(cms_corpus, run):
     prog = res.program
     item = corpus_stream(cms_corpus, 6)[0][0]
     before = estimates(res, [item])[item]
-    for wid, batch in prog.route([(item, 10**6)]).items():
+    for wid, batch in prog.route([item], [10**6]).items():
         prog.absorb(wid, batch)
     assert estimates(res, [item])[item] == before + 1
 
@@ -455,7 +464,7 @@ def test_batches_are_typed_arrays_in_the_narrowest_cell_code(cms_corpus, h,
     # a third row's cells start at 65536.
     prog = sketch.Design1Program(cms_corpus, 6, 3, params(h=h, m=1 << 15), 1)
     windows = corpus_stream(cms_corpus, 6)[:40]
-    batches = prog.route(windows)
+    batches = prog.route(*columns(windows))
     # Each holder's (cell, token) pairs in window order, as route meets them.
     want = {}
     for item, off in windows:
