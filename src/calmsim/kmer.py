@@ -4,9 +4,9 @@ Three variants over the same chunk-ingestion pipeline:
 
 - ``impl_a_run``: each k-mer instance carries a unique identifier (its byte
   offset in the input); an owner keeps each batch whole under its first
-  id, k-mers as a tuple and ids as a typed ``array``, so re-delivery cannot
-  double count.  The histogram is one ``Counter``, built owner by owner in
-  arrival order, the same under every hash seed.
+  id, k-mers as a tuple and ids as 32-bit words (:func:`words`), so
+  re-delivery cannot double count.  The histogram is one ``Counter``,
+  built owner by owner in arrival order, the same under every hash seed.
 - ``impl_b_run``: owners apply :class:`ThresholdLSet`'s merge in place to
   a set of ids per k-mer, which stops growing at the caller's threshold;
   counts are exact below the threshold and the predicate ``count >= threshold``
@@ -119,6 +119,16 @@ def chunk_columns(data: bytes, chunk: Chunk, k: int) -> tuple[list, list]:
     return kmers, ids
 
 
+def words(values: list[int]) -> array:
+    """``values``, never negative, as an ``array("I")`` of 32-bit words, or
+    ``"Q"`` once one reaches 2**32.  CPython 3.11 builds either from a list
+    without the per-item parse it gives ``"H"`` and ``"q"``."""
+    try:
+        return array("I", values)
+    except OverflowError:
+        return array("Q", values)
+
+
 def normalize_corpus(corpus: str | bytes) -> bytes:
     data = corpus.encode("ascii") if isinstance(corpus, str) else bytes(corpus)
     return data.upper()
@@ -175,15 +185,15 @@ class KmerIngestProgram(Program):
 
     def route(self, kmers: list[str], ids: list[int]) -> dict[int, tuple]:
         """Each receiving worker's payload, in one pass over the chunk's
-        columns: its k-mers as a tuple, their ids as an ``array("Q")``
-        (offsets are unsigned; CPython 3.11 parses ``"q"`` item by item)."""
+        columns: its k-mers as a tuple, their ids as :func:`words`, an
+        ``array("I")``, or ``"Q"`` once an id reaches 2**32."""
         groups = [([], []) for _ in self.workers]  # owners are 0..n-1
         for owner, kmer, off in zip(hash_owners(self.workers, kmers),
                                     kmers, ids):
             owned, offs = groups[owner]
             owned.append(kmer)
             offs.append(off)
-        return {wid: (tuple(owned), array("Q", offs))
+        return {wid: (tuple(owned), words(offs))
                 for wid, (owned, offs) in enumerate(groups) if owned}
 
     def worker_step(self, sim: Simulation, wid: int) -> None:
@@ -262,9 +272,12 @@ class ImplAProgram(KmerIngestProgram):
         counts = Counter()
         for w in sorted(self.batches):
             kmers = [b[0] for b in self.batches[w].values()]
-            if not counts.keys().isdisjoint(chain.from_iterable(kmers)):
-                raise AssertionError("k-mer key on two owner shards")
+            known = len(counts)
             counts.update(chain.from_iterable(kmers))
+            # The keys w adds count all its windows iff it shares none.
+            added = sum(islice(counts.values(), known, None))
+            if added != sum(map(len, kmers)):
+                raise AssertionError("k-mer key on two owner shards")
         return counts
 
 

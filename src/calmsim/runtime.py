@@ -100,6 +100,7 @@ class Simulation:
         self.net = NetworkCondition()
         self.workers: dict[int, bool] = {}  # worker id -> alive
         self.events: list[tuple] = []
+        self._units: dict[tuple, tuple] = {}  # unit event -> itself
         # heapq of (due, seq, env, attempts, dropped); seq is unique
         self.in_flight: list[tuple] = []
         self.held: list[Envelope] = []
@@ -206,7 +207,10 @@ class Simulation:
 
     def log(self, kind: str, src=None, dst=None, token_id=None,
             use_id=None) -> None:
-        self.events.append((self.now, kind, src, dst, token_id, use_id))
+        event = (self.now, kind, src, dst, token_id, use_id)
+        if token_id is None:  # a unit event: equal ones share one tuple
+            event = self._units.setdefault(event, event)
+        self.events.append(event)
 
     def event_lines(self) -> str:
         """Line-delimited ``tick,event_kind,src,dst,token_id,use_id``."""

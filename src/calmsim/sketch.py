@@ -10,16 +10,16 @@ held by r consecutive workers.  The ingesting worker hashes its chunk's
 k-mer and id columns (``corpus_stream`` pairs are the reference's scan);
 ``route`` gives each slab's holders one shared batch of its cells,
 ``(cells, tokens)``: cell ids in ``"H"`` (``"I"`` when h*m exceeds 2**16)
-and tokens in ``"Q"``, machine words rather than boxed ints.  Tokens are
-byte offsets, never negative, and CPython 3.11 builds a ``"Q"`` array from
-a list without the per-item parse it gives ``"q"``.  A holder keeps each
-batch whole under its first token, so a resent or rebuilt batch changes
-nothing, and a cell's size is a count over its batches.  A run hashes each
-distinct item once, and its memo of an item's cells refers to one shared
-int per cell id.
+and tokens, byte offsets, in ``"I"`` (``"Q"`` from 2**32 on, as
+``kmer.words`` builds them), machine words rather than boxed ints.  A
+holder keeps each batch whole under its first token, so a resent or
+rebuilt batch changes nothing, and a cell's size is a count over its
+batches.  A run hashes each distinct item once, and its memo of an item's
+cells refers to one shared int per cell id.
 
 - Design 1 (r = 1) partitions the columns, a slab per worker: a query
-  gathers cells from their holders, visible as gather events in the log.
+  gathers cells from their holders, visible as gather events in the log;
+  the log interns them, so equal gathers share one tuple.
 - Design 2 (r = n) replicates the full matrix on every worker: replicas
   converge by union of batch maps, and a query is a local read.  The
   simulated replicas share each batch's tuples, which real replicas,
@@ -39,7 +39,7 @@ from typing import Iterable
 
 from .hashing import hash64
 # corpus_stream is re-exported: the sketch tests and benchmark read it here.
-from .kmer import KmerIngestProgram, _run, corpus_stream
+from .kmer import KmerIngestProgram, _run, corpus_stream, words
 from .runtime import Simulation
 from .tables import IDK, Tristate, Value
 
@@ -165,8 +165,9 @@ class _CellProgram(KmerIngestProgram):
         """Each holder's payload from the chunk's k-mer and id columns: one
         ``(cells, tokens)`` batch per slab with cells, grouped in lists and
         stored as two typed arrays, the same object for each holder; a slab
-        with no cell gets nothing.  The cells array is packed, not built
-        from the list, which CPython 3.11 parses item by item for ``"H"``."""
+        with no cell gets nothing.  Tokens are :func:`kmer.words`, ``"I"``
+        below 2**32.  The cells array is packed, not built from the list,
+        which CPython 3.11 parses item by item for ``"H"``."""
         slab_of, get, cells = self._slab_of, self._cells.get, self.cells
         grouped = [([], []) for _ in self.slabs]
         for kmer, off in zip(kmers, ids):
@@ -177,7 +178,7 @@ class _CellProgram(KmerIngestProgram):
         out, code = {}, self._cell_code
         for held, (slab_cells, tokens) in zip(self.slabs, grouped):
             if slab_cells:
-                batch = array(code), array("Q", tokens)
+                batch = array(code), words(tokens)
                 batch[0].frombytes(struct.pack(f"{len(slab_cells)}{code}",
                                                *slab_cells))
                 out.update(dict.fromkeys(held, batch))
@@ -223,8 +224,9 @@ class SketchResult:
         holder is cut off.  A worker never registered raises
         :class:`UnknownWorkerError`; a joined or failed one reads."""
         self.sim._known(at_worker)
-        prog, log, net = self.program, self.sim.log, self.sim.net
+        prog, log = self.program, self.sim.log
         holders, counts = prog.holders, prog.counts
+        partitioned = self.sim.net.partitioned
         local = counts(at_worker) if at_worker in prog.batches else None
         sizes = []
         for c in prog.cells(item):
@@ -233,11 +235,11 @@ class SketchResult:
                 sizes.append(local[c])
                 continue
             for src in held:
-                if not net.partitioned(at_worker, src):
+                if not partitioned(at_worker, src):
                     break
             else:
                 return IDK
-            log("gather", src=at_worker, dst=src)
+            log("gather", at_worker, src)
             sizes.append(counts(src)[c])
         return Value(min(sizes))
 

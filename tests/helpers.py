@@ -4,8 +4,8 @@ tests, and a spy on the engines a call builds."""
 
 import dataclasses
 import random
-from array import array
 
+from calmsim.kmer import words
 from calmsim.lattice import (GSet, LMap, LMax, LWWSet, LWWTokenSet, MVSet,
                              ThresholdLSet, Timestamp, TwoPSet, VersionVector)
 from calmsim.tables import TickRuleEngine
@@ -74,9 +74,10 @@ LAW_TYPES = (GSet, TwoPSet, LWWSet, MVSet, LWWTokenSet, LMax, LMap)
 
 def kmer_batch(pairs) -> tuple:
     """The payload a k-mer ``route`` sends an owner for its ``(k-mer, id)``
-    pairs: the k-mers as a tuple and the ids as an ``array("Q")``."""
+    pairs: the k-mers as a tuple and the ids as ``kmer.words``, an
+    ``array("I")``, or ``"Q"`` once an id reaches 2**32."""
     kmers, ids = zip(*pairs)
-    return kmers, array("Q", ids)
+    return kmers, words(ids)
 
 
 def columns(pairs) -> tuple[list, list]:

@@ -76,6 +76,8 @@ def test_oracle_window_identity(small_corpus):
 def per_window_chunk_windows(data, chunk, k):
     """The per-window scan ``chunk_windows`` replaced: decodes and
     validates every window on its own."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     end = min(chunk.start + chunk.length, len(data))
     out = []
     for off in range(chunk.start, end):
@@ -99,9 +101,15 @@ def outcome(fn, *args):
 @given(data=st.binary(max_size=60).map(
            lambda b: bytes(b"ACGT\nX"[x % 6] for x in b)),
        k=st.integers(1, 6), start=st.integers(0, 62),
-       length=st.integers(0, 62))
-def test_chunk_windows_matches_per_window_scan(data, k, start, length):
-    chunk = Chunk(start, length, 0)
+       length=st.integers(0, 62), valid=st.booleans())
+@example(data=b"ACGTA\nXX\nACGTAXG", k=4, start=0, length=17, valid=False)
+@example(data=b"ACGTA", k=0, start=0, length=5, valid=True)
+def test_chunk_windows_matches_per_window_scan(data, k, start, length, valid):
+    # Half the corpora hold no invalid base and every chunk starts in the
+    # corpus, or few examples would hold a window.
+    if valid:
+        data = data.replace(b"X", b"A")
+    chunk = Chunk(start % (len(data) + 1), length, 0)
     assert (outcome(kmer.chunk_windows, data, chunk, k)
             == outcome(per_window_chunk_windows, data, chunk, k))
 

@@ -472,11 +472,32 @@ def test_batches_are_typed_arrays_in_the_narrowest_cell_code(cms_corpus, h,
             want.setdefault(prog.holders[c][0], []).append((c, off))
     assert sorted(batches) == sorted(want)
     for wid, (cells, tokens) in batches.items():
-        assert (cells.typecode, tokens.typecode) == (code, "Q")
+        assert (cells.typecode, tokens.typecode) == (code, "I")
         assert list(zip(cells, tokens)) == want[wid]
         assert cells == array(code, [c for c, _ in want[wid]])
     assert (max(c for pairs in want.values() for c, _ in pairs)
             >= 1 << 16) == (code == "I")
+
+
+@pytest.mark.parametrize("build", [
+    lambda corpus: kmer.ImplAProgram(corpus, 6, 3),
+    lambda corpus: sketch.Design1Program(corpus, 6, 3, params(), 1)],
+    ids=["impl_a", "count_min"])
+def test_ids_are_32_bit_words_until_one_reaches_2_to_the_32(cms_corpus,
+                                                            build):
+    prog = build(cms_corpus)
+    kmers, ids = columns(corpus_stream(cms_corpus, 6)[:40])
+    narrow = prog.route(kmers, ids)
+    # The largest id just below 2**32, then every id from 2**32 up, then
+    # the largest at 2**64 - 1.
+    for base, code in ((2**32 - 1 - max(ids), "I"), (2**32, "Q"),
+                       (2**64 - 1 - max(ids), "Q")):
+        batches = prog.route(kmers, [off + base for off in ids])
+        assert sorted(batches) == sorted(narrow)
+        for wid, (first, tokens) in batches.items():
+            assert first == narrow[wid][0]
+            assert tokens.typecode == code
+            assert list(tokens) == [off + base for off in narrow[wid][1]]
 
 
 def test_the_cells_memo_shares_one_int_per_cell(cms_corpus):
@@ -518,6 +539,31 @@ def test_designs_hold_at_most_110_bytes_per_window(run):
         tracemalloc.stop()
     assert res.converged()
     assert held <= 110 * windows
+
+
+def test_design1_answering_every_item_holds_at_most_95_bytes_per_window():
+    # A tuple per gather event would hold about 140 bytes a window once
+    # every item is answered; equal gathers sharing one tuple hold about 75.
+    corpus = repeat_rich_corpus(random.Random(1), 20_000)
+    p = choose_params(0.01, 0.01)
+    stream = corpus_stream(corpus, 8)
+    items = sorted({item for item, _ in stream})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = design1_run(corpus, 8, p, workers=4)
+        estimates = [res.estimate(item) for item in items]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    ref = sequential_sketch(stream, p)
+    assert estimates == [ref.query(item) for item in items]
+    assert held <= 95 * len(stream)
+    # One reader, worker 0, gathers from at most each holder.
+    gathers = [ev for ev in res.sim.events if ev[1] == "gather"]
+    assert len(gathers) > len(items)
+    assert len({id(ev) for ev in gathers}) <= 1 * len(res.program.slabs)
 
 
 def test_design2_replica_missing_a_batch_has_not_converged(cms_corpus):
