@@ -5,7 +5,8 @@ The input is tiled into chunks, each stamped with a token id derived from
 its digest and byte offset, so the same bytes always get the same tokens.
 Workers pull chunks as they finish work: fast workers simply call ``next``
 more often.  When a worker fails, its completed chunks stay completed and
-its uncompleted chunks return to the pending pool for survivors.
+its uncompleted chunks return to the pending pool for survivors, held back
+until a tick after the failure.
 """
 
 from __future__ import annotations
@@ -42,23 +43,25 @@ class WorkPool:
         self.pending: list[Chunk] = sorted(_tile(data, chunk_len))
         self.assigned: dict[int, set[Chunk]] = {}
         self.completed: set[Chunk] = set()
+        self.lost_at: dict[Chunk, int] = {}  # chunk -> tick it was last lost
 
     def add_worker(self, wid: int) -> None:
         self.assigned.setdefault(wid, set())
 
-    def next(self, wid: int) -> Chunk | None:
-        """Assign the next pending chunk, or None when the pool is drained.
+    def next(self, wid: int, now: int) -> Chunk | None:
+        """Assign the first pending chunk not lost at tick ``now`` or later,
+        or None when there is none.
 
         Chunks still assigned elsewhere may be in flight even when pending is
         empty; ``done`` tells the two apart.
         """
         if wid not in self.assigned:
             raise UnknownWorkerError(f"worker {wid} not registered with the pool")
-        if not self.pending:
-            return None
-        chunk = self.pending.pop(0)
-        self.assigned[wid].add(chunk)
-        return chunk
+        for i, chunk in enumerate(self.pending):
+            if self.lost_at.get(chunk, -1) < now:
+                self.assigned[wid].add(self.pending.pop(i))
+                return chunk
+        return None
 
     def complete(self, wid: int, chunk: Chunk) -> None:
         if wid not in self.assigned:
@@ -68,14 +71,16 @@ class WorkPool:
         self.assigned[wid].discard(chunk)
         self.completed.add(chunk)
 
-    def fail(self, wid: int) -> list[Chunk]:
-        """Return the failed worker's uncompleted chunks to the pool.
+    def fail(self, wid: int, now: int) -> list[Chunk]:
+        """Return the failed worker's uncompleted chunks to the pool, for
+        ``next`` to hand out from the tick after ``now``.
 
         Completed chunks are never reassigned.
         """
         if wid not in self.assigned:
             raise UnknownWorkerError(f"worker {wid} not registered with the pool")
         lost = sorted(self.assigned.pop(wid))
+        self.lost_at.update(dict.fromkeys(lost, now))
         self.pending = sorted(self.pending + lost)
         return lost
 

@@ -147,11 +147,11 @@ def corpus_stream(corpus, k: int) -> list[tuple[str, int]]:
 class KmerIngestProgram(Program):
     """Chunk-pool ingestion shared by all k-mer variants.
 
-    A worker alternates between taking a chunk and processing it, so an
-    injected failure between the two leaves an uncompleted chunk for the
-    pool to reassign.  Processing scans the chunk into its k-mer and id
-    columns, and ``route`` builds from them a payload, the delta it merges,
-    for each worker the windows reach and no other.  The worker's own
+    A worker's step processes the chunk it holds, if any, then takes the
+    next, so a failure before its next step leaves a chunk for the pool to
+    reassign from the tick after.  Processing scans the chunk into its k-mer
+    and id columns, and ``route`` builds from them a payload, the delta it
+    merges, for each worker the windows reach and no other.  The worker's own
     payload goes to ``absorb`` at once; one envelope per other payload,
     stamped with the chunk's token id, carries it as built, and every
     delivery hands it to ``absorb``.  Delivery only merges and never sends.
@@ -197,20 +197,20 @@ class KmerIngestProgram(Program):
                 for wid, (owned, offs) in enumerate(groups) if owned}
 
     def worker_step(self, sim: Simulation, wid: int) -> None:
-        if not self.pool.assigned.get(wid):
-            chunk = self.pool.next(wid)
-            if chunk is not None:
-                sim.log("assign", dst=wid, token_id=chunk.token_id)
-            return
-        (chunk,) = self.pool.assigned[wid]  # one chunk at a time
-        payloads = self.route(*chunk_columns(self.data, chunk, self.k))
-        for owner in sorted(payloads):
-            if owner == wid:  # a worker's own batch skips the network
-                self.absorb(wid, payloads[owner])
-            else:
-                sim.send(wid, owner, payloads[owner], token_id=chunk.token_id)
-        self.pool.complete(wid, chunk)
-        sim.log("complete", dst=wid, token_id=chunk.token_id)
+        if self.pool.assigned.get(wid):
+            (chunk,) = self.pool.assigned[wid]  # one chunk at a time
+            payloads = self.route(*chunk_columns(self.data, chunk, self.k))
+            for owner in sorted(payloads):
+                if owner == wid:  # a worker's own batch skips the network
+                    self.absorb(wid, payloads[owner])
+                else:
+                    sim.send(wid, owner, payloads[owner],
+                             token_id=chunk.token_id)
+            self.pool.complete(wid, chunk)
+            sim.log("complete", dst=wid, token_id=chunk.token_id)
+        chunk = self.pool.next(wid, sim.now)
+        if chunk is not None:
+            sim.log("assign", dst=wid, token_id=chunk.token_id)
 
     def on_deliver(self, sim: Simulation, env: Envelope) -> None:
         self.absorb(env.dst, env.payload)
@@ -231,7 +231,7 @@ class KmerIngestProgram(Program):
 
     def handle_fail(self, sim: Simulation, wid: int) -> None:
         sim.fail_worker(wid)
-        self.pool.fail(wid)
+        self.pool.fail(wid, sim.now)
 
     def handle_join(self, sim: Simulation) -> int:
         wid = sim.register_worker()
@@ -363,8 +363,9 @@ def check_faults(workers, failures, joins, partitions) -> None:
 
 
 def _run(program: KmerIngestProgram, schedule: DeliverySchedule | None = None,
-         failures=(), joins=(), partitions=()):
-    """``(sim, program)`` quiescent under ``schedule`` and the faults;
+         failures=(), joins=(), partitions=(), choices=None):
+    """``(sim, program)`` quiescent under ``schedule`` and the faults, with
+    fates from ``choices`` if given (a :class:`runtime.KeyedChoices` else);
     :func:`check_faults` runs first, so a bad schedule logs nothing."""
     failures, joins, partitions = list(failures), list(joins), list(partitions)
     check_faults(len(program.workers), failures, joins, partitions)
@@ -376,7 +377,7 @@ def _run(program: KmerIngestProgram, schedule: DeliverySchedule | None = None,
             ((t, lambda sim, prog, p=p: sim.set_partition(p))
              for t, p in partitions)):
         events.setdefault(tick, []).append(action)
-    sim = Simulation(schedule)
+    sim = Simulation(schedule, choices)
     run_to_quiescence(sim, program, events)
     return sim, program
 

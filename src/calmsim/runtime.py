@@ -3,9 +3,10 @@
 Workers communicate through channels with at-least-once delivery: a seeded
 schedule may reorder envelopes within a window, duplicate them, or drop them
 (dropped envelopes are re-sent with exponential backoff, so every envelope is
-eventually delivered at least once).  All randomness flows from a single
-seed; identical (program, input, seed, config) yields a byte-identical event
-log.
+eventually delivered at least once).  Each enqueue's fate comes from one
+keyed hash of the message (link, token, how many such sends came before,
+attempt and copy), so a send added elsewhere moves no other message's fate;
+identical (program, input, seed, config) yields a byte-identical event log.
 
 State already merged into a shard survives worker failure: failure means the
 worker leaves the work pool and stops taking steps, not that its converged
@@ -17,11 +18,13 @@ from __future__ import annotations
 
 import heapq
 import random
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import DivergenceError, UnknownWorkerError
+from .hashing import hash64
 # Kept only because bench/workloads.py imports the engine from here and
 # bench/tracer.py patches it here; the rule layer lives in tables.
 from .tables import TickRuleEngine  # noqa: F401
@@ -54,7 +57,7 @@ class Envelope:
 
     ``token_id`` identifies the data; ``use_id`` identifies this particular
     use of it, so re-reads after a failure are distinguishable from network
-    duplicates.
+    duplicates; ``n`` counts the earlier sends of ``token_id`` on its link.
     """
 
     token_id: int
@@ -62,6 +65,24 @@ class Envelope:
     src: int
     dst: int
     payload: Any
+    n: int = 0
+
+
+class KeyedChoices:
+    """A choice source's ``fate`` gives an enqueue's ``(delay, dropped,
+    dup)``, ``dup`` read on a send's first enqueue only.  This default one
+    hashes the message key once under the schedule's seed."""
+
+    def __init__(self, schedule: DeliverySchedule):
+        self.schedule = schedule
+
+    def fate(self, env: Envelope, attempts: int, copy: int) -> tuple:
+        s = self.schedule
+        h = hash64(struct.pack("<6Q", env.src, env.dst, env.token_id, env.n,
+                               attempts, copy), s.seed)
+        return ((h % 2**21) * (s.reorder_window + 1) >> 21,
+                ((h >> 21) % 2**21) / 2**21 < s.drop_prob,
+                (h >> 43) / 2**21 < s.duplicate_prob)  # the top 21 bits
 
 
 class NetworkCondition:
@@ -93,15 +114,18 @@ class Simulation:
     instead (e.g. one per seed).
     """
 
-    def __init__(self, schedule: DeliverySchedule | None = None):
+    def __init__(self, schedule: DeliverySchedule | None = None,
+                 choices=None):
         self.schedule = schedule or DeliverySchedule()
-        self.rng = random.Random(self.schedule.seed)
+        self.rng = random.Random(self.schedule.seed)  # ids only
+        self.choices = choices or KeyedChoices(self.schedule)
+        self._sent: Counter = Counter()  # (src, dst, token_id) -> sends
         self.now = 0
         self.net = NetworkCondition()
         self.workers: dict[int, bool] = {}  # worker id -> alive
         self.events: list[tuple] = []
         self._units: dict[tuple, tuple] = {}  # unit event -> itself
-        # heapq of (due, seq, env, attempts, dropped); seq is unique
+        # heapq of (due, seq, env, attempts, dropped, copy); seq is unique
         self.in_flight: list[tuple] = []
         self.held: list[Envelope] = []
         self._seq = 0
@@ -162,11 +186,11 @@ class Simulation:
 
     def send(self, src: int, dst: int, payload,
              token_id: int | None = None) -> Envelope:
-        env = Envelope(
-            token_id=self.fresh_id() if token_id is None else token_id,
-            use_id=self.fresh_id(),
-            src=src, dst=dst, payload=payload,
-        )
+        token_id = self.fresh_id() if token_id is None else token_id
+        n = self._sent[src, dst, token_id]
+        self._sent[src, dst, token_id] = n + 1
+        env = Envelope(token_id=token_id, use_id=self.fresh_id(),
+                       src=src, dst=dst, payload=payload, n=n)
         self.log("send", src=src, dst=dst, token_id=env.token_id,
                  use_id=env.use_id)
         if self.net.partitioned(src, dst):
@@ -175,30 +199,32 @@ class Simulation:
             self.log("hold", src=src, dst=dst, token_id=env.token_id,
                      use_id=env.use_id)
             return env
-        self._enqueue(env, attempts=0)
-        if self.rng.random() < self.schedule.duplicate_prob:
+        if self._enqueue(env, attempts=0):
             self.log("dup", src=src, dst=dst, token_id=env.token_id,
                      use_id=env.use_id)
-            self._enqueue(env, attempts=0)
+            self._enqueue(env, attempts=0, copy=1)
         return env
 
-    def _enqueue(self, env: Envelope, attempts: int) -> None:
+    def _enqueue(self, env: Envelope, attempts: int, copy: int = 0) -> bool:
+        """Queue ``env`` with its fate; True when a first send duplicates."""
+        delay, dropped, dup = self.choices.fate(env, attempts, copy)
         backoff = 0 if attempts == 0 else min(2 ** attempts, _BACKOFF_CAP)
-        due = self.now + 1 + backoff + self.rng.randint(0, self.schedule.reorder_window)
-        dropped = self.rng.random() < self.schedule.drop_prob
+        due = self.now + 1 + backoff + delay
         self._seq += 1
-        heapq.heappush(self.in_flight, (due, self._seq, env, attempts, dropped))
+        heapq.heappush(self.in_flight,
+                       (due, self._seq, env, attempts, dropped, copy))
+        return dup and attempts == copy == 0
 
     def deliver_due(self) -> list[Envelope]:
         """Deliver every envelope due by now in ``(due, seq)`` order.  A
         dropped one is re-sent with ``due > now``, so not in this call."""
         delivered = []
         while self.in_flight and self.in_flight[0][0] <= self.now:
-            _, _, env, attempts, dropped = heapq.heappop(self.in_flight)
+            _, _, env, attempts, dropped, copy = heapq.heappop(self.in_flight)
             self.log("drop" if dropped else "deliver", src=env.src,
                      dst=env.dst, token_id=env.token_id, use_id=env.use_id)
             if dropped:
-                self._enqueue(env, attempts + 1)
+                self._enqueue(env, attempts + 1, copy)
             else:
                 delivered.append(env)
         return delivered

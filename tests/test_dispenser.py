@@ -37,8 +37,8 @@ def test_token_ids_distinct_and_reproducible():
 def test_next_assigns_and_exhausts():
     pool = make_pool(300, 100)
     pool.add_worker(0)
-    chunks = [pool.next(0) for _ in range(3)]
-    assert all(chunks) and pool.next(0) is None
+    chunks = [pool.next(0, 1) for _ in range(3)]
+    assert all(chunks) and pool.next(0, 1) is None
     assert not pool.pending and not pool.done
     for c in chunks:
         pool.complete(0, c)
@@ -48,16 +48,16 @@ def test_next_assigns_and_exhausts():
 def test_unknown_worker():
     pool = make_pool()
     with pytest.raises(UnknownWorkerError):
-        pool.next(5)
+        pool.next(5, 1)
     with pytest.raises(UnknownWorkerError):
-        pool.fail(5)
+        pool.fail(5, 1)
 
 
 def test_completing_unassigned_chunk_rejected():
     pool = make_pool(200, 100)
     pool.add_worker(0)
     pool.add_worker(1)
-    chunk = pool.next(0)
+    chunk = pool.next(0, 1)
     with pytest.raises(ValueError):
         pool.complete(1, chunk)
 
@@ -66,14 +66,14 @@ def test_fail_returns_uncompleted_work():
     pool = make_pool(600, 100)
     pool.add_worker(0)
     pool.add_worker(1)
-    done = pool.next(0)
+    done = pool.next(0, 1)
     pool.complete(0, done)
-    held = [pool.next(0) for _ in range(3)]
-    lost = pool.fail(0)
+    held = [pool.next(0, 1) for _ in range(3)]
+    lost = pool.fail(0, 2)
     assert sorted(lost) == sorted(held)
     assert done in pool.completed and done not in pool.pending
     # Survivor finishes the whole file.
-    while (c := pool.next(1)) is not None:
+    while (c := pool.next(1, 3)) is not None:
         pool.complete(1, c)
     assert pool.done
     spans = sorted((c.start, c.length) for c in pool.completed)
@@ -81,12 +81,24 @@ def test_fail_returns_uncompleted_work():
     assert sum(length for _, length in spans) == 600
 
 
+def test_a_lost_chunk_is_handed_out_from_the_tick_after_its_loss():
+    pool = make_pool(300, 100)
+    pool.add_worker(0)
+    pool.add_worker(1)
+    lost, _ = pool.next(0, 1), pool.next(1, 1)
+    assert pool.fail(0, 4) == [lost]
+    last = pool.next(1, 4)  # the loss tick skips the lost chunk
+    assert last.start == 200
+    assert pool.next(1, 4) is None and not pool.done  # held back, counted
+    assert pool.next(1, 5) == lost
+
+
 def test_fail_with_no_assignments():
     pool = make_pool(200, 100)
     pool.add_worker(0)
-    assert pool.fail(0) == []
+    assert pool.fail(0, 1) == []
     with pytest.raises(UnknownWorkerError):
-        pool.next(0)  # worker removed
+        pool.next(0, 2)  # worker removed
 
 
 def test_faster_worker_gets_proportional_share():
@@ -97,7 +109,7 @@ def test_faster_worker_gets_proportional_share():
     while pool.pending:
         # Worker 0 requests twice per round, worker 1 once.
         for wid in (0, 0, 1):
-            c = pool.next(wid)
+            c = pool.next(wid, 1)
             if c:
                 pool.complete(wid, c)
                 shares[wid] += 1
@@ -107,11 +119,11 @@ def test_faster_worker_gets_proportional_share():
 def test_midrun_joiner_gets_only_pending_chunks():
     pool = make_pool(800, 100)
     pool.add_worker(0)
-    finished = [pool.next(0) for _ in range(4)]
+    finished = [pool.next(0, 1) for _ in range(4)]
     for c in finished:
         pool.complete(0, c)
     pool.add_worker(1)
     seen = []
-    while (c := pool.next(1)) is not None:
+    while (c := pool.next(1, 2)) is not None:
         seen.append(c)
     assert not (set(seen) & set(finished))

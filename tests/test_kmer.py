@@ -97,16 +97,27 @@ def outcome(fn, *args):
         return str(exc)
 
 
+# One to six lines, each of a length drawn from 0 to 12, X an invalid base
+# in about one byte of 33.  With k at most 3 in about half the examples and
+# chunks of at least one byte (an empty one, which holds no window, is an
+# @example), about two examples in three hold a window; bytes drawn with
+# newlines among them, k from 1 to 6 and lengths from 0 held one in three.
+LINE = st.integers(0, 12).flatmap(lambda n: st.binary(min_size=n, max_size=n))
+CORPORA = st.lists(LINE.map(
+    lambda b: bytes((b"ACGT" * 8 + b"X")[x % 33] for x in b)),
+    min_size=1, max_size=6).map(b"\n".join)
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.binary(max_size=60).map(
-           lambda b: bytes(b"ACGT\nX"[x % 6] for x in b)),
-       k=st.integers(1, 6), start=st.integers(0, 62),
-       length=st.integers(0, 62), valid=st.booleans())
+@given(data=CORPORA, k=st.integers(1, 3) | st.integers(1, 6),
+       start=st.integers(0, 62), length=st.integers(1, 62),
+       valid=st.booleans())
 @example(data=b"ACGTA\nXX\nACGTAXG", k=4, start=0, length=17, valid=False)
 @example(data=b"ACGTA", k=0, start=0, length=5, valid=True)
+@example(data=b"ACGTA", k=2, start=1, length=0, valid=True)
 def test_chunk_windows_matches_per_window_scan(data, k, start, length, valid):
     # Half the corpora hold no invalid base and every chunk starts in the
-    # corpus, or few examples would hold a window.
+    # corpus, or few examples would hold a window (see CORPORA).
     if valid:
         data = data.replace(b"X", b"A")
     chunk = Chunk(start % (len(data) + 1), length, 0)
@@ -119,12 +130,12 @@ def transposed_chunk_windows(data, chunk, k):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.binary(max_size=60).map(
-           lambda b: bytes(b"ACGT\nX"[x % 6] for x in b)),
-       k=st.integers(1, 6), start=st.integers(0, 62),
-       length=st.integers(0, 62), valid=st.booleans())
+@given(data=CORPORA, k=st.integers(1, 3) | st.integers(1, 6),
+       start=st.integers(0, 62), length=st.integers(1, 62),
+       valid=st.booleans())
 @example(data=b"ACGTA\nXX\nACGTAXG", k=4, start=0, length=17, valid=False)
 @example(data=b"ACGTA", k=0, start=0, length=5, valid=True)
+@example(data=b"ACGTA", k=2, start=1, length=0, valid=True)
 def test_chunk_columns_are_chunk_windows_transposed(data, k, start, length,
                                                     valid):
     # The same columns, or the same ValueError: a k below 1, or an invalid
@@ -199,6 +210,21 @@ def test_impl_a_adversarial_with_failure(small_corpus):
         res = kmer.impl_a_run(small_corpus, 4, 4, schedule=adversarial(seed),
                               failures=[(4, 1)])
         assert res.histogram == truth
+
+
+def test_impl_a_worker_takes_its_next_chunk_in_the_completing_step(
+        small_corpus):
+    res = kmer.impl_a_run(small_corpus, 4, 3, chunk_len=64)
+    events, chunks = res.sim.events, len(res.program.pool.completed)
+    assert chunks > 6
+    assigned = pipelined = 0
+    for i, (tick, kind, _, wid, _, _) in enumerate(events):
+        if kind == "assign":
+            assigned += 1
+        elif kind == "complete" and assigned < chunks:  # some still pending
+            assert events[i + 1][:4] == (tick, "assign", None, wid)
+            pipelined += 1
+    assert assigned == chunks and pipelined == chunks - 3
 
 
 def test_impl_a_partition_disjointness(small_corpus):

@@ -78,7 +78,8 @@ def test_unknown_worker_rejected():
 
 @pytest.mark.parametrize("window", [1.5, 2.0, "2"])
 def test_a_non_integer_reorder_window_is_rejected_at_construction(window):
-    # Accepted, it would fail only at the run's first send, in randrange.
+    # Accepted, it would fail only at the run's first send, in the keyed
+    # delay's arithmetic.
     with pytest.raises(ValueError, match="reorder_window must be an int"):
         DeliverySchedule(reorder_window=window)
 
@@ -127,12 +128,23 @@ def test_new_partition_keeps_an_envelope_its_cut_still_separates():
     assert not sim.held and [e[2] for e in sim.in_flight] == [env]
 
 
+class Scripted:
+    """A choice source that gives ``fates`` in turn and records each call."""
+
+    def __init__(self, *fates):
+        self.fates, self.calls = iter(fates), []
+
+    def fate(self, env, attempts, copy):
+        self.calls.append((env.payload, attempts, copy))
+        return next(self.fates)
+
+
 def test_deliver_due_orders_by_due_and_resends_a_drop_later():
-    sim = Simulation(DeliverySchedule(drop_prob=0.5))
-    # Scripted drop and duplicate draws: two per send, then the resend's
-    # drop draw.  Ids and delays still come from the seeded generator.
-    draws = iter([0.9, 0.9, 0.9, 0.9, 0.1, 0.9, 0.9])
-    sim.rng.random = lambda: next(draws)
+    # Scripted fates, ``(delay, dropped, dup)``: one per send, then the
+    # resend's.  Ids still come from the seeded generator.
+    keep, drop = (0, False, False), (0, True, False)
+    choices = Scripted(keep, keep, drop, keep)
+    sim = Simulation(DeliverySchedule(drop_prob=0.5), choices)
     sim.now = 4
     late = sim.send(0, 1, "late")  # due 5
     sim.now = 0
@@ -146,6 +158,70 @@ def test_deliver_due_orders_by_due_and_resends_a_drop_later():
     assert [entry[2] for entry in sim.in_flight] == [lost]
     sim.now = 8  # resent with a backoff of 2
     assert sim.deliver_due() == [lost] and not sim.in_flight
+    assert choices.calls == [("late", 0, 0), ("early", 0, 0), ("lost", 0, 0),
+                             ("lost", 1, 0)]
+
+
+def test_a_duplicate_is_a_second_copy_and_a_resend_keeps_its_copy():
+    choices = Scripted((0, False, True), (1, True, True), (0, False, True))
+    sim = Simulation(choices=choices)
+    sim.now = 3
+    env = sim.send(0, 1, "x")  # due 4; a copy's or a resend's dup is unread
+    assert [(e[0], e[4], e[5]) for e in sorted(sim.in_flight)] == [
+        (4, False, 0), (5, True, 1)]
+    sim.now = 5
+    assert sim.deliver_due() == [env]
+    assert [(e[0], e[3], e[5]) for e in sim.in_flight] == [(8, 1, 1)]
+    assert choices.calls == [("x", 0, 0), ("x", 0, 1), ("x", 1, 1)]
+    assert [ev[1] for ev in sim.events] == ["send", "dup", "deliver", "drop"]
+
+
+FATEFUL = DeliverySchedule(seed=4, duplicate_prob=0.5, reorder_window=7,
+                           drop_prob=0.5)
+
+
+def fates(sim, env):
+    """``env``'s entries in flight as ``(delay, dropped, copy)``."""
+    return sorted((due - sim.now - 1, dropped, copy)
+                  for due, _, e, _, dropped, copy in sim.in_flight if e is env)
+
+
+def test_an_unrelated_send_moves_no_fate_of_a_message():
+    def fate_of(token, unrelated):
+        sim = Simulation(FATEFUL)
+        for src, dst, other in unrelated:
+            sim.send(src, dst, "other", token_id=other)
+        return fates(sim, sim.send(0, 1, "m", token_id=token))
+
+    # Sends of a token on other links, and of other tokens on its link.
+    earlier = [(0, 2, 7), (1, 0, 7), (0, 1, 100), (0, 1, 101)]
+    seen = [fate_of(token, ()) for token in range(20)]
+    assert seen == [fate_of(token, earlier) for token in range(20)]
+    assert len({repr(f) for f in seen}) > 5  # the fates do vary
+
+
+def test_two_sends_of_one_token_on_one_link_are_keyed_apart():
+    sim = Simulation(FATEFUL)
+    pairs = [(sim.send(0, 1, "a", token_id=t), sim.send(0, 1, "b", token_id=t))
+             for t in range(20)]
+    assert {(a.n, b.n) for a, b in pairs} == {(0, 1)}
+    assert any(fates(sim, a) != fates(sim, b) for a, b in pairs)
+    assert sim.send(1, 0, "c", token_id=0).n == 0  # another link
+
+
+def test_keyed_fates_meet_the_schedule_probabilities():
+    sim = Simulation(DeliverySchedule(seed=2, duplicate_prob=1.0))
+    for token in range(50):
+        sim.send(0, 1, None, token_id=token)
+    assert sum(ev[1] == "dup" for ev in sim.events) == 50
+    sim = Simulation(DeliverySchedule(seed=2, duplicate_prob=0.3,
+                                      reorder_window=3, drop_prob=0.3))
+    for token in range(2000):
+        sim.send(0, 1, None, token_id=token)
+    dups = sum(ev[1] == "dup" for ev in sim.events)
+    drops = sum(entry[4] for entry in sim.in_flight)
+    delays = {entry[0] - 1 for entry in sim.in_flight}
+    assert 500 < dups < 700 and 650 < drops < 900 and delays == {0, 1, 2, 3}
 
 
 def test_empty_program_quiescent_at_tick_zero():

@@ -1,22 +1,22 @@
 """Every delivery schedule of a small run, up to a bound, not a sample.
 
-A schedule is the sequence of draws a ``Simulation`` makes: duplicate a
-send or not, how far to delay an envelope, drop it or not.  ``Choices``
-stands in for ``sim.rng``.  It replays a prefix of choice indices and then
-takes each draw's default: deliver at once, no duplicate, no drop.
-``schedules`` walks, depth first, every prefix with at most ``BOUND``
-non-default choices (a delay-bounded search), so each program below is
-checked against its oracle under every such schedule.  Faults are not
-explored: ``kmer._run`` builds their harness events and its own
-``Simulation``, so a run under this search has none.
+A schedule is the sequence of choices a ``Simulation`` asks its choice
+source for: per enqueue, how far to delay the envelope and whether to drop
+it, and on a send's first enqueue whether to duplicate it.  ``Choices`` is
+such a source, passed to ``kmer._run``.  It replays a prefix of choice
+indices and then takes each choice's default: deliver at once, no drop, no
+duplicate.  ``schedules`` walks, depth first, every prefix with at most
+``BOUND`` non-default choices (a delay-bounded search), so each program
+below is checked against its oracle under every such schedule, with no
+fault or with the faults given.
 """
 
 from itertools import product
 
 import pytest
 
-from calmsim.kmer import ImplAProgram, ImplBProgram, oracle_count
-from calmsim.runtime import DeliverySchedule, Simulation, run_to_quiescence
+from calmsim.kmer import ImplAProgram, ImplBProgram, _run, oracle_count
+from calmsim.runtime import DeliverySchedule
 from calmsim.sketch import (CmsParams, Design1Program, Design2Program,
                             SketchResult, corpus_stream, row_seeds,
                             sequential_sketch)
@@ -27,50 +27,44 @@ from calmsim.sketch import (CmsParams, Design1Program, Design2Program,
 # count depends on which batch arrives first.
 CORPUS, K, WORKERS, CHUNK_LEN = "AAAAACGTCGTACGT\nAAAACGTCGTACG\n", 4, 2, 8
 BOUND = 2
-# Both probabilities above 0, so the non-default answer of either draw
-# takes effect; a reorder window of 2 gives each delay three choices.
+# Both probabilities above 0, as the keyed default would otherwise never
+# duplicate or drop; a reorder window of 2 gives each delay three answers.
 SCHEDULE = DeliverySchedule(duplicate_prob=0.5, reorder_window=2,
                             drop_prob=0.5)
 ITEMS = sorted(oracle_count(CORPUS, K))
 
 
 class Choices:
-    """``sim.rng`` for one schedule: draw i takes ``prefix[i]``, or the
-    default 0 past the prefix; ``arities`` records each draw's choices."""
+    """A choice source for one schedule: choice i takes ``prefix[i]``, or
+    the default 0 past the prefix; ``arities`` records each choice's
+    number of answers."""
 
     def __init__(self, prefix: tuple):
-        self.prefix, self.arities, self.ids = prefix, [], 0
+        self.prefix, self.arities = prefix, []
 
     def _choose(self, arity: int) -> int:
         i = len(self.arities)
         self.arities.append(arity)
         return self.prefix[i] if i < len(self.prefix) else 0
 
-    def random(self) -> float:
-        # Choice 0 is "no": no probability exceeds 1.0, and both exceed 0.
-        return (1.0, 0.0)[self._choose(2)]
-
-    def randint(self, a: int, b: int) -> int:
-        return a + self._choose(b - a + 1)
-
-    def getrandbits(self, bits: int) -> int:
-        """Ids are not choices: count them, so each is fresh."""
-        self.ids += 1
-        return self.ids
+    def fate(self, env, attempts: int, copy: int) -> tuple:
+        delay = self._choose(SCHEDULE.reorder_window + 1)
+        dropped = bool(self._choose(2))
+        return delay, dropped, attempts == copy == 0 and bool(self._choose(2))
 
 
-def schedules(build, bound: int = BOUND):
+def schedules(build, bound: int = BOUND, **faults):
     """``(prefix, sim, program)`` for ``build()`` run to quiescence under
-    every schedule with at most ``bound`` non-default choices."""
+    the faults and every schedule with at most ``bound`` non-default
+    choices."""
     stack = [()]
     while stack:
         prefix = stack.pop()
-        sim, program = Simulation(SCHEDULE), build()
-        sim.rng = choices = Choices(prefix)
-        run_to_quiescence(sim, program)
+        choices = Choices(prefix)
+        sim, program = _run(build(), SCHEDULE, choices=choices, **faults)
         yield prefix, sim, program
         if sum(map(bool, prefix)) < bound:
-            # Deviate once more, at a draw the prefix left at its default.
+            # Deviate once more, at a choice the prefix left at its default.
             for i in range(len(prefix), len(choices.arities)):
                 zeros = (0,) * (i - len(prefix))
                 stack.extend(prefix + zeros + (alt,)
@@ -87,6 +81,25 @@ def test_implementation_a_matches_the_oracle_on_every_schedule():
     for prefix, _, prog in schedules(
             lambda: ImplAProgram(CORPUS, K, WORKERS, CHUNK_LEN)):
         assert prog.histogram() == truth, prefix
+        runs += 1
+    assert runs > 100
+
+
+def test_implementation_a_reissues_a_lost_chunk_on_every_schedule():
+    # Worker 1 takes its first chunk at tick 1 and would complete it at
+    # tick 2, so failing it at the start of tick 2 always loses that chunk.
+    truth, runs, fail_tick = oracle_count(CORPUS, K), 0, 2
+    for prefix, sim, prog in schedules(
+            lambda: ImplAProgram(CORPUS, K, WORKERS, CHUNK_LEN),
+            failures=[(fail_tick, 1)]):
+        assert prog.histogram() == truth, prefix
+        lost = {token for _, kind, _, dst, token, _ in sim.events
+                if kind == "assign" and dst == 1}
+        lost -= {token for _, kind, _, dst, token, _ in sim.events
+                 if kind == "complete" and dst == 1}
+        reissued = {token for tick, kind, _, dst, token, _ in sim.events
+                    if kind == "assign" and dst == 0 and tick > fail_tick}
+        assert lost and lost <= reissued, prefix
         runs += 1
     assert runs > 100
 
