@@ -2,7 +2,8 @@
 recovery.
 
 The input is tiled into chunks, each stamped with a token id derived from
-its digest and byte offset, so the same bytes always get the same tokens.
+its byte offset alone, so a re-read chunk keeps its token, and delivery
+fates keyed by tokens do not change with the input's content.
 Workers pull chunks as they finish work: fast workers simply call ``next``
 more often.  When a worker fails, its completed chunks stay completed and
 its uncompleted chunks return to the pending pool for survivors, held back
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnknownWorkerError
-from .hashing import digest16, hash64
+from .hashing import hash64
 
 
 @dataclass(frozen=True, order=True)
@@ -27,11 +28,10 @@ class Chunk:
 def _tile(data: bytes, chunk_len: int) -> list[Chunk]:
     if chunk_len <= 0:
         raise ValueError("chunk_len must be positive")
-    digest = digest16(data)
     chunks = []
     for start in range(0, len(data), chunk_len):
         length = min(chunk_len, len(data) - start)
-        token = hash64(digest + start.to_bytes(8, "little"))
+        token = hash64(start.to_bytes(8, "little"))
         chunks.append(Chunk(start, length, token))
     return chunks
 

@@ -28,7 +28,3 @@ def hash64(data: bytes | str, seed: int = 0) -> int:
     h.update(data)
     return _UINT64(h.digest())[0]
 
-
-def digest16(data: bytes) -> bytes:
-    """Short content digest used to anchor chunk token identities."""
-    return hashlib.blake2b(data, digest_size=16).digest()

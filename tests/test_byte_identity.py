@@ -6,9 +6,9 @@ digest of ``threshold_rule_run``.
 One small corpus and one fault schedule (duplication, reordering, loss, a
 worker failure, a join and a partition that heals) fix every simulated
 run; the tick-rule run reads a repeat-rich corpus of its own.  Only
-keyed blake2b (each envelope's delay, drop and duplicate, chunk tokens,
-sketch rows), ``random.Random`` (ids) and crc32 (k-mer owner placement)
-feed the digests.  They were computed and checked on one CPython build
+keyed blake2b (each envelope's delay, drop and duplicate, chunk tokens
+from byte offsets, sketch rows), ``random.Random`` (ids) and crc32 (k-mer
+owner placement) feed the digests.  They were computed and checked on one CPython build
 only; a refactor that keeps behaviour keeps them.
 
 The ingesting worker absorbs its own batch of a chunk and sends one
@@ -75,11 +75,11 @@ RUNS = {
 }
 
 PINNED = {
-    "impl_a_run": ("23e43d140dc1d820", "34fe9c9879d96016"),
-    "impl_b_run": ("23e43d140dc1d820", "d181afb9057c37a7"),
-    "table_kmer_run": ("3f8853e210d9cfcb", "34fe9c9879d96016"),
-    "design1_run": ("568d514c032af148", "6b819185609a1cbc"),
-    "design2_run": ("23e43d140dc1d820", "77b1ac23712d32db"),
+    "impl_a_run": ("b853ce7574d55582", "34fe9c9879d96016"),
+    "impl_b_run": ("b853ce7574d55582", "65dd1646130c8ce0"),
+    "table_kmer_run": ("683a93389277f4ad", "34fe9c9879d96016"),
+    "design1_run": ("a97037585c9990e5", "6b819185609a1cbc"),
+    "design2_run": ("b853ce7574d55582", "77b1ac23712d32db"),
 }
 
 
@@ -113,7 +113,7 @@ def test_impl_a_histogram_key_order_is_pinned(runner):
     # as it is built), so the order holds under every hash seed;
     # table_kmer_run returns implementation A's histogram.
     res = getattr(kmer, runner)(CORPUS, 5, 3, **FAULTS)
-    assert _digest(repr(list(res.histogram))) == "5c6792073cc4dd68"
+    assert _digest(repr(list(res.histogram))) == "3008014920fa167f"
 
 
 def _repeat_rich_corpus(rng: random.Random) -> str:

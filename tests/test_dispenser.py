@@ -34,6 +34,15 @@ def test_token_ids_distinct_and_reproducible():
     assert len(set(tokens1)) == len(tokens1)
 
 
+def test_token_ids_follow_offsets_not_content():
+    # Delivery fates are keyed by token, so equal tilings of different
+    # inputs must get equal tokens for a run's schedule to be the input's
+    # shape alone.
+    a = [c.token_id for c in WorkPool(b"A" * 300, 64).pending]
+    b = [c.token_id for c in WorkPool(bytes(range(150)) * 2, 64).pending]
+    assert a == b
+
+
 def test_next_assigns_and_exhausts():
     pool = make_pool(300, 100)
     pool.add_worker(0)

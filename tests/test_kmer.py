@@ -13,6 +13,7 @@ from calmsim.runtime import DeliverySchedule, Simulation
 from calmsim.tables import (DNE, Rule, TickRuleEngine, Value, hash_owners,
                             lookup, plan_query)
 
+from conftest import make_corpus
 from helpers import EngineSpy, columns, kmer_batch
 
 THRESH_CORPUS = ("AAAA\n" + "CCCC\n" * 2 + "GGGG\n" * 3
@@ -210,6 +211,19 @@ def test_impl_a_adversarial_with_failure(small_corpus):
         res = kmer.impl_a_run(small_corpus, 4, 4, schedule=adversarial(seed),
                               failures=[(4, 1)])
         assert res.histogram == truth
+
+
+def test_impl_a_ticks_do_not_follow_corpus_content():
+    # Equal-shape corpora send along the same links with the same tokens,
+    # so every envelope meets the same fate and the tick count is equal.
+    faults = dict(schedule=DeliverySchedule(seed=0, duplicate_prob=0.3,
+                                            reorder_window=5, drop_prob=0.1),
+                  failures=[(6, 1)])
+    runs = [kmer.impl_a_run(make_corpus(random.Random(seed), 40, 50), 6, 3,
+                            chunk_len=256, **faults) for seed in range(4)]
+    assert len({res.sim.now for res in runs}) == 1
+    assert len({sum(e[1] == "send" for e in res.sim.events)
+                for res in runs}) == 1
 
 
 def test_impl_a_worker_takes_its_next_chunk_in_the_completing_step(
