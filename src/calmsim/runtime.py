@@ -3,10 +3,12 @@
 Workers communicate through channels with at-least-once delivery: a seeded
 schedule may reorder envelopes within a window, duplicate them, or drop them
 (dropped envelopes are re-sent with exponential backoff, so every envelope is
-eventually delivered at least once).  Each enqueue's fate comes from one
-keyed hash of the message (link, token, how many such sends came before,
-attempt and copy), so a send added elsewhere moves no other message's fate;
-identical (program, input, seed, config) yields a byte-identical event log.
+eventually delivered at least once).  A message is named by its link, its
+token and how many sends of that token on that link came before; each
+enqueue's fate is one keyed hash of that name, the attempt and the copy.
+So a send added elsewhere moves no other message's fate, no other seeded
+stream is drawn from, and identical (program, input, seed, config) yields
+a byte-identical event log.
 
 State already merged into a shard survives worker failure: failure means the
 worker leaves the work pool and stops taking steps, not that its converged
@@ -17,7 +19,6 @@ the work-pool rule that completed work is never redone.
 from __future__ import annotations
 
 import heapq
-import random
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -55,13 +56,13 @@ class DeliverySchedule:
 class Envelope:
     """One delivered data unit.
 
-    ``token_id`` identifies the data; ``use_id`` identifies this particular
-    use of it, so re-reads after a failure are distinguishable from network
-    duplicates; ``n`` counts the earlier sends of ``token_id`` on its link.
+    ``token_id`` identifies the data; ``n`` counts the earlier sends of
+    ``token_id`` on its link, so ``(src, dst, token_id, n)`` names this send
+    alone: a re-send after a failure is a later send, a network duplicate
+    the same one.
     """
 
     token_id: int
-    use_id: int
     src: int
     dst: int
     payload: Any
@@ -116,9 +117,7 @@ class Simulation:
 
     def __init__(self, schedule: DeliverySchedule | None = None,
                  choices=None):
-        self.schedule = schedule or DeliverySchedule()
-        self.rng = random.Random(self.schedule.seed)  # ids only
-        self.choices = choices or KeyedChoices(self.schedule)
+        self.choices = choices or KeyedChoices(schedule or DeliverySchedule())
         self._sent: Counter = Counter()  # (src, dst, token_id) -> sends
         self.now = 0
         self.net = NetworkCondition()
@@ -129,17 +128,6 @@ class Simulation:
         self.in_flight: list[tuple] = []
         self.held: list[Envelope] = []
         self._seq = 0
-        self._issued_ids: set[int] = set()
-
-    # -- identity -----------------------------------------------------------
-
-    def fresh_id(self) -> int:
-        """Seeded 64-bit id; collisions are checked at desk scale."""
-        while True:
-            uid = self.rng.getrandbits(64)
-            if uid not in self._issued_ids:
-                self._issued_ids.add(uid)
-                return uid
 
     # -- membership ---------------------------------------------------------
 
@@ -176,7 +164,7 @@ class Simulation:
             if self.net.partitioned(env.src, env.dst):
                 still_held.append(env)
             else:
-                self._enqueue(env, attempts=0)
+                self._launch(env)
         self.held = still_held
 
     def heal(self) -> None:
@@ -184,26 +172,24 @@ class Simulation:
 
     # -- channel ------------------------------------------------------------
 
-    def send(self, src: int, dst: int, payload,
-             token_id: int | None = None) -> Envelope:
-        token_id = self.fresh_id() if token_id is None else token_id
+    def send(self, src: int, dst: int, payload, token_id: int = 0) -> Envelope:
         n = self._sent[src, dst, token_id]
         self._sent[src, dst, token_id] = n + 1
-        env = Envelope(token_id=token_id, use_id=self.fresh_id(),
-                       src=src, dst=dst, payload=payload, n=n)
-        self.log("send", src=src, dst=dst, token_id=env.token_id,
-                 use_id=env.use_id)
+        env = Envelope(token_id, src, dst, payload, n)
+        self.log("send", src, dst, token_id, n)
         if self.net.partitioned(src, dst):
             # Held asynchronously until the partition heals; never blocks.
             self.held.append(env)
-            self.log("hold", src=src, dst=dst, token_id=env.token_id,
-                     use_id=env.use_id)
-            return env
-        if self._enqueue(env, attempts=0):
-            self.log("dup", src=src, dst=dst, token_id=env.token_id,
-                     use_id=env.use_id)
-            self._enqueue(env, attempts=0, copy=1)
+            self.log("hold", src, dst, token_id, n)
+        else:
+            self._launch(env)
         return env
+
+    def _launch(self, env: Envelope) -> None:
+        """Put a sent or released ``env`` in flight, twice if it duplicates."""
+        if self._enqueue(env, attempts=0):
+            self.log("dup", env.src, env.dst, env.token_id, env.n)
+            self._enqueue(env, attempts=0, copy=1)
 
     def _enqueue(self, env: Envelope, attempts: int, copy: int = 0) -> bool:
         """Queue ``env`` with its fate; True when a first send duplicates."""
@@ -221,8 +207,8 @@ class Simulation:
         delivered = []
         while self.in_flight and self.in_flight[0][0] <= self.now:
             _, _, env, attempts, dropped, copy = heapq.heappop(self.in_flight)
-            self.log("drop" if dropped else "deliver", src=env.src,
-                     dst=env.dst, token_id=env.token_id, use_id=env.use_id)
+            self.log("drop" if dropped else "deliver", env.src, env.dst,
+                     env.token_id, env.n)
             if dropped:
                 self._enqueue(env, attempts + 1, copy)
             else:
@@ -232,14 +218,14 @@ class Simulation:
     # -- event log ----------------------------------------------------------
 
     def log(self, kind: str, src=None, dst=None, token_id=None,
-            use_id=None) -> None:
-        event = (self.now, kind, src, dst, token_id, use_id)
+            n=None) -> None:
+        event = (self.now, kind, src, dst, token_id, n)
         if token_id is None:  # a unit event: equal ones share one tuple
             event = self._units.setdefault(event, event)
         self.events.append(event)
 
     def event_lines(self) -> str:
-        """Line-delimited ``tick,event_kind,src,dst,token_id,use_id``."""
+        """Line-delimited ``tick,event_kind,src,dst,token_id,n``."""
         def cell(v):
             return "" if v is None else str(v)
 

@@ -832,7 +832,7 @@ def test_each_delta_is_built_once_and_delivered_as_sent(
                                 chunk.token_id))
         return absorb(self, wid, delta)
 
-    def spy_send(sim, src, dst, payload, token_id=None):
+    def spy_send(sim, src, dst, payload, token_id=0):
         handled.append(("send", src, dst, payload))
         return send(sim, src, dst, payload, token_id)
 
@@ -899,7 +899,7 @@ def test_design2_sends_each_chunk_once_to_every_other_replica(
     send = Simulation.send
     sent: dict = {}
 
-    def spy_send(sim, src, dst, payload, token_id=None):
+    def spy_send(sim, src, dst, payload, token_id=0):
         sent.setdefault(token_id, []).append((dst, payload))
         return send(sim, src, dst, payload, token_id)
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import calmsim
@@ -5,8 +7,8 @@ from calmsim import kmer, lattice, runtime, tables
 from calmsim.errors import (DivergenceError, LatticeTypeError,
                             StratificationError, UnknownWorkerError)
 from calmsim.lattice import GSet, LMap, LMax, ThresholdLSet
-from calmsim.runtime import (DeliverySchedule, Program, Simulation,
-                             run_to_quiescence)
+from calmsim.runtime import (DeliverySchedule, Envelope, KeyedChoices,
+                             Program, Simulation, run_to_quiescence)
 from calmsim.tables import Rule, Scratch, TickRuleEngine, compile_rules
 
 from helpers import EngineSpy
@@ -50,9 +52,9 @@ def test_every_token_delivered_at_least_once():
     sim = Simulation(DeliverySchedule(seed=8, duplicate_prob=0.2,
                                       reorder_window=3, drop_prob=0.4))
     run_to_quiescence(sim, GSetSink([f"p{i}" for i in range(50)]))
-    sent = {ev[4] for ev in sim.events if ev[1] == "send"}
-    delivered = {ev[4] for ev in sim.events if ev[1] == "deliver"}
-    assert sent <= delivered
+    sent = {ev[2:] for ev in sim.events if ev[1] == "send"}
+    delivered = {ev[2:] for ev in sim.events if ev[1] == "deliver"}
+    assert len(sent) == 50 and sent <= delivered
 
 
 def test_determinism_byte_identical_event_logs():
@@ -128,6 +130,22 @@ def test_new_partition_keeps_an_envelope_its_cut_still_separates():
     assert not sim.held and [e[2] for e in sim.in_flight] == [env]
 
 
+def test_a_message_released_at_a_heal_meets_the_duplicate_draw():
+    # Released, a held send is put in flight as a plain one is: here both
+    # duplicate, as every first enqueue does.
+    sim = Simulation(DeliverySchedule(duplicate_prob=1.0))
+    sim.register_worker()
+    sim.register_worker()
+    sim.send(0, 1, "plain")
+    sim.set_partition([(0, 1)])
+    sim.send(0, 1, "held")
+    sim.heal()
+    assert sorted(e[2].payload for e in sim.in_flight) == [
+        "held", "held", "plain", "plain"]
+    assert [(ev[1], ev[5]) for ev in sim.events if ev[2] is not None] == [
+        ("send", 0), ("dup", 0), ("send", 1), ("hold", 1), ("dup", 1)]
+
+
 class Scripted:
     """A choice source that gives ``fates`` in turn and records each call."""
 
@@ -141,7 +159,7 @@ class Scripted:
 
 def test_deliver_due_orders_by_due_and_resends_a_drop_later():
     # Scripted fates, ``(delay, dropped, dup)``: one per send, then the
-    # resend's.  Ids still come from the seeded generator.
+    # resend's.
     keep, drop = (0, False, False), (0, True, False)
     choices = Scripted(keep, keep, drop, keep)
     sim = Simulation(DeliverySchedule(drop_prob=0.5), choices)
@@ -152,9 +170,9 @@ def test_deliver_due_orders_by_due_and_resends_a_drop_later():
     lost = sim.send(0, 1, "lost")  # due 1, dropped
     sim.now = 5
     assert sim.deliver_due() == [early, late]
-    assert [(ev[1], ev[4]) for ev in sim.events if ev[1] != "send"] == [
-        ("deliver", early.token_id), ("drop", lost.token_id),
-        ("deliver", late.token_id)]
+    assert (late.n, early.n, lost.n) == (0, 1, 2)
+    assert [(ev[1], ev[5]) for ev in sim.events if ev[1] != "send"] == [
+        ("deliver", 1), ("drop", 2), ("deliver", 0)]
     assert [entry[2] for entry in sim.in_flight] == [lost]
     sim.now = 8  # resent with a backoff of 2
     assert sim.deliver_due() == [lost] and not sim.in_flight
@@ -222,6 +240,57 @@ def test_keyed_fates_meet_the_schedule_probabilities():
     drops = sum(entry[4] for entry in sim.in_flight)
     delays = {entry[0] - 1 for entry in sim.in_flight}
     assert 500 < dups < 700 and 650 < drops < 900 and delays == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("run", ["impl_a_run", "sink"])
+def test_the_log_explains_each_fate(run, small_corpus):
+    # Each send line names its message; the keyed fate of that name, an
+    # attempt and a copy gives every dup, drop and delivery line of it, at
+    # its tick.  A send the cut holds is launched at the heal.
+    schedule = DeliverySchedule(seed=9, duplicate_prob=0.3, reorder_window=3,
+                                drop_prob=0.1)
+    if run == "sink":  # token 0, sent 40 times on one link
+        heal, sim = 3, Simulation(schedule)
+        run_to_quiescence(sim, GSetSink(range(40)), {
+            1: [lambda sim, program: sim.set_partition([(0, 1)])],
+            heal: [lambda sim, program: sim.heal()]})
+    else:  # each token sent once on a link
+        heal = 12
+        sim = kmer.impl_a_run(small_corpus, 5, 3, schedule=schedule,
+                              failures=[(5, 1)], joins=[7],
+                              partitions=[(3, ((0, 2),)), (heal, ())]).sim
+    choices, earlier = KeyedChoices(schedule), Counter()
+    logged: dict[tuple, list] = {}
+    for tick, kind, src, dst, token, n in sim.events:
+        if kind == "send":
+            assert (src, dst, token, n) not in logged
+            assert n == earlier[src, dst, token]
+            earlier[src, dst, token] += 1
+        if src is not None:
+            logged.setdefault((src, dst, token, n), []).append((tick, kind))
+
+    def explained(env, start):
+        copies = 1 + choices.fate(env, 0, 0)[2]
+        lines = [(start, "dup")] * (copies - 1)
+        for copy in range(copies):
+            tick, attempts, dropped = start, 0, True
+            while dropped:
+                delay, dropped, _ = choices.fate(env, attempts, copy)
+                backoff = attempts and min(2 ** attempts, runtime._BACKOFF_CAP)
+                tick += 1 + backoff + delay
+                lines.append((tick, "drop" if dropped else "deliver"))
+                attempts += 1
+        return sorted(lines)
+
+    kinds = Counter(kind for lines in logged.values() for _, kind in lines)
+    assert min(kinds["hold"], kinds["dup"], kinds["drop"]) > 0
+    for (src, dst, token, n), lines in logged.items():
+        sent = lines[0][0]
+        start = heal if (sent, "hold") in lines else sent
+        fates = sorted(line for line in lines
+                       if line[1] not in ("send", "hold"))
+        assert fates == explained(Envelope(token, src, dst, None, n),
+                                  start), (src, dst, token, n)
 
 
 def test_empty_program_quiescent_at_tick_zero():
@@ -302,12 +371,6 @@ def test_held_envelopes_keep_their_message_when_no_worker_is_alive():
         run_to_quiescence(sim, SendThenDie(["a", "b"]),
                           {1: [cut], 2: [kill_both]})
     assert sim.now == 2
-
-
-def test_fresh_ids_unique():
-    sim = Simulation()
-    ids = [sim.fresh_id() for _ in range(2000)]
-    assert len(set(ids)) == len(ids)
 
 
 # -- tick rules -------------------------------------------------------------

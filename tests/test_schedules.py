@@ -104,6 +104,25 @@ def test_implementation_a_reissues_a_lost_chunk_on_every_schedule():
     assert runs > 100
 
 
+def test_implementation_a_matches_the_oracle_across_a_heal_and_a_join():
+    # Workers 0 and 1 complete their first chunks at tick 2, while the two
+    # are cut off and worker 2 joins, so their batches for each other are
+    # held until the heal at tick 3.
+    truth, runs, dup_released = oracle_count(CORPUS, K), 0, 0
+    for prefix, sim, prog in schedules(
+            lambda: ImplAProgram(CORPUS, K, WORKERS, CHUNK_LEN),
+            partitions=[(1, ((0, 1),)), (3, ())], joins=[2]):
+        assert prog.histogram() == truth, prefix
+        kinds = {}
+        for _, kind, src, dst, token, n in sim.events:
+            kinds.setdefault((src, dst, token, n), set()).add(kind)
+        dup_released += any({"hold", "dup"} <= k for k in kinds.values())
+        runs += 1
+    assert runs > 100
+    # A held envelope meets the duplicate draw when it is released.
+    assert dup_released
+
+
 def test_implementation_b_meets_its_predicate_on_every_schedule():
     truth, threshold, seen = oracle_count(CORPUS, K), 2, set()
     for prefix, _, prog in schedules(

@@ -418,7 +418,7 @@ def test_chunks_without_windows_change_nothing(run, monkeypatch):
     sent = []
     send = Simulation.send
 
-    def spy_send(sim, src, dst, payload, token_id=None):
+    def spy_send(sim, src, dst, payload, token_id=0):
         sent.append(payload)
         return send(sim, src, dst, payload, token_id)
 
